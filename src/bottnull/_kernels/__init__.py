@@ -1,59 +1,12 @@
-"""Kernel dispatch: compiled extension when available and applicable, pure
-Python otherwise.  Set ``BOTTNULL_PURE=1`` to force the pure backend.
+"""Arithmetic kernels: weight-multiset convolution and batched dot walks.
 
-Both backends produce byte-identical results; the compiled convolution packs
-coordinates 9 bits each, so it only applies when every output coordinate is
-guaranteed inside [-255, 255] and counts stay below 2**62.
+One pure-Python implementation, in ``_pykernels``.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _pykernels
-
-if os.environ.get("BOTTNULL_PURE"):
-    _compiled = None
-else:
-    try:
-        from . import _ckernels as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-
-HAVE_COMPILED = _compiled is not None
-_COORD_LIMIT = 255
-_COUNT_LIMIT = 1 << 62
+from ._pykernels import BACKEND, convolve, dot_walk_batch
 
 
 def backend_name() -> str:
-    return _compiled.BACKEND if _compiled is not None else _pykernels.BACKEND
-
-
-def _coord_span(ws: dict) -> int:
-    span = 0
-    for w in ws:
-        for c in w:
-            if c > span:
-                span = c
-            elif -c > span:
-                span = -c
-    return span
-
-
-def convolve(a: dict, b: dict) -> dict:
-    """Minkowski convolution of two weight multisets."""
-    if _compiled is not None and a and b:
-        if _coord_span(a) + _coord_span(b) <= _COORD_LIMIT:
-            total_a = sum(a.values())
-            total_b = sum(b.values())
-            if total_a * total_b < _COUNT_LIMIT:
-                return _compiled.convolve(a, b)
-    return _pykernels.convolve(a, b)
-
-
-def dot_walk_batch(weights: list, cartan) -> list:
-    """Per-weight rho-shifted dominantization: None (singular) or (length, dominant)."""
-    if _compiled is not None and len(cartan) <= 7:
-        if all(all(-(1 << 20) < c < (1 << 20) for c in w) for w in weights):
-            return _compiled.dot_walk_batch(list(weights), cartan)
-    return _pykernels.dot_walk_batch(list(weights), cartan)
+    return BACKEND

@@ -1,8 +1,7 @@
-"""Pure-Python reference kernels.
+"""Pure-Python kernels: the package's only implementation of its hot loops.
 
-Same signatures and exact same outputs as the compiled versions in
-``_ckernels``; used when the extension is absent, disabled, or when inputs
-fall outside the compiled encoding range.
+``chamber_walk`` is the one chamber walk of the package; ``weyl`` builds its
+dominantization, canonical words and linear orbit representatives on it.
 """
 
 from __future__ import annotations
@@ -23,6 +22,28 @@ def convolve(a: dict, b: dict) -> dict:
     return out
 
 
+def chamber_walk(mu: list, cols) -> list[int]:
+    """Move ``mu`` into the dominant chamber in place by simple reflections.
+
+    Each step reflects in the smallest index with a negative coordinate;
+    ``cols[i]`` holds the fundamental coordinates of the simple root
+    alpha_{i+1}.  Returns the 1-based letters in the order they were applied.
+    """
+    rank = len(mu)
+    letters = []
+    while True:
+        for i in range(rank):
+            c = mu[i]
+            if c < 0:
+                col = cols[i]
+                for j in range(rank):
+                    mu[j] -= c * col[j]
+                letters.append(i + 1)
+                break
+        else:
+            return letters
+
+
 def dot_walk_batch(weights: list, cartan) -> list:
     """Dominantize ``w + rho`` by simple reflections for each input weight.
 
@@ -36,18 +57,7 @@ def dot_walk_batch(weights: list, cartan) -> list:
     out = []
     for w in weights:
         mu = [c + 1 for c in w]
-        length = 0
-        while True:
-            for i in range(rank):
-                c = mu[i]
-                if c < 0:
-                    col = cols[i]
-                    for j in range(rank):
-                        mu[j] -= c * col[j]
-                    length += 1
-                    break
-            else:
-                break
+        length = len(chamber_walk(mu, cols))
         if 0 in mu:
             out.append(None)
         else:

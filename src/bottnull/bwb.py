@@ -11,7 +11,6 @@ bundle whose associated graded has weight multiset chi(E).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
@@ -19,7 +18,7 @@ from itertools import combinations
 from . import weyl
 from .bundles import Expr, WeightMultiset, weights
 from .errors import CheckFailed
-from .rootsys import RootSystem, Weight, invariant_form
+from .rootsys import RootSystem, Weight, invariant_form, weyl_product
 
 
 @dataclass(frozen=True)
@@ -76,39 +75,18 @@ class PotentialSupport:
         return f"PotentialSupport({self._by_degree!r})"
 
 
-def _push_chunk(rs: RootSystem, items: list[tuple[Weight, int]]):
+def psupp(rs: RootSystem, expr: Expr | str | WeightMultiset) -> PotentialSupport:
+    """Potential support of H^*(X, E): every weight of E pushed through BWB."""
+    ws = expr if isinstance(expr, WeightMultiset) else weights(rs, expr)
+    items = ws.sorted_items()
     walked = weyl.dot_dominantize_batch(rs, [w for w, _ in items])
-    out: dict[int, dict[Weight, int]] = {}
-    for (w, mult), res in zip(items, walked):
+    acc: dict[int, dict[Weight, int]] = {}
+    for (_, mult), res in zip(items, walked):
         if res is None:
             continue
         k, dom = res
-        bucket = out.setdefault(k, {})
+        bucket = acc.setdefault(k, {})
         bucket[dom] = bucket.get(dom, 0) + mult
-    return out
-
-
-def psupp(rs: RootSystem, expr: Expr | str | WeightMultiset, *,
-          threads: int = 1) -> PotentialSupport:
-    """Potential support of H^*(X, E): every weight of E pushed through BWB.
-
-    Deterministic for any thread count: chunks are merged in submission order.
-    """
-    ws = expr if isinstance(expr, WeightMultiset) else weights(rs, expr)
-    items = ws.sorted_items()
-    acc: dict[int, dict[Weight, int]] = {}
-    if threads <= 1 or len(items) < 64:
-        chunks = [_push_chunk(rs, items)] if items else []
-    else:
-        size = max(32, (len(items) + threads - 1) // threads)
-        parts = [items[i:i + size] for i in range(0, len(items), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda part: _push_chunk(rs, part), parts))
-    for chunk in chunks:
-        for k, bucket in chunk.items():
-            tgt = acc.setdefault(k, {})
-            for dom, mult in bucket.items():
-                tgt[dom] = tgt.get(dom, 0) + mult
     return PotentialSupport(acc)
 
 
@@ -179,18 +157,7 @@ def distinct_roots_check(rs: RootSystem, *, seed: int = 0,
 def euler_line(rs: RootSystem, lam: Weight) -> int:
     """Euler characteristic of a line bundle: Weyl-dimension product formula
     at lam + rho (zero exactly when the shifted weight is singular)."""
-    shifted = tuple(c + 1 for c in lam)
-    num = Q(1)
-    den = Q(1)
-    for root in rs.positive_roots:
-        rc = root.root_coords
-        pairing_num = sum(rc[i] * rs.symmetrizer[i] * shifted[i] for i in range(rs.rank))
-        pairing_den = sum(rc[i] * rs.symmetrizer[i] for i in range(rs.rank))
-        num *= pairing_num
-        den *= pairing_den
-    val = num / den
-    assert val.denominator == 1
-    return int(val)
+    return weyl_product(rs, lam)
 
 
 def euler_characteristic(rs: RootSystem, expr: Expr | str | WeightMultiset) -> int:

@@ -25,16 +25,13 @@ FORMAT_VERSION = "bott-null/1"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1: one usage line,
+    one error line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
+        print(" ".join(self.format_usage().split()), file=sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _wstr(rs: RootSystem, w) -> str:
-    return format_weight(w)
 
 
 def _wroot(rs: RootSystem, w) -> str:
@@ -77,14 +74,14 @@ def _cmd_roots(args) -> int:
     rs = build_root_system(args.family, args.rank)
     rows = [{"index": i,
              "root": format_root_coords(tuple(Q(c) for c in r.root_coords)),
-             "fund": _wstr(rs, r.fund_coords),
+             "fund": format_weight(r.fund_coords),
              "height": r.height}
             for i, r in enumerate(rs.positive_roots)]
     payload = {
         "cartan": [list(row) for row in rs.cartan],
         "positive_roots": rows,
         "positive_count": len(rows),
-        "rho": _wstr(rs, rs.rho),
+        "rho": format_weight(rs.rho),
         "dim_g": rs.dim_g,
     }
     if args.format == "tsv":
@@ -113,13 +110,13 @@ def _cmd_weyl(args) -> int:
         "word": list(word),
         "reduced": list(reduced),
         "length": len(reduced),
-        "inversions": [_wstr(rs, g) for g in inversions],
+        "inversions": [format_weight(g) for g in inversions],
     }
     if args.weight is not None:
         lam = parse_weight(rs, args.weight)
-        payload["weight"] = _wstr(rs, lam)
-        payload["act"] = _wstr(rs, weyl.act(rs, word, lam))
-        payload["dot"] = _wstr(rs, weyl.dot(rs, word, lam))
+        payload["weight"] = format_weight(lam)
+        payload["act"] = format_weight(weyl.act(rs, word, lam))
+        payload["dot"] = format_weight(weyl.dot(rs, word, lam))
     if args.format == "tsv":
         header = sorted(payload)
         _print_tsv(header, [[json.dumps(payload[h]) if isinstance(payload[h], list)
@@ -133,10 +130,10 @@ def _cmd_bwb(args) -> int:
     rs = build_root_system(args.family, args.rank)
     lam = parse_weight(rs, args.weight)
     res = bwb.line_cohomology(rs, lam)
-    payload = {"input": _wstr(rs, lam), "vanishes": res.vanishes}
+    payload = {"input": format_weight(lam), "vanishes": res.vanishes}
     if not res.vanishes:
         payload["degree"] = res.degree
-        payload["weight"] = _wstr(rs, res.weight)
+        payload["weight"] = format_weight(res.weight)
         payload["weight_root_coords"] = _wroot(rs, res.weight)
         payload["dimension"] = repthy.weyl_dim(rs, res.weight)
     if args.format == "tsv":
@@ -160,10 +157,10 @@ def _cmd_weights(args) -> int:
         "expr": bundles.unparse(expr),
         "dim": ws.total_dim,
         "distinct": len(items),
-        "weights": [{"weight": _wstr(rs, w), "mult": m} for w, m in items],
+        "weights": [{"weight": format_weight(w), "mult": m} for w, m in items],
     }
     if args.format == "tsv":
-        _print_tsv(["weight", "mult"], [[_wstr(rs, w), m] for w, m in items])
+        _print_tsv(["weight", "mult"], [[format_weight(w), m] for w, m in items])
     else:
         _print_json(_envelope("weights", rs, payload))
     return 0
@@ -172,18 +169,18 @@ def _cmd_weights(args) -> int:
 def _cmd_psupp(args) -> int:
     rs = build_root_system(args.family, args.rank)
     expr = bundles.parse(args.expr)
-    ps = bwb.psupp(rs, expr, threads=args.threads)
+    ps = bwb.psupp(rs, expr)
     degrees = {}
     rows = []
     for k in ps.degrees():
-        entries = [{"weight": _wstr(rs, w), "mult": m}
+        entries = [{"weight": format_weight(w), "mult": m}
                    for w, m in ps.multiset(k).sorted_items()]
         degrees[str(k)] = entries
         rows.extend([[k, e["weight"], e["mult"]] for e in entries])
     payload = {
         "expr": bundles.unparse(expr),
         "degrees": degrees,
-        "set_view": {str(k): sorted(_wstr(rs, w) for w in ps.support(k))
+        "set_view": {str(k): sorted(format_weight(w) for w in ps.support(k))
                      for k in ps.degrees()},
     }
     if args.format == "tsv":
@@ -198,7 +195,7 @@ def _cmd_mult(args) -> int:
     expr = bundles.parse(args.expr)
     mu = parse_weight(rs, args.weight)
     value = repthy.mult_in(rs, expr, mu)
-    payload = {"expr": bundles.unparse(expr), "weight": _wstr(rs, mu),
+    payload = {"expr": bundles.unparse(expr), "weight": format_weight(mu),
                "mult": value}
     if args.format == "tsv":
         _print_tsv(["expr", "weight", "mult"],
@@ -227,13 +224,13 @@ def _cmd_decompose(args) -> int:
     items = module.sorted_items()
     payload = {
         "expr": bundles.unparse(expr),
-        "modules": [{"weight": _wstr(rs, w), "mult": m,
+        "modules": [{"weight": format_weight(w), "mult": m,
                      "dim": repthy.weyl_dim(rs, w)} for w, m in items],
         "total_dim": module.dimension(rs),
     }
     if args.format == "tsv":
         _print_tsv(["weight", "mult", "dim"],
-                   [[_wstr(rs, w), m, repthy.weyl_dim(rs, w)] for w, m in items])
+                   [[format_weight(w), m, repthy.weyl_dim(rs, w)] for w, m in items])
     else:
         _print_json(_envelope("decompose", rs, payload))
     return 0
@@ -248,10 +245,12 @@ def _cmd_nullcone(args) -> int:
         try:
             doc = json.loads(text)
             g = nullcone.matrix_from_rows(doc["g"])
+            if any(len(row) != len(g) for row in g):
+                raise ValueError("g must be a square matrix")
             mats = tuple(nullcone.matrix_from_rows(m) for m in doc["matrices"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            t = nullcone.MatrixTuple(n=len(g), matrices=mats)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad resolve document: {exc}") from exc
-        t = nullcone.MatrixTuple(n=len(g), matrices=mats)
         sample = nullcone.resolution_sample(g, t)
         payload = {"op": "resolve", "n": sample.n, "r": sample.r,
                    "matrices": [nullcone.matrix_to_strings(m)
@@ -277,7 +276,7 @@ def _witness_doc(rs: RootSystem, w: ledger.Witness) -> dict:
         "a": w.a,
         "b": w.b,
         "total_degree": w.a + w.b,
-        "module": [{"weight": _wstr(rs, wt), "mult": m,
+        "module": [{"weight": format_weight(wt), "mult": m,
                     "dim": repthy.weyl_dim(rs, wt)}
                    for wt, m in w.module.sorted_items()],
         "dimension": w.module.dimension(rs),
@@ -286,11 +285,17 @@ def _witness_doc(rs: RootSystem, w: ledger.Witness) -> dict:
 
 
 def _cmd_verdict(args) -> int:
+    if args.copies < 1:
+        raise InputError(f"-r must be at least 1, got {args.copies}")
     rs = build_root_system(args.family, args.rank)
     table = None
     if args.table is not None:
         with open(args.table, "r", encoding="utf-8") as fh:
-            table = ledger.load_table(fh.read())
+            text = fh.read()
+        try:
+            table = ledger.load_table(text)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad table document: {exc}") from exc
     if args.format == "tsv":
         raise InputError("verdict output is JSON-only")
     v = ledger.verdict(args.family, args.rank, args.copies, table)
@@ -307,7 +312,7 @@ def _cmd_verdict(args) -> int:
 
 def _cmd_report(args) -> int:
     rs = build_root_system(args.family, args.rank)
-    checks = _report_checks(rs, threads=args.threads, seed=args.seed)
+    checks = _report_checks(rs, seed=args.seed)
     passed = all(c["status"] == "pass" for c in checks)
     payload = {"checks": checks, "passed": passed}
     if args.format == "tsv":
@@ -352,21 +357,21 @@ def _ledger_alternating_dim(rs: RootSystem, table: ledger.CohomologyTable,
 
 
 def _validate_entries(rs: RootSystem, table: ledger.CohomologyTable,
-                      q: int, threads: int) -> tuple[bool, str]:
+                      q: int) -> tuple[bool, str]:
     sub = ledger.CohomologyTable()
     for e in table.entries():
         if (e.family, e.rank, e.q) == (rs.family, rs.rank, q):
             sub.add(e.family, e.rank, e.q, e.p, module=e.module,
                     unresolved=e.unresolved, provenance=e.provenance)
     sub.mark_complete(rs.family, rs.rank, q)
-    rep = ledger.validate_table(sub, threads=threads)
+    rep = ledger.validate_table(sub)
     detail = f"{rep.checked} entries within potential-support bounds"
     if not rep.passed:
         detail = "; ".join(rep.failures)
     return rep.passed, detail
 
 
-def _report_checks(rs: RootSystem, *, threads: int, seed: int) -> list[dict]:
+def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
     checks: list[dict] = []
     family, rank = rs.family, rs.rank
     zero = (0,) * rank
@@ -387,7 +392,7 @@ def _report_checks(rs: RootSystem, *, threads: int, seed: int) -> list[dict]:
                f"(theta+rho,theta+rho)-(rho,rho) = {norm} = 2n")
 
     # Tensor square.
-    ps2 = bwb.psupp(rs, "b^2", threads=threads)
+    ps2 = bwb.psupp(rs, "b^2")
     if is_a:
         ok_support = _setview_matches(ps2, rank, {})
         h1 = table.entry(family, rank, 2, 1)
@@ -400,7 +405,7 @@ def _report_checks(rs: RootSystem, *, threads: int, seed: int) -> list[dict]:
         _check(checks, "tensor-square-a", ok,
                "support {0} in every contributing degree; H^1 = C matches "
                f"invariant dimension {inv}; chi = {euler2}")
-        ok_v, detail_v = _validate_entries(rs, table, 2, threads)
+        ok_v, detail_v = _validate_entries(rs, table, 2)
         _check(checks, "tensor-square-a-validated", ok_v, detail_v)
         euler_qq = bwb.euler_characteristic(rs, "q*q")
         want = rs.dim_g ** 2 - 1
@@ -425,12 +430,12 @@ def _report_checks(rs: RootSystem, *, threads: int, seed: int) -> list[dict]:
         _check(checks, "tensor-square-b2-cohomology", ok,
                f"H^1 = C, H^2 = L(0,1); invariant dimension {inv}; "
                f"alternating dimension {alt} = chi {euler2}")
-        ok_v, detail_v = _validate_entries(rs, table, 2, threads)
+        ok_v, detail_v = _validate_entries(rs, table, 2)
         _check(checks, "tensor-square-b2-validated", ok_v, detail_v)
 
     # Tensor cube (type A).
     if is_a:
-        ps3 = bwb.psupp(rs, "b^3", threads=threads)
+        ps3 = bwb.psupp(rs, "b^3")
         if n == 3:
             special = {2: {zero, (1, 1), (3, 0), (0, 3)}, 3: {zero, (1, 1)}}
         elif n == 4:
@@ -449,12 +454,12 @@ def _report_checks(rs: RootSystem, *, threads: int, seed: int) -> list[dict]:
         _check(checks, "tensor-cube-cohomology-a", ok,
                f"trivial multiplicity in H^2 is 2 = invariant dimension of g^3; "
                f"alternating dimension {alt} = chi {euler3}")
-        ok_v, detail_v = _validate_entries(rs, table, 3, threads)
+        ok_v, detail_v = _validate_entries(rs, table, 3)
         _check(checks, "tensor-cube-a-validated", ok_v, detail_v)
 
     # Fourth tensor power (type A, ranks 5 and 6).
     if is_a and rank in (5, 6):
-        ps4 = bwb.psupp(rs, "b^4", threads=threads)
+        ps4 = bwb.psupp(rs, "b^4")
         if rank == 5:
             special = {5: {zero, (0, 0, 2, 0, 0)}}
             mult_once = ps4.multiset(5).get((0, 0, 2, 0, 0)) == 1
@@ -466,7 +471,7 @@ def _report_checks(rs: RootSystem, *, threads: int, seed: int) -> list[dict]:
                f"per-degree supports match the established branch for n = {n}")
         degrees = table.degrees(family, rank, 4)
         want_degrees = (2, 3, 5) if rank == 5 else (2, 3)
-        ok_v, detail_v = _validate_entries(rs, table, 4, threads)
+        ok_v, detail_v = _validate_entries(rs, table, 4)
         _check(checks, "tensor-fourth-cohomology-a",
                degrees == want_degrees and ok_v,
                f"recorded degrees {list(degrees)}; {detail_v}")
@@ -568,8 +573,6 @@ def _add_common(sub, *, root_system: bool = True) -> None:
         sub.add_argument("--family", choices=("A", "B"), required=True)
         sub.add_argument("--rank", type=int, required=True)
     sub.add_argument("--format", choices=("json", "tsv"), default="json")
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -634,6 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("report", help="reproduce the established results")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled distinct-roots check")
     p.set_defaults(fn=_cmd_report)
     return parser
 
@@ -649,7 +654,7 @@ def main(argv: list[str] | None = None) -> int:
     except Error as exc:
         print(f"bottnull: error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"bottnull: error: {exc}", file=sys.stderr)
         return 1
 

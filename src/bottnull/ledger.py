@@ -191,7 +191,7 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def validate_table(table: CohomologyTable, *, threads: int = 1) -> ValidationReport:
+def validate_table(table: CohomologyTable) -> ValidationReport:
     """Check every entry against the potential-support bound of its bundle.
 
     Placeholders must have the zero weight in potential support at their
@@ -206,7 +206,7 @@ def validate_table(table: CohomologyTable, *, threads: int = 1) -> ValidationRep
         ps = cache.get(key)
         if ps is None:
             rs = build_root_system(entry.family, entry.rank)
-            ps = psupp(rs, f"b^{entry.q}", threads=threads)
+            ps = psupp(rs, f"b^{entry.q}")
             cache[key] = ps
         checked += 1
         name = f"{entry.family}/{entry.rank}/{entry.q}/{entry.p}"

@@ -221,5 +221,5 @@ def tuple_from_json(text: str) -> MatrixTuple:
         doc = json.loads(text)
         mats = tuple(matrix_from_rows(m) for m in doc["matrices"])
         return MatrixTuple(n=int(doc["n"]), matrices=mats)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad matrix-tuple document: {exc}") from exc

@@ -15,7 +15,7 @@ from . import weyl
 from .bundles import Expr, WeightMultiset, dim as bundle_dim, weights
 from .errors import NotAGModule, NotDominant, SizeCapExceeded
 from .rootsys import (RootSystem, Weight, invariant_form,
-                      weight_to_root_coords)
+                      weight_to_root_coords, weyl_product)
 
 SIZE_CAP = 5_000_000
 
@@ -70,16 +70,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Weyl dimension formula for a dominant integral weight."""
     if any(c < 0 for c in lam):
         raise NotDominant(f"{lam} is not dominant")
-    shifted = tuple(c + 1 for c in lam)
-    num = Q(1)
-    den = Q(1)
-    for root in rs.positive_roots:
-        rc = root.root_coords
-        num *= sum(rc[i] * rs.symmetrizer[i] * shifted[i] for i in range(rs.rank))
-        den *= sum(rc[i] * rs.symmetrizer[i] for i in range(rs.rank))
-    val = num / den
-    assert val.denominator == 1 and val > 0
-    return int(val)
+    return weyl_product(rs, lam)
 
 
 def _as_multiset(rs: RootSystem, expr: Expr | str | WeightMultiset) -> WeightMultiset:
@@ -200,18 +191,7 @@ def irrep_character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         return cached
     out: dict[Weight, int] = {}
     for mu, m in _dominant_character(rs, lam).items():
-        seen = {mu}
-        frontier = [mu]
-        while frontier:
-            nxt = []
-            for nu in frontier:
-                for i in range(1, rs.rank + 1):
-                    img = weyl.simple_reflection(rs, i, nu)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        for nu in seen:
+        for nu in weyl.orbit(rs, mu):
             out[nu] = m
     ws = WeightMultiset(out)
     _CHAR_CACHE[key] = ws

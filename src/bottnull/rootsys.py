@@ -115,6 +115,17 @@ class RootSystem:
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
         return tuple(tuple(row[n:]) for row in aug)
 
+    @cached_property
+    def _weyl_factors(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Per positive root alpha, the coefficients c with (lam, alpha) =
+        sum_i c_i lam_i; and the product of (rho, alpha) over all of them."""
+        coeffs = tuple(tuple(rc * d for rc, d in zip(r.root_coords, self.symmetrizer))
+                       for r in self.positive_roots)
+        den = 1
+        for c in coeffs:
+            den *= sum(c)
+        return coeffs, den
+
     def describe(self) -> dict:
         return {"family": self.family, "rank": self.rank}
 
@@ -166,6 +177,23 @@ def invariant_form(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> Q:
     """
     rc_mu = weight_to_root_coords(rs, mu)
     return sum(rc_mu[i] * rs.symmetrizer[i] * lam[i] for i in range(rs.rank))
+
+
+def weyl_product(rs: RootSystem, lam: Sequence[int]) -> int:
+    """prod over positive roots alpha of (lam+rho, alpha) / (rho, alpha).
+
+    Exact integer arithmetic.  Zero exactly when lam + rho lies on a wall;
+    otherwise (-1)^l(w) dim L(w . lam) for the w that makes w . lam
+    dominant, so dim L(lam) for dominant lam (Weyl dimension formula).
+    """
+    coeffs, den = rs._weyl_factors
+    shifted = [c + 1 for c in lam]
+    num = 1
+    for c in coeffs:
+        num *= sum(ci * x for ci, x in zip(c, shifted))
+    val, rem = divmod(num, den)
+    assert rem == 0
+    return val
 
 
 def coroot_pairing(rs: RootSystem, weight: Sequence[int], root: Root) -> Q:

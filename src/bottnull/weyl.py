@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import _kernels
+from ._kernels._pykernels import chamber_walk
 from .errors import InputError
 from .rootsys import RootSystem, Weight
 
@@ -60,18 +61,7 @@ class DominanceResult:
 def to_dominant(rs: RootSystem, weight: Sequence[int]) -> DominanceResult:
     """Chamber walk on ``weight + rho``, flipping the smallest negative index."""
     mu = [c + 1 for c in weight]
-    letters: list[int] = []
-    while True:
-        for i in range(rs.rank):
-            if mu[i] < 0:
-                c = mu[i]
-                col = rs.simple_fund_columns[i]
-                for j in range(rs.rank):
-                    mu[j] -= c * col[j]
-                letters.append(i + 1)
-                break
-        else:
-            break
+    letters = chamber_walk(mu, rs.simple_fund_columns)
     if 0 in mu:
         return DominanceResult(singular=True)
     dominant = tuple(c - 1 for c in mu)
@@ -92,18 +82,7 @@ def _canonical_word_from_image(rs: RootSystem, image: Weight) -> tuple[int, ...]
     # If u(image) = rho with u = s_{c_k}...s_{c_1}, then the element sending
     # rho to image is u^{-1} = word (c_1, ..., c_k) in rightmost-first order.
     mu = list(image)
-    letters: list[int] = []
-    while True:
-        for i in range(rs.rank):
-            if mu[i] < 0:
-                c = mu[i]
-                col = rs.simple_fund_columns[i]
-                for j in range(rs.rank):
-                    mu[j] -= c * col[j]
-                letters.append(i + 1)
-                break
-        else:
-            break
+    letters = chamber_walk(mu, rs.simple_fund_columns)
     assert tuple(mu) == rs.rho
     return tuple(letters)
 
@@ -126,23 +105,32 @@ def inversion_set(rs: RootSystem, word: Sequence[int]) -> frozenset[Weight]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def enumerate_elements(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """All Weyl-group elements as canonical words, sorted by (length, word)."""
-    start = rs.rho
-    seen = {start}
-    frontier = [start]
+def orbit(rs: RootSystem, dominant: Weight) -> set[Weight]:
+    """Linear Weyl orbit of a dominant weight.
+
+    Breadth-first from ``dominant``, reflecting only where a coordinate is
+    positive, i.e. only downwards: every orbit element is reached, because
+    the chamber walk from it back to ``dominant`` only goes upwards.
+    """
+    seen = {dominant}
+    frontier = [dominant]
     while frontier:
         nxt = []
         for mu in frontier:
             for i in range(1, rs.rank + 1):
-                if mu[i - 1] > 0:  # length increases
+                if mu[i - 1] > 0:
                     img = simple_reflection(rs, i, mu)
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
         frontier = nxt
-    words = [_canonical_word_from_image(rs, img) for img in seen]
+    return seen
+
+
+@lru_cache(maxsize=None)
+def enumerate_elements(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """All Weyl-group elements as canonical words, sorted by (length, word)."""
+    words = [_canonical_word_from_image(rs, img) for img in orbit(rs, rs.rho)]
     return tuple(sorted(words, key=lambda w: (len(w), w)))
 
 
@@ -168,13 +156,5 @@ def dot_dominantize_batch(
 def linear_dominant(rs: RootSystem, weight: Sequence[int]) -> Weight:
     """Dominant representative of the linear (unshifted) Weyl orbit."""
     mu = list(weight)
-    while True:
-        for i in range(rs.rank):
-            if mu[i] < 0:
-                c = mu[i]
-                col = rs.simple_fund_columns[i]
-                for j in range(rs.rank):
-                    mu[j] -= c * col[j]
-                break
-        else:
-            return tuple(mu)
+    chamber_walk(mu, rs.simple_fund_columns)
+    return tuple(mu)

@@ -3,7 +3,8 @@
 Everything here recomputes results by a different algorithm than the
 package: characters by division of alternating sums, decompositions by
 iterated highest-weight stripping, null-cone membership by brute-force
-word products.  Slow but simple; meant for small inputs only.
+word products, root data from sympy's ``liealgebras``.  Slow but simple;
+meant for small inputs only.
 """
 
 from __future__ import annotations
@@ -127,6 +128,31 @@ def stripping_decompose(rs: RootSystem, multiset) -> dict[Weight, int]:
         for w, c in wcf_character(rs, top).items():
             tracker.update(w, -mult * c)
     return out
+
+
+# ------------------------------------------------------------- root data
+
+def sympy_root_data(family: str, rank: int):
+    """(Cartan matrix, number of positive roots, Weyl-group order) from
+    sympy's ``liealgebras``.
+
+    The Cartan matrix is built from sympy's simple roots (vectors in the
+    standard basis) in sympy's convention a_ij = <alpha_i, alpha_j^vee>,
+    because ``CartanType("A1").cartan_matrix()`` raises in sympy 1.14.
+    """
+    from sympy.liealgebras.cartan_type import CartanType
+    from sympy.liealgebras.weyl_group import WeylGroup
+
+    name = f"{family}{rank}"
+    ct = CartanType(name)
+    simple = [ct.simple_root(i) for i in range(1, rank + 1)]
+
+    def form(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    cartan = tuple(tuple(Q(2 * form(a, b), form(b, b)) for b in simple)
+                   for a in simple)
+    return cartan, len(ct.positive_roots()), int(WeylGroup(name).group_order())
 
 
 # ------------------------------------------------------------- null cone

@@ -98,13 +98,6 @@ def test_psupp_additive_in_sums():
         assert combined.multiset(k) == want
 
 
-def test_psupp_threads_match():
-    rs = build_root_system("A", 4)
-    single = bwb.psupp(rs, "b^3", threads=1)
-    multi = bwb.psupp(rs, "b^3", threads=4)
-    assert single == multi
-
-
 def test_psupp_of_line_bundle():
     rs = build_root_system("A", 2)
     ps = bwb.psupp(rs, "L[-6,3]")

@@ -275,6 +275,94 @@ def test_nullcone_malformed_json_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+# One minimal valid invocation of every subcommand but report.
+NON_REPORT_ARGV = [
+    ["roots", "--family", "A", "--rank", "2"],
+    ["weyl", "--family", "A", "--rank", "2"],
+    ["bwb", "--family", "A", "--rank", "2", "--weight", "f:0,0"],
+    ["weights", "--family", "A", "--rank", "2", "--expr", "b"],
+    ["psupp", "--family", "A", "--rank", "2", "--expr", "b"],
+    ["mult", "--family", "A", "--rank", "2", "--expr", "g", "--weight", "f:0,0"],
+    ["dim", "--family", "A", "--rank", "2", "--expr", "b"],
+    ["decompose", "--family", "A", "--rank", "2", "--expr", "g"],
+    ["nullcone", "--input", "absent.json"],
+    ["verdict", "--family", "A", "--rank", "2", "-r", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_REPORT_ARGV, ids=lambda a: a[0])
+def test_seed_is_rejected_outside_report(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "1"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("usage: bottnull")
+    assert err[1] == "bottnull: error: unrecognized arguments: --seed 1"
+
+
+def test_seed_picks_the_report_sample(capsys):
+    # A2's distinct-roots check is exhaustive: the seed leaves the golden.
+    with open(os.path.join(GOLDEN_DIR, "report_a2.json"), encoding="utf-8") as fh:
+        want = fh.read()
+    code, out, _ = run_cli(capsys, ["report", "--family", "A", "--rank", "2",
+                                    "--seed", "5"])
+    assert code == 0 and out == want
+    # A6 samples its subsets, and the report names the seed it drew them with.
+    doc = run_json(capsys, ["report", "--family", "A", "--rank", "6",
+                            "--seed", "5"])
+    (check,) = [c for c in doc["payload"]["checks"]
+                if c["id"] == "distinct-roots"]
+    assert check["status"] == "pass"
+    assert "sampled, seed 5" in check["detail"]
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+MALFORMED_INPUTS = {
+    "verdict-r-0": lambda tmp: ["verdict", "--family", "A", "--rank", "2",
+                                "-r", "0"],
+    "table-not-json": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "2",
+        "--table", _write(tmp, "t.json", "{not json")],
+    "table-is-directory": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "2",
+        "--table", str(tmp)],
+    "table-bad-key": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "2",
+        "--table", _write(tmp, "t.json", json.dumps({
+            "version": ledger.TABLE_FORMAT, "complete": [],
+            "entries": [{"key": "A/2/x/1", "module": [[[0, 0], 1]]}]}))],
+    "nullcone-entry-1-over-0": lambda tmp: [
+        "nullcone", "--input", _write(tmp, "t.json", json.dumps(
+            {"n": 2, "matrices": [[["0", "1/0"], ["0", "0"]]]}))],
+    "nullcone-input-is-directory": lambda tmp: [
+        "nullcone", "--input", str(tmp)],
+    "resolve-size-mismatch": lambda tmp: [
+        "nullcone", "--op", "resolve", "--input", _write(tmp, "t.json", json.dumps(
+            {"g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "matrices": [[[0, 1], [0, 0]]]}))],
+    "resolve-g-not-square": lambda tmp: [
+        "nullcone", "--op", "resolve", "--input", _write(tmp, "t.json", json.dumps(
+            {"g": [[1, 0], [0]], "matrices": [[[0, 1], [0, 0]]]}))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_1_without_traceback(tmp_path, case):
+    argv = MALFORMED_INPUTS[case](tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "bottnull.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("bottnull: error: ")
+
+
 # -------------------------------------------------------------------- report
 
 REPORT_SYSTEMS = [("A", 2), ("A", 3), ("A", 5), ("A", 6), ("B", 2)]
@@ -285,12 +373,10 @@ def test_report_matches_golden_any_thread_count(capsys, family, rank):
     golden = os.path.join(GOLDEN_DIR, f"report_{family.lower()}{rank}.json")
     with open(golden, "r", encoding="utf-8") as fh:
         want = fh.read()
-    for threads in (1, 4):
-        code, out, _ = run_cli(capsys, [
-            "report", "--family", family, "--rank", str(rank),
-            "--threads", str(threads)])
-        assert code == 0
-        assert out == want
+    code, out, _ = run_cli(capsys, [
+        "report", "--family", family, "--rank", str(rank)])
+    assert code == 0
+    assert out == want
 
 
 def test_report_checks_all_pass(capsys):

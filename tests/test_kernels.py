@@ -1,38 +1,16 @@
-"""Backend dispatch and parity checks for the arithmetic kernels.
-
-The package ships a compiled convolution/dominantization core plus a pure
-Python reference; both must produce identical results, and the dispatcher
-must route out-of-range inputs to the pure path.
+"""Checks for the arithmetic kernels: the convolution against a counting
+oracle, the batched dot walk against the scalar walk, and the kernels on
+inputs of any size: wide coordinates, huge counts, empty operands, rank 8.
 """
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 
-import pytest
-
+import bottnull
 from bottnull import _kernels as kern
 from bottnull import rootsys, weyl
 from bottnull._kernels import _pykernels
-
-compiled_only = pytest.mark.skipif(
-    not kern.HAVE_COMPILED, reason="compiled extension not available"
-)
-
-
-class _Poison:
-    """Stands in for the compiled module; any call proves bad routing."""
-
-    BACKEND = "poison"
-
-    def convolve(self, a, b):  # pragma: no cover - should never run
-        raise AssertionError("dispatcher took the compiled path")
-
-    def dot_walk_batch(self, weights, cartan):  # pragma: no cover
-        raise AssertionError("dispatcher took the compiled path")
 
 
 def _random_multiset(rng, rank, size, span):
@@ -44,9 +22,10 @@ def _random_multiset(rng, rank, size, span):
 
 
 def test_backend_name_matches_flag():
-    name = kern.backend_name()
-    assert name in ("pure", "compiled")
-    assert (name == "compiled") == kern.HAVE_COMPILED
+    assert kern.backend_name() == "pure"
+    assert bottnull.backend_name() == "pure"
+    assert kern.convolve is _pykernels.convolve
+    assert kern.dot_walk_batch is _pykernels.dot_walk_batch
 
 
 def test_pure_convolve_matches_counter_oracle():
@@ -61,34 +40,6 @@ def test_pure_convolve_matches_counter_oracle():
             for wa, wb in itertools.product(expanded_a, expanded_b)
         )
         assert _pykernels.convolve(a, b) == dict(oracle)
-
-
-@compiled_only
-def test_convolve_parity_seeded():
-    rng = random.Random(20260817)
-    for rank in (1, 2, 4, 7):
-        for span in (1, 8, 90):
-            a = _random_multiset(rng, rank, 40, span)
-            b = _random_multiset(rng, rank, 30, span)
-            got = kern._compiled.convolve(a, b)
-            want = _pykernels.convolve(a, b)
-            assert got == want
-            # Key and value types must match exactly, not just compare equal.
-            k = next(iter(got))
-            assert type(k) is tuple and all(type(c) is int for c in k)
-
-
-@compiled_only
-def test_dot_walk_parity_seeded():
-    rng = random.Random(7)
-    for label in ("A2", "A5", "A7", "B2"):
-        rs = rootsys.build_root_system(label[0], int(label[1]))
-        weights = [
-            tuple(rng.randint(-12, 12) for _ in range(rs.rank)) for _ in range(400)
-        ]
-        got = kern._compiled.dot_walk_batch(weights, rs.cartan)
-        want = _pykernels.dot_walk_batch(weights, rs.cartan)
-        assert got == want
 
 
 def test_dot_walk_agrees_with_scalar_walk():
@@ -107,28 +58,24 @@ def test_dot_walk_agrees_with_scalar_walk():
                 assert res == (ref.length, ref.dominant)
 
 
-def test_convolve_dispatch_falls_back_on_wide_coords(monkeypatch):
-    monkeypatch.setattr(kern, "_compiled", _Poison())
+def test_convolve_dispatch_falls_back_on_wide_coords():
     a = {(300, 0): 2, (-1, 4): 1}
     b = {(5, 5): 3}
-    assert kern.convolve(a, b) == _pykernels.convolve(a, b)
+    assert kern.convolve(a, b) == {(305, 5): 6, (4, 9): 3}
 
 
-def test_convolve_dispatch_falls_back_on_huge_counts(monkeypatch):
-    monkeypatch.setattr(kern, "_compiled", _Poison())
+def test_convolve_dispatch_falls_back_on_huge_counts():
     a = {(1, 0): 1 << 40}
     b = {(0, 1): 1 << 40}
     assert kern.convolve(a, b) == {(1, 1): 1 << 80}
 
 
-def test_convolve_dispatch_falls_back_on_empty(monkeypatch):
-    monkeypatch.setattr(kern, "_compiled", _Poison())
+def test_convolve_dispatch_falls_back_on_empty():
     assert kern.convolve({}, {(1, 2): 3}) == {}
     assert kern.convolve({(1, 2): 3}, {}) == {}
 
 
-def test_dot_walk_dispatch_falls_back_on_high_rank(monkeypatch):
-    monkeypatch.setattr(kern, "_compiled", _Poison())
+def test_dot_walk_dispatch_falls_back_on_high_rank():
     rank = 8
     cartan = [
         [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)]
@@ -139,33 +86,12 @@ def test_dot_walk_dispatch_falls_back_on_high_rank(monkeypatch):
     assert out[1] is None  # -2 on one node shifts to -1: a wall
 
 
-def test_dot_walk_dispatch_falls_back_on_huge_coords(monkeypatch):
-    monkeypatch.setattr(kern, "_compiled", _Poison())
+def test_dot_walk_dispatch_falls_back_on_huge_coords():
     rs = rootsys.build_root_system("A", 2)
     big = 1 << 21
     (res,) = kern.dot_walk_batch([(big, big)], rs.cartan)
     assert res == (0, (big, big))
-
-
-def test_env_var_forces_pure_backend():
-    env = dict(os.environ, BOTTNULL_PURE="1")
-    code = (
-        "from bottnull import _kernels as k;"
-        "print(k.backend_name(), k.HAVE_COMPILED)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["pure", "False"]
-
-
-@compiled_only
-def test_compiled_near_limit_convolve_exact():
-    # Output coordinates land exactly on the +/-255 packing boundary.
-    a = {(200, -200): 3, (0, 0): 1}
-    b = {(55, -55): 2, (-55, 55): 5}
-    assert kern._coord_span(a) + kern._coord_span(b) == 255
-    got = kern.convolve(a, b)
-    assert got == _pykernels.convolve(a, b)
-    assert got[(255, -255)] == 6
+    # s_2 s_1 . (-big, 0) = (0, big - 3): two reflections at full width.
+    (res,) = kern.dot_walk_batch([(-big, 0)], rs.cartan)
+    assert res == (2, (0, big - 3))
+    assert weyl.dot(rs, (2, 1), (-big, 0)) == (0, big - 3)

@@ -2,7 +2,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bottnull import rootsys
+import oracles
+from bottnull import rootsys, weyl
 from bottnull.errors import (InvalidWeight, NonIntegralWeight,
                              UnsupportedFamilyRank)
 from bottnull.rootsys import (build_root_system, coroot_pairing, format_weight,
@@ -51,6 +52,21 @@ def test_cartan_matrices():
     assert rs.cartan == ((2, -2), (-1, 2))
     rs = build_root_system("A", 3)
     assert rs.cartan == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+
+
+SUPPORTED = [("A", rank) for rank in range(1, 8)] + [("B", 2)]
+
+
+@pytest.mark.parametrize("family,rank", SUPPORTED)
+def test_root_data_matches_sympy(family, rank):
+    cartan, positive_count, order = oracles.sympy_root_data(family, rank)
+    rs = build_root_system(family, rank)
+    # sympy pairs <alpha_i, alpha_j^vee>; bottnull stores the transpose.
+    # Either orientation is accepted, because B2's nodes are also labelled
+    # the other way round (sympy's alpha_1 is long, bottnull's is short).
+    assert cartan in (rs.cartan, tuple(zip(*rs.cartan)))
+    assert len(rs.positive_roots) == positive_count
+    assert weyl.order(rs) == order
 
 
 def test_fundamental_coords_of_simple_roots_are_cartan_columns():

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bottnull import weyl
 from bottnull.errors import InputError
-from bottnull.rootsys import build_root_system
+from bottnull.rootsys import build_root_system, coroot_pairing, invariant_form
+
+SUPPORTED = [("A", rank) for rank in range(1, 8)] + [("B", 2)]
 
 
 def _neg(k, coords):
@@ -209,6 +212,36 @@ def test_dot_dominantize_batch_matches_scalar():
                 assert out is None
             else:
                 assert out == (res.length, res.dominant)
+
+
+@st.composite
+def _system_and_weight(draw):
+    family, rank = draw(st.sampled_from(SUPPORTED))
+    lam = draw(st.tuples(*[st.integers(-12, 12)] * rank))
+    return build_root_system(family, rank), lam
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(_system_and_weight())
+def test_chamber_walk_against_coroot_pairings(case):
+    # Oracle independent of the walk: the pairings <lam + rho, alpha^vee>
+    # over all positive roots alpha, from the invariant form.
+    rs, lam = case
+    shifted = tuple(c + 1 for c in lam)
+    pairings = [coroot_pairing(rs, shifted, root) for root in rs.positive_roots]
+    res = weyl.to_dominant(rs, lam)
+    (batch,) = weyl.dot_dominantize_batch(rs, [lam])
+    if 0 in pairings:
+        assert res.singular and batch is None
+    else:
+        assert not res.singular
+        assert res.length == len(res.word) == sum(p < 0 for p in pairings)
+        assert all(c >= 0 for c in res.dominant)
+        assert weyl.dot(rs, res.word, lam) == res.dominant
+        assert batch == (res.length, res.dominant)
+    lin = weyl.linear_dominant(rs, lam)
+    assert all(c >= 0 for c in lin)
+    assert invariant_form(rs, lin, lin) == invariant_form(rs, lam, lam)
 
 
 def test_linear_dominant():
