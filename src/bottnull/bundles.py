@@ -18,10 +18,14 @@ from math import comb
 from typing import Iterator, Union
 
 from . import _kernels
-from .errors import ExprSyntaxError, InvalidWeight, UnknownAtom
+from .errors import ExprSyntaxError, InvalidWeight, SizeCapExceeded, UnknownAtom
 from .rootsys import RootSystem, Weight
 
 ATOMS = ("n", "h", "b", "g", "q")
+
+# Most weight terms one evaluation may touch (see ``_Budget``); every command
+# that evaluates an expression goes through ``weights``.
+COST_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -246,6 +250,26 @@ class WeightMultiset:
         return f"WeightMultiset({{{inner}}})"
 
 
+class _Budget:
+    """Weight terms an evaluation has touched: convolution pairs, merged
+    entries, graded-power layer entries.  Each step is charged from the
+    sizes of its inputs before it runs."""
+
+    __slots__ = ("spent",)
+
+    def __init__(self):
+        self.spent = 0
+
+    def charge(self, terms: int, ahead: int = 0) -> None:
+        """Charge one step; refuse it if it, plus ``ahead`` terms that the
+        steps still to come must cost, would take the total past the cap."""
+        self.spent += terms
+        if self.spent + ahead > COST_CAP:
+            raise SizeCapExceeded(
+                f"expression evaluation exceeds the cost cap of {COST_CAP} "
+                "weight terms")
+
+
 def _zero(rs: RootSystem) -> Weight:
     return (0,) * rs.rank
 
@@ -255,11 +279,22 @@ def _merge(acc: dict, extra: dict, scale: int = 1) -> None:
         acc[w] = acc.get(w, 0) + scale * c
 
 
-def _graded_power(rs: RootSystem, ws: dict, k: int, symmetric: bool) -> dict:
+def _graded_power(rs: RootSystem, ws: dict, k: int, symmetric: bool,
+                  budget: _Budget) -> dict:
     """Index-expansion wedge/sym of a weight multiset via layered DP."""
+    budget.charge(k + 1)
     layers: list[dict] = [{} for _ in range(k + 1)]
     layers[0][_zero(rs)] = 1
-    for w, m in sorted(ws.items()):
+    items = sorted(ws.items())
+    for t, (w, m) in enumerate(items):
+        # This pass copies the layers and, for each j up to ``top`` (the
+        # nonzero coefficients), loops over d reading layer d - j: at most
+        # (top + 1) * per_read terms.  Layers only grow and top >= 1, so
+        # every later pass is charged at least 2 * per_read.
+        top = k if symmetric else min(k, m)
+        per_read = sum(map(len, layers)) + k
+        budget.charge((top + 1) * per_read,
+                      ahead=2 * per_read * (len(items) - t - 1))
         new = [dict(layer) for layer in layers]
         for j in range(1, k + 1):
             coeff = comb(m + j - 1, j) if symmetric else comb(m, j)
@@ -278,7 +313,7 @@ def _graded_power(rs: RootSystem, ws: dict, k: int, symmetric: bool) -> dict:
     return layers[k]
 
 
-def _eval(rs: RootSystem, expr: Expr) -> dict:
+def _eval(rs: RootSystem, expr: Expr, budget: _Budget) -> dict:
     if isinstance(expr, Atom):
         if expr.kind == "n":
             return {tuple(-c for c in r.fund_coords): 1 for r in rs.positive_roots}
@@ -301,33 +336,47 @@ def _eval(rs: RootSystem, expr: Expr) -> dict:
                 f"line weight has {len(expr.coords)} coordinates; rank is {rs.rank}")
         return {expr.coords: 1}
     if isinstance(expr, Tensor):
-        acc = _eval(rs, expr.factors[0])
+        acc = _eval(rs, expr.factors[0], budget)
         for f in expr.factors[1:]:
-            acc = _kernels.convolve(acc, _eval(rs, f))
+            factor = _eval(rs, f, budget)
+            budget.charge(1 + len(acc) * len(factor))
+            acc = _kernels.convolve(acc, factor)
         return acc
     if isinstance(expr, Sum):
         acc: dict = {}
         for t in expr.terms:
-            _merge(acc, _eval(rs, t))
+            term = _eval(rs, t, budget)
+            budget.charge(len(term))
+            _merge(acc, term)
         return acc
     if isinstance(expr, Power):
         acc = {_zero(rs): 1}
-        base = _eval(rs, expr.base)
-        for _ in range(expr.exponent):
+        base = _eval(rs, expr.base, budget)
+        budget.charge(expr.exponent)  # one convolution call per step
+        # acc only grows, so every later step costs at least as much.
+        for step in range(expr.exponent):
+            pairs = len(acc) * len(base)
+            budget.charge(pairs, ahead=pairs * (expr.exponent - step - 1))
             acc = _kernels.convolve(acc, base)
         return acc
     if isinstance(expr, Wedge):
-        return _graded_power(rs, _eval(rs, expr.inner), expr.degree, symmetric=False)
+        return _graded_power(rs, _eval(rs, expr.inner, budget), expr.degree,
+                             symmetric=False, budget=budget)
     if isinstance(expr, Sym):
-        return _graded_power(rs, _eval(rs, expr.inner), expr.degree, symmetric=True)
+        return _graded_power(rs, _eval(rs, expr.inner, budget), expr.degree,
+                             symmetric=True, budget=budget)
     raise TypeError(f"not an expression: {expr!r}")
 
 
 def weights(rs: RootSystem, expr: Expr | str) -> WeightMultiset:
-    """Weight multiset of the expression over the given root system."""
+    """Weight multiset of the expression over the given root system.
+
+    Raises SizeCapExceeded before any step that would take the evaluation
+    past ``COST_CAP`` weight terms.
+    """
     if isinstance(expr, str):
         expr = parse(expr)
-    return WeightMultiset(_eval(rs, expr))
+    return WeightMultiset(_eval(rs, expr, _Budget()))
 
 
 def dim(rs: RootSystem, expr: Expr | str) -> int:

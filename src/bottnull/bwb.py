@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations
+from operator import add, sub
 
 from . import weyl
 from .bundles import Expr, WeightMultiset, weights
@@ -108,6 +108,9 @@ def kostant_check(rs: RootSystem, k: int) -> int:
 
 @dataclass(frozen=True)
 class DistinctRootsReport:
+    """Subsets checked, and the violating subsets (tuples of roots, in the
+    order the check visited them)."""
+
     subsets_checked: int
     exhaustive: bool
     violations: tuple[tuple[Weight, ...], ...]
@@ -120,38 +123,44 @@ def distinct_roots_check(rs: RootSystem, *, seed: int = 0,
     For every subset S of the positive roots, the line bundle of -sum(S)
     either vanishes in all degrees or contributes the trivial module (its
     dominantization is 0).  Exhaustive when 2^{#roots} is small; otherwise
-    a seeded sample of subsets.
+    a seeded sample of subsets.  Subsets are bit masks over the positive
+    roots; each distinct sum is dominantized once.
     """
     n_roots = len(rs.positive_roots)
     roots = [r.fund_coords for r in rs.positive_roots]
     zero = (0,) * rs.rank
-    violations: list[tuple[Weight, ...]] = []
     exhaustive = n_roots <= 15
 
-    def check(subset) -> None:
-        total = [0] * rs.rank
-        for f in subset:
-            for j in range(rs.rank):
-                total[j] += f[j]
-        lam = tuple(-t for t in total)
-        res = line_cohomology(rs, lam)
-        if not res.vanishes and res.weight != zero:
-            violations.append(tuple(subset))
-
-    if exhaustive:
-        count = 0
-        for size in range(n_roots + 1):
-            for subset in combinations(roots, size):
-                check(subset)
-                count += 1
-    else:
+    def masks():
+        if exhaustive:
+            # Gray code: each subset differs from the previous one by one root.
+            return (i ^ (i >> 1) for i in range(1 << n_roots))
         rng = random.Random(seed)
-        count = samples
-        for _ in range(samples):
-            mask = rng.getrandbits(n_roots)
-            check([roots[i] for i in range(n_roots) if mask >> i & 1])
-    return DistinctRootsReport(subsets_checked=count, exhaustive=exhaustive,
-                               violations=tuple(violations))
+        return (rng.getrandbits(n_roots) for _ in range(samples))
+
+    def with_sums(stream):
+        prev, total = 0, zero
+        for mask in stream:
+            diff = mask ^ prev
+            while diff:
+                low = diff & -diff
+                step = add if mask & low else sub
+                total = tuple(map(step, total, roots[low.bit_length() - 1]))
+                diff ^= low
+            prev = mask
+            yield mask, total
+
+    distinct = sorted({total for _, total in with_sums(masks())})
+    walked = weyl.dot_dominantize_batch(
+        rs, [tuple(-c for c in total) for total in distinct])
+    bad = {total for total, res in zip(distinct, walked)
+           if res is not None and res[1] != zero}
+    violations = tuple(
+        tuple(roots[i] for i in range(n_roots) if mask >> i & 1)
+        for mask, total in with_sums(masks()) if total in bad) if bad else ()
+    return DistinctRootsReport(
+        subsets_checked=(1 << n_roots) if exhaustive else samples,
+        exhaustive=exhaustive, violations=violations)
 
 
 def euler_line(rs: RootSystem, lam: Weight) -> int:

@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction as Q
 
 from . import bundles, bwb, ledger, nullcone, repthy, weyl
-from .errors import Error, InputError
+from .errors import (Error, InputError, UnsupportedFamilyRank,
+                     ValidationFailure)
 from .rootsys import (RootSystem, build_root_system, format_root_coords,
                       format_weight, parse_weight, weight_to_root_coords)
 
@@ -294,7 +295,9 @@ def _cmd_verdict(args) -> int:
             text = fh.read()
         try:
             table = ledger.load_table(text)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            ledger.ensure_valid(table)
+        except (AttributeError, KeyError, TypeError, ValueError,
+                UnsupportedFamilyRank, ValidationFailure) as exc:
             raise InputError(f"bad table document: {exc}") from exc
     if args.format == "tsv":
         raise InputError("verdict output is JSON-only")

@@ -54,7 +54,7 @@ class NotAGModule(Error):
 
 
 class SizeCapExceeded(Error):
-    """Expression dimension exceeds the decomposition size cap."""
+    """Expression exceeds the decomposition size cap or the evaluation cost cap."""
 
 
 class CheckFailed(Error):

@@ -89,8 +89,15 @@ class CohomologyTable:
         return sorted(self._complete)
 
 
-def _module_from_pairs(pairs) -> FormalGModule:
-    return FormalGModule({tuple(coords): int(mult) for coords, mult in pairs})
+def _module_from_pairs(pairs, rank: int) -> FormalGModule:
+    mults = {}
+    for coords, mult in pairs:
+        if (len(coords) != rank
+                or not all(type(c) is int and c >= 0 for c in coords)):
+            raise ValueError(
+                f"module weight {coords!r} is not a dominant weight of rank {rank}")
+        mults[tuple(coords)] = int(mult)
+    return FormalGModule(mults)
 
 
 def _module_to_pairs(module: FormalGModule) -> list:
@@ -123,7 +130,7 @@ def load_table(text: str) -> CohomologyTable:
                       provenance=entry.get("provenance", ""))
         else:
             table.add(family, int(rank), int(q), int(p),
-                      module=_module_from_pairs(entry["module"]),
+                      module=_module_from_pairs(entry["module"], int(rank)),
                       provenance=entry.get("provenance", ""))
     for key in doc["complete"]:
         family, rank, q = key.split("/")

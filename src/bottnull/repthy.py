@@ -93,17 +93,17 @@ def _check_invariant(rs: RootSystem, ws: WeightMultiset) -> None:
 
 def mult_in(rs: RootSystem, expr: Expr | str | WeightMultiset, mu: Weight) -> int:
     """Multiplicity of the irreducible with highest weight mu, by the literal
-    alternating Weyl-group sum over dot translates."""
+    alternating Weyl-group sum: sum of sign(w) * m(w(mu + rho) - rho) over
+    the signed orbit of mu + rho."""
     if any(c < 0 for c in mu):
         raise NotDominant(f"{mu} is not dominant")
     ws = _as_multiset(rs, expr)
     _check_invariant(rs, ws)
-    counts = ws.counts
-    total = 0
-    for word in weyl.enumerate_elements(rs):
-        sign = -1 if len(word) % 2 else 1
-        total += sign * counts.get(weyl.dot(rs, word, mu), 0)
-    return total
+    # Key the multiplicities by weight + rho, so orbit images look up directly.
+    shifted = {tuple(c + 1 for c in w): m for w, m in ws.counts.items()}
+    get = shifted.get
+    top = tuple(c + 1 for c in mu)
+    return sum(sign * get(img, 0) for img, sign in weyl.signed_orbit(rs, top))
 
 
 def invariant_dim(rs: RootSystem, expr: Expr | str | WeightMultiset) -> int:

@@ -3,18 +3,19 @@
 Words are tuples of 1-based simple-reflection indices, composed with the
 rightmost letter applied first: ``act((1, 2), v) = s_1(s_2(v))``.  The
 canonical word for an element is the one produced by the smallest-index
-chamber walk on its rho-image.
+chamber walk on its rho-image.  Orbits, signed orbits and length counts
+come from one layered breadth-first search and build no words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from ._kernels._pykernels import chamber_walk
-from .errors import InputError
+from .errors import InputError, NotDominant
 from .rootsys import RootSystem, Weight
 
 
@@ -105,26 +106,53 @@ def inversion_set(rs: RootSystem, word: Sequence[int]) -> frozenset[Weight]:
     return frozenset(out)
 
 
-def orbit(rs: RootSystem, dominant: Weight) -> set[Weight]:
-    """Linear Weyl orbit of a dominant weight.
+def _orbit_layers(rs: RootSystem, top: Weight) -> Iterator[list[Weight]]:
+    """Layers of the linear Weyl orbit of a dominant weight, by depth.
 
-    Breadth-first from ``dominant``, reflecting only where a coordinate is
+    Breadth-first from ``top``, reflecting only where a coordinate is
     positive, i.e. only downwards: every orbit element is reached, because
-    the chamber walk from it back to ``dominant`` only goes upwards.
+    the chamber walk from it back to ``top`` only goes upwards.  Each
+    downward step lengthens the (minimal) element by one, so all paths to
+    an image have the same length and every image lies in exactly one layer:
+    its depth is the length of the minimal element sending ``top`` to it.
     """
-    seen = {dominant}
-    frontier = [dominant]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for i in range(1, rs.rank + 1):
-                if mu[i - 1] > 0:
-                    img = simple_reflection(rs, i, mu)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-        frontier = nxt
-    return seen
+    # Reflecting in alpha_i changes only the coordinates where its column
+    # is nonzero (i and its neighbours in the Dynkin diagram).
+    support = [tuple((j, a) for j, a in enumerate(col) if a)
+               for col in rs.simple_fund_columns]
+    layer = [top]
+    while layer:
+        yield layer
+        nxt: dict[Weight, None] = {}
+        for mu in layer:
+            for i, col in enumerate(support):
+                c = mu[i]
+                if c > 0:
+                    img = list(mu)
+                    for j, a in col:
+                        img[j] -= c * a
+                    nxt[tuple(img)] = None
+        layer = list(nxt)
+
+
+def orbit(rs: RootSystem, dominant: Weight) -> set[Weight]:
+    """Linear Weyl orbit of a dominant weight (set view of the layered BFS)."""
+    return {mu for layer in _orbit_layers(rs, dominant) for mu in layer}
+
+
+def signed_orbit(rs: RootSystem, top: Weight) -> Iterator[tuple[Weight, int]]:
+    """Each image w(top) of a regular dominant weight with sign (-1)^l(w).
+
+    No words are built: for regular ``top`` the elements and the images
+    correspond one to one, and the BFS depth of an image is its length.
+    """
+    if any(c <= 0 for c in top):
+        raise NotDominant(f"{top} is not regular dominant")
+    sign = 1
+    for layer in _orbit_layers(rs, tuple(top)):
+        for mu in layer:
+            yield mu, sign
+        sign = -sign
 
 
 @lru_cache(maxsize=None)
@@ -135,15 +163,12 @@ def enumerate_elements(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 
 
 def poincare_counts(rs: RootSystem) -> dict[int, int]:
-    """Number of elements of each length (inversion-count distribution)."""
-    counts: dict[int, int] = {}
-    for w in enumerate_elements(rs):
-        counts[len(w)] = counts.get(len(w), 0) + 1
-    return counts
+    """Number of elements of each length: the layer sizes of the orbit of rho."""
+    return {k: len(layer) for k, layer in enumerate(_orbit_layers(rs, rs.rho))}
 
 
 def order(rs: RootSystem) -> int:
-    return len(enumerate_elements(rs))
+    return sum(poincare_counts(rs).values())
 
 
 def dot_dominantize_batch(

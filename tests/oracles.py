@@ -80,6 +80,16 @@ def _alternating_orbit(rs: RootSystem, shifted: Weight) -> dict[Weight, int]:
     return {w: c for w, c in acc.items() if c}
 
 
+def word_mult(rs: RootSystem, counts: dict[Weight, int], mu: Weight) -> int:
+    """Multiplicity of L(mu) in a Weyl-invariant multiset: the alternating
+    sum of counts[w . mu], replaying every canonical word through ``dot``."""
+    total = 0
+    for word in weyl.enumerate_elements(rs):
+        sign = -1 if len(word) % 2 else 1
+        total += sign * counts.get(weyl.dot(rs, word, mu), 0)
+    return total
+
+
 def wcf_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """Character of the irreducible with highest weight lam, computed by
     dividing alternating orbit sums term by term (Weyl character formula)."""

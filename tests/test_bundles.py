@@ -5,7 +5,8 @@ import pytest
 
 from bottnull import bundles
 from bottnull.bundles import Atom, Line, Power, Sum, Sym, Tensor, Wedge
-from bottnull.errors import ExprSyntaxError, InvalidWeight, UnknownAtom
+from bottnull.errors import (ExprSyntaxError, InvalidWeight, SizeCapExceeded,
+                             UnknownAtom)
 from bottnull.rootsys import build_root_system
 
 
@@ -193,3 +194,29 @@ def test_weight_multiset_api():
     assert ws.get((5, 5)) == 0
     empty = bundles.weights(rs, "wedge^9(n)")
     assert not empty and empty.total_dim == 0
+
+
+@pytest.mark.parametrize("family,rank,text", [
+    ("A", 7, "sym^12(g)"),                # dimension 2.2e13
+    ("A", 7, "b^1000000000"),             # more convolution calls than the cap
+    ("A", 2, "wedge^100000000(L[0,0])"),  # more layers than the cap
+    ("A", 2, "sym^100000(g)"),            # quadratic layer loop
+])
+def test_cost_cap_refuses_before_running_away(family, rank, text):
+    from bottnull import bwb
+    rs = build_root_system(family, rank)
+    for fn in (bundles.weights, bwb.psupp, bwb.euler_characteristic):
+        with pytest.raises(SizeCapExceeded):
+            fn(rs, text)
+
+
+def test_cost_cap_charges_terms_not_dimension():
+    # Dimension 30,035,125 but 160 distinct weights: cheap, so evaluated.
+    rs = build_root_system("A", 2)
+    text = "sym^2(wedge^2(b^3))"
+    assert bundles.dim(rs, text) > bundles.COST_CAP
+    assert bundles.weights(rs, text).total_dim == bundles.dim(rs, text)
+    # The largest benchmark expression stays well under the cap.
+    budget = bundles._Budget()
+    bundles._eval(build_root_system("A", 7), bundles.parse("b^4"), budget)
+    assert budget.spent < bundles.COST_CAP // 10

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -190,3 +191,64 @@ def test_potential_support_equality_and_views():
     assert ps.multiset_view() == {0: {(0, 0): 2}, 1: {(0, 0): 2}}
     assert ps.multiset(17) == {}
     assert ps.support(17) == frozenset()
+
+
+def _flag_one_sum(monkeypatch, target):
+    """Make the batch walk report -target as a nontrivial dominant weight."""
+    real = weyl.dot_dominantize_batch
+    seen = []
+
+    def patched(rs, weights):
+        weights = list(weights)
+        seen.append(len(weights))
+        out = real(rs, weights)
+        bad = tuple(-c for c in target)
+        return [(1, (1,) + (0,) * (rs.rank - 1)) if w == bad else res
+                for w, res in zip(weights, out)]
+
+    monkeypatch.setattr(weyl, "dot_dominantize_batch", patched)
+    return seen
+
+
+def _root_sum(rank, subset):
+    return tuple(sum(r[j] for r in subset) for j in range(rank))
+
+
+def test_distinct_roots_maps_a_flagged_sum_to_its_subsets(monkeypatch):
+    rs = build_root_system("A", 3)
+    roots = [r.fund_coords for r in rs.positive_roots]
+    target = _root_sum(3, roots[:2])  # also the sum of {alpha_1 + alpha_2}
+    seen = _flag_one_sum(monkeypatch, target)
+    rep = bwb.distinct_roots_check(rs)
+    brute = [s for k in range(len(roots) + 1)
+             for s in itertools.combinations(roots, k)
+             if _root_sum(3, s) == target]
+    assert len(brute) > 1
+    assert sorted(rep.violations) == sorted(brute)
+    assert rep.subsets_checked == 64 and rep.exhaustive
+    # Every distinct sum is walked once, in one batch.
+    distinct = {_root_sum(3, s) for k in range(len(roots) + 1)
+                for s in itertools.combinations(roots, k)}
+    assert seen == [len(distinct)]
+
+
+def test_distinct_roots_sampled_maps_a_flagged_sum(monkeypatch):
+    rs = build_root_system("A", 6)
+    n = len(rs.positive_roots)
+    roots = [r.fund_coords for r in rs.positive_roots]
+    rng = random.Random(9)  # the same draws as the check's seeded sample
+    masks = [rng.getrandbits(n) for _ in range(300)]
+    subsets = [tuple(roots[i] for i in range(n) if m >> i & 1) for m in masks]
+    target = _root_sum(6, subsets[0])
+    _flag_one_sum(monkeypatch, target)
+    rep = bwb.distinct_roots_check(rs, seed=9, samples=300)
+    assert not rep.exhaustive and rep.subsets_checked == 300
+    assert list(rep.violations) == [s for s in subsets
+                                   if _root_sum(6, s) == target]
+
+
+def test_distinct_roots_a5_walks_2932_sums(monkeypatch):
+    seen = _flag_one_sum(monkeypatch, (99,) * 5)
+    rep = bwb.distinct_roots_check(build_root_system("A", 5))
+    assert rep.subsets_checked == 2 ** 15 and rep.violations == ()
+    assert seen == [2932]

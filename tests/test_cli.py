@@ -323,6 +323,19 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _table_with(tmp, weight):
+    """The built-in table, saved with the A/2/2/1 module set to ``weight``."""
+    doc = json.loads(ledger.save_table(ledger.builtin_tables()))
+    (entry,) = [e for e in doc["entries"] if e["key"] == "A/2/2/1"]
+    entry["module"] = [[weight, 1]]
+    return _write(tmp, "t.json", json.dumps(doc))
+
+
+def _verdict_with_table(tmp, weight):
+    return ["verdict", "--family", "A", "--rank", "2", "-r", "3",
+            "--table", _table_with(tmp, weight)]
+
+
 MALFORMED_INPUTS = {
     "verdict-r-0": lambda tmp: ["verdict", "--family", "A", "--rank", "2",
                                 "-r", "0"],
@@ -337,6 +350,10 @@ MALFORMED_INPUTS = {
         "--table", _write(tmp, "t.json", json.dumps({
             "version": ledger.TABLE_FORMAT, "complete": [],
             "entries": [{"key": "A/2/x/1", "module": [[[0, 0], 1]]}]}))],
+    "table-weight-wrong-rank": lambda tmp: _verdict_with_table(tmp, [0, 0, 0]),
+    "table-weight-not-dominant": lambda tmp: _verdict_with_table(tmp, [-1, 0]),
+    # (1,1) is dominant but outside the potential support of H^1(b^2).
+    "table-breaks-support-bound": lambda tmp: _verdict_with_table(tmp, [1, 1]),
     "nullcone-entry-1-over-0": lambda tmp: [
         "nullcone", "--input", _write(tmp, "t.json", json.dumps(
             {"n": 2, "matrices": [[["0", "1/0"], ["0", "0"]]]}))],
@@ -363,9 +380,31 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, case):
     assert proc.stderr.startswith("bottnull: error: ")
 
 
+def test_user_table_that_validates_gives_a_verdict(tmp_path, capsys):
+    code, out, err = run_cli(capsys, _verdict_with_table(tmp_path, [0, 0]))
+    assert code == 0, err
+    assert json.loads(out)["payload"]["normal"] == ledger.NORMAL_YES
+
+
+def test_runaway_expression_exits_2_on_its_cost_cap():
+    # Dimension 2.2e13: refused by the evaluation cost cap, not run.
+    proc = subprocess.run(
+        [sys.executable, "-m", "bottnull.cli", "psupp", "--family", "A",
+         "--rank", "7", "--expr", "sym^12(g)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "bottnull: error: expression evaluation exceeds the cost cap of "
+        "5000000 weight terms"]
+
+
 # -------------------------------------------------------------------- report
 
-REPORT_SYSTEMS = [("A", 2), ("A", 3), ("A", 5), ("A", 6), ("B", 2)]
+# Stored report outputs, byte for byte.  A7 runs the signed-orbit mult_in
+# at full size and the sampled distinct-roots check.
+REPORT_SYSTEMS = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
+                  ("B", 2)]
 
 
 @pytest.mark.parametrize("family,rank", REPORT_SYSTEMS)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -120,6 +121,15 @@ def test_save_load_round_trip(tmp_path):
             assert other.module == e.module
     with pytest.raises(Exception):
         load_table('{"format": "other/9", "entries": []}')
+
+
+@pytest.mark.parametrize("weight", [[0, 0, 0], [0], [-1, 0], [1.0, 0], [True, 0]])
+def test_load_table_rejects_bad_module_weights(weight):
+    doc = json.loads(save_table(builtin_tables()))
+    (entry,) = [e for e in doc["entries"] if e["key"] == "A/2/2/1"]
+    entry["module"] = [[weight, 1]]
+    with pytest.raises(ValueError, match="not a dominant weight of rank 2"):
+        load_table(json.dumps(doc))
 
 
 def test_e_page_corner_cell():

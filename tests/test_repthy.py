@@ -177,3 +177,43 @@ def test_formal_module_api():
     assert mod.support() == frozenset({(1, 1)})
     assert mod.sorted_items() == [((1, 1), 1)]
     assert len(mod) == 1 and bool(mod)
+
+
+def _g_times_irrep(rs, lam):
+    from bottnull._kernels import convolve
+    return bundles.WeightMultiset(convolve(
+        repthy.irrep_character(rs, lam).counts, bundles.weights(rs, "g").counts))
+
+
+def test_mult_in_matches_decompose_and_word_sum():
+    # Three independent routes to one multiplicity: the signed orbit, the
+    # dominantization pass of decompose, and every canonical word via dot.
+    rng = random.Random(41)
+    for family, rank in [("A", 2), ("A", 3), ("B", 2)]:
+        rs = build_root_system(family, rank)
+        lam = tuple(rng.randint(0, 2) for _ in range(rank))
+        cases = [bundles.weights(rs, e) for e in ("g^2", "g^3", "wedge^2(g)")]
+        cases.append(_g_times_irrep(rs, lam))
+        for ws in cases:
+            dec = repthy.decompose_multiset(rs, ws)
+            for _ in range(12):
+                mu = tuple(rng.randint(0, 4) for _ in range(rank))
+                want = oracles.word_mult(rs, ws.counts, mu)
+                assert repthy.mult_in(rs, ws, mu) == dec.get(mu) == want
+            for mu in dec.support():
+                assert repthy.mult_in(rs, ws, mu) == dec.get(mu)
+
+
+def test_mult_in_builds_no_words(monkeypatch):
+    from bottnull import weyl
+
+    def forbidden(*args):
+        raise AssertionError("word-based path used")
+
+    rs = build_root_system("A", 4)
+    ws = bundles.weights(rs, "g^3")
+    monkeypatch.setattr(weyl, "enumerate_elements", forbidden)
+    monkeypatch.setattr(weyl, "dot", forbidden)
+    assert repthy.mult_in(rs, ws, (0,) * 4) == 2
+    adjoint = (1, 0, 0, 1)
+    assert repthy.mult_in(rs, ws, adjoint) == repthy.decompose(rs, "g^3").get(adjoint)

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from bottnull import weyl
-from bottnull.errors import InputError
+from bottnull.errors import InputError, NotDominant
 from bottnull.rootsys import build_root_system, coroot_pairing, invariant_form
 
 SUPPORTED = [("A", rank) for rank in range(1, 8)] + [("B", 2)]
@@ -258,3 +259,51 @@ def test_linear_dominant():
         assert all(c >= 0 for c in dom)
         assert any(weyl.act(rs3, w, lam) == dom
                    for w in weyl.enumerate_elements(rs3))
+
+
+@st.composite
+def _system_and_regular_top(draw):
+    family, rank = draw(st.sampled_from(
+        [("A", rank) for rank in range(1, 7)] + [("B", 2)]))
+    top = draw(st.tuples(*[st.integers(1, 6)] * rank))
+    return build_root_system(family, rank), top
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_system_and_regular_top())
+def test_signed_orbit_matches_word_oracle(case):
+    # The oracle builds every canonical word and applies it with ``act``.
+    rs, top = case
+    signed = list(weyl.signed_orbit(rs, top))
+    assert len(signed) == weyl.order(rs)
+    assert dict(signed) == oracles._alternating_orbit(rs, top)
+    assert {img for img, _ in signed} == weyl.orbit(rs, top)
+
+
+def test_signed_orbit_rejects_non_regular_top():
+    rs = build_root_system("A", 2)
+    with pytest.raises(NotDominant):
+        list(weyl.signed_orbit(rs, (1, 0)))
+    with pytest.raises(NotDominant):
+        list(weyl.signed_orbit(rs, (2, -1)))
+
+
+@pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 7)] + [("B", 2)])
+def test_poincare_counts_and_order_match_words(family, rank):
+    rs = build_root_system(family, rank)
+    by_length: dict[int, int] = {}
+    for word in weyl.enumerate_elements(rs):
+        by_length[len(word)] = by_length.get(len(word), 0) + 1
+    assert weyl.poincare_counts(rs) == by_length
+    assert weyl.order(rs) == len(weyl.enumerate_elements(rs))
+
+
+def test_order_a7_without_words(monkeypatch):
+    def no_words(rs):
+        raise AssertionError("enumerate_elements called")
+
+    monkeypatch.setattr(weyl, "enumerate_elements", no_words)
+    rs = build_root_system("A", 7)
+    assert weyl.order(rs) == 40320
+    # Sum of lengths: |W| times half the number of positive roots.
+    assert sum(k * n for k, n in weyl.poincare_counts(rs).items()) == 40320 * 14
