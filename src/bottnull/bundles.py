@@ -13,6 +13,7 @@ evaluation is a map weight -> multiplicity with deterministic ordering.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Union
@@ -136,9 +137,10 @@ class _Parser:
 
     def uint(self) -> int:
         kind, text, pos = self.next()
-        if kind != "int" or int(text) < 0:
+        value = _literal(text, pos) if kind == "int" else -1
+        if value < 0:
             raise ExprSyntaxError("expected a non-negative integer", pos)
-        return int(text)
+        return value
 
     def primary(self) -> Expr:
         kind, text, pos = self.next()
@@ -171,7 +173,14 @@ class _Parser:
         kind, text, pos = self.next()
         if kind != "int":
             raise ExprSyntaxError("expected an integer", pos)
+        return _literal(text, pos)
+
+
+def _literal(text: str, pos: int) -> int:
+    try:
         return int(text)
+    except ValueError:  # more digits than Python converts from text
+        raise ExprSyntaxError("integer literal is too long", pos) from None
 
 
 def parse(text: str) -> Expr:
@@ -380,34 +389,66 @@ def weights(rs: RootSystem, expr: Expr | str) -> WeightMultiset:
 
 
 def dim(rs: RootSystem, expr: Expr | str) -> int:
-    """Total dimension (computed structurally; equals weights(...).total_dim)."""
+    """Total dimension (computed structurally; equals weights(...).total_dim).
+
+    Raises SizeCapExceeded when the dimension of the expression or of a
+    subexpression has more decimal digits than Python converts to text
+    (``sys.get_int_max_str_digits()``); no value on the way gets twice as long.
+    """
     if isinstance(expr, str):
         expr = parse(expr)
-    return _dim(rs, expr)
+    return _dim(rs, expr, 10 ** _max_digits())
 
 
-def _dim(rs: RootSystem, expr: Expr) -> int:
+def _max_digits() -> int:
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _too_large() -> SizeCapExceeded:
+    return SizeCapExceeded(
+        f"expression dimension has more than {_max_digits()} decimal digits")
+
+
+def _comb(n: int, k: int, cap: int) -> int:
+    """comb(n, k) for n >= -1, refused once a partial product reaches ``cap``.
+    comb(n, i) >= 2^i for i <= n/2, so that takes at most log2(cap) steps."""
+    out = 1
+    for i in range(min(k, n - k)):
+        out = out * (n - i) // (i + 1)
+        if out >= cap:
+            raise _too_large()
+    return out if k <= n or k == 0 else 0
+
+
+def _dim(rs: RootSystem, expr: Expr, cap: int) -> int:
     if isinstance(expr, Atom):
         n_pos = len(rs.positive_roots)
-        return {"n": n_pos, "h": rs.rank, "b": n_pos + rs.rank,
-                "q": n_pos, "g": 2 * n_pos + rs.rank}[expr.kind]
-    if isinstance(expr, Line):
+        out = {"n": n_pos, "h": rs.rank, "b": n_pos + rs.rank,
+               "q": n_pos, "g": 2 * n_pos + rs.rank}[expr.kind]
+    elif isinstance(expr, Line):
         if len(expr.coords) != rs.rank:
             raise InvalidWeight(
                 f"line weight has {len(expr.coords)} coordinates; rank is {rs.rank}")
-        return 1
-    if isinstance(expr, Tensor):
+        out = 1
+    elif isinstance(expr, Tensor):
         out = 1
         for f in expr.factors:
-            out *= _dim(rs, f)
-        return out
-    if isinstance(expr, Sum):
-        return sum(_dim(rs, t) for t in expr.terms)
-    if isinstance(expr, Power):
-        return _dim(rs, expr.base) ** expr.exponent
-    if isinstance(expr, Wedge):
-        return comb(_dim(rs, expr.inner), expr.degree)
-    if isinstance(expr, Sym):
-        d = _dim(rs, expr.inner)
-        return comb(d + expr.degree - 1, expr.degree)
-    raise TypeError(f"not an expression: {expr!r}")
+            out *= _dim(rs, f, cap)
+            if out >= cap:
+                raise _too_large()
+    elif isinstance(expr, Sum):
+        out = sum(_dim(rs, t, cap) for t in expr.terms)
+    elif isinstance(expr, Power):
+        base = _dim(rs, expr.base, cap)
+        if base > 1 and expr.exponent * (base.bit_length() - 1) >= cap.bit_length():
+            raise _too_large()  # base^e >= 2^(e * (bits - 1))
+        out = base ** expr.exponent
+    elif isinstance(expr, Wedge):
+        out = _comb(_dim(rs, expr.inner, cap), expr.degree, cap)
+    elif isinstance(expr, Sym):
+        out = _comb(_dim(rs, expr.inner, cap) + expr.degree - 1, expr.degree, cap)
+    else:
+        raise TypeError(f"not an expression: {expr!r}")
+    if out >= cap:
+        raise _too_large()
+    return out

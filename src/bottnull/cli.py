@@ -394,9 +394,9 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
         _check(checks, "highest-root-norm", norm == 2 * n,
                f"(theta+rho,theta+rho)-(rho,rho) = {norm} = 2n")
 
-    # Tensor square.
+    # Tensor square; type A only where the table covers it (n >= 3).
     ps2 = bwb.psupp(rs, "b^2")
-    if is_a:
+    if is_a and table.covers(family, rank, 2):
         ok_support = _setview_matches(ps2, rank, {})
         h1 = table.entry(family, rank, 2, 1)
         inv = repthy.invariant_dim(rs, "g*g")
@@ -414,7 +414,7 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
         want = rs.dim_g ** 2 - 1
         _check(checks, "tangent-square-a", euler_qq == want,
                f"chi(X, (g/b)^2) = {euler_qq} = dim(g x g) - 1")
-    else:
+    elif family == "B":
         ok_support = _setview_matches(
             ps2, rank, {2: {zero, (0, 1)}, **{k: set() for k in range(4, 9)}})
         mult_once = ps2.multiset(2).get((0, 1)) == 1
@@ -436,8 +436,8 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
         ok_v, detail_v = _validate_entries(rs, table, 2)
         _check(checks, "tensor-square-b2-validated", ok_v, detail_v)
 
-    # Tensor cube (type A).
-    if is_a:
+    # Tensor cube (type A, where the table covers it).
+    if is_a and table.covers(family, rank, 3):
         ps3 = bwb.psupp(rs, "b^3")
         if n == 3:
             special = {2: {zero, (1, 1), (3, 0), (0, 3)}, 3: {zero, (1, 1)}}

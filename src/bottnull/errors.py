@@ -54,7 +54,7 @@ class NotAGModule(Error):
 
 
 class SizeCapExceeded(Error):
-    """Expression exceeds the decomposition size cap or the evaluation cost cap."""
+    """Expression exceeds the evaluation cost cap, or its dimension the digit cap."""
 
 
 class CheckFailed(Error):

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from math import comb
 
-from . import _kernels, repthy
+from . import repthy
 from .bundles import WeightMultiset, weights
 from .bwb import psupp
 from .errors import LedgerGap, ValidationFailure
@@ -280,10 +280,6 @@ class EPage:
         return max((b for _, b in self.cells), default=0)
 
 
-def _gpower_multiset(rs: RootSystem, k: int) -> WeightMultiset:
-    return weights(rs, f"g^{k}")
-
-
 def e_page(family: str, rank: int, r: int,
            table: CohomologyTable | None = None) -> EPage:
     """Assemble the page cells (-q, p) = C(r,q) * g^{(r-q)} * H^p(X, b^{q}).
@@ -315,15 +311,16 @@ def e_page(family: str, rank: int, r: int,
                                           tensor_power=tp, coh=None,
                                           unresolved=True, module=None)
                 continue
-            base = _gpower_multiset(rs, tp).counts
+            # Brauer-Klimyk: g^tp (x) L(mu) is the sum over the weights w of
+            # g^tp of the signed dot-dominant L(w + mu), so shifting g^tp by
+            # mu and decomposing gives the cell without L(mu)'s character.
+            base = weights(rs, f"g^{tp}").counts
             content: dict[Weight, int] = {}
             for mu, mult in coh.sorted_items():
-                char = repthy.irrep_character(rs, mu).counts
-                piece = _kernels.convolve(base, char) if base else dict(char)
-                for w, c in piece.items():
-                    content[w] = content.get(w, 0) + mult * c
-            scaled = {w: copies * c for w, c in content.items()}
-            module = repthy.decompose_multiset(rs, WeightMultiset(scaled),
+                for w, c in base.items():
+                    key = tuple(x + y for x, y in zip(w, mu))
+                    content[key] = content.get(key, 0) + copies * mult * c
+            module = repthy.decompose_multiset(rs, WeightMultiset(content),
                                                check=False)
             cells[(-q, p)] = PageCell(a=-q, b=p, copies=copies, tensor_power=tp,
                                       coh=coh, unresolved=False, module=module)

@@ -42,50 +42,52 @@ def identity(n: int) -> Matrix:
                  for i in range(n))
 
 
-def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises SingularMatrix."""
-    n = len(m)
-    aug = [list(m[i]) + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = Q(1) / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def _reduce(row: list[Q], basis: list[list[Q]], pivots: list[int]) -> int | None:
+    """Clear ``row`` in place at every pivot of the echelon ``basis`` and scale
+    it to a leading 1; return its pivot column, or None if it lies in the span.
+
+    The result is the one vector of row + span(basis) that vanishes at the
+    pivot columns, however far ``basis`` itself is reduced.
+    """
+    for p, b in zip(pivots, basis):
+        f = row[p]
+        if f != 0:
+            for j in range(len(row)):
+                row[j] -= f * b[j]
+    piv = next((j for j, x in enumerate(row) if x != 0), None)
+    if piv is not None:
+        scale = Q(1) / row[piv]
+        row[:] = [x * scale for x in row]
+    return piv
 
 
 def rref(vectors: Sequence[Vector]) -> list[Vector]:
     """Reduced row-echelon basis of the span, rows ordered by pivot column."""
-    rows = [list(v) for v in vectors]
     basis: list[list[Q]] = []
     pivots: list[int] = []
-    for row in rows:
-        for p, b in zip(pivots, basis):
-            if row[p] != 0:
-                f = row[p]
-                for j in range(len(row)):
-                    row[j] -= f * b[j]
-        piv = next((j for j, x in enumerate(row) if x != 0), None)
+    for v in vectors:
+        row = list(v)
+        piv = _reduce(row, basis, pivots)
         if piv is None:
             continue
-        scale = Q(1) / row[piv]
-        row = [x * scale for x in row]
-        for p, b in zip(pivots, basis):
-            if b[piv] != 0:
-                f = b[piv]
+        for b in basis:  # back-substitution into the earlier rows
+            f = b[piv]
+            if f != 0:
                 for j in range(len(row)):
                     b[j] -= f * row[j]
         basis.append(row)
         pivots.append(piv)
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [tuple(basis[i]) for i in order]
+
+
+def mat_inverse(m: Sequence[Sequence]) -> Matrix:
+    """Exact inverse, the right half of rref([m | 1]); raises SingularMatrix."""
+    n = len(m)
+    reduced = rref([tuple(row) + unit for row, unit in zip(m, identity(n))])
+    if any(row[i] != 1 for i, row in enumerate(reduced)):  # a pivot past i
+        raise SingularMatrix("matrix is not invertible")
+    return tuple(row[n:] for row in reduced)
 
 
 @dataclass(frozen=True)
@@ -158,16 +160,9 @@ def common_flag(t: MatrixTuple) -> Flag | None:
     for subspace in reversed(chain):
         for row in subspace:
             vec = list(row)
-            for p, b in zip(pivots, echelon):
-                if vec[p] != 0:
-                    f = vec[p]
-                    for j in range(len(vec)):
-                        vec[j] -= f * b[j]
-            piv = next((j for j, x in enumerate(vec) if x != 0), None)
+            piv = _reduce(vec, echelon, pivots)
             if piv is None:
                 continue
-            scale = Q(1) / vec[piv]
-            vec = [x * scale for x in vec]
             basis.append(tuple(vec))
             echelon.append(vec)
             pivots.append(piv)
@@ -178,11 +173,6 @@ def common_flag(t: MatrixTuple) -> Flag | None:
 def is_strictly_upper(m: Matrix) -> bool:
     n = len(m)
     return all(m[i][j] == 0 for i in range(n) for j in range(n) if j <= i)
-
-
-def conjugate(g: Matrix, m: Matrix) -> Matrix:
-    """g m g^{-1}."""
-    return mat_mul(mat_mul(g, m), mat_inverse(g))
 
 
 def triangularize(t: MatrixTuple, flag: Flag) -> tuple[Matrix, ...]:

@@ -12,12 +12,10 @@ from fractions import Fraction as Q
 from itertools import product
 
 from . import weyl
-from .bundles import Expr, WeightMultiset, dim as bundle_dim, weights
-from .errors import NotAGModule, NotDominant, SizeCapExceeded
+from .bundles import Expr, WeightMultiset, weights
+from .errors import NotAGModule, NotDominant
 from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
-
-SIZE_CAP = 5_000_000
 
 
 class FormalGModule:
@@ -73,15 +71,6 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return weyl_product(rs, lam)
 
 
-def _as_multiset(rs: RootSystem, expr: Expr | str | WeightMultiset) -> WeightMultiset:
-    if isinstance(expr, WeightMultiset):
-        return expr
-    if bundle_dim(rs, expr) > SIZE_CAP:
-        raise SizeCapExceeded(
-            f"expression dimension exceeds the cap of {SIZE_CAP} multiset entries")
-    return weights(rs, expr)
-
-
 def _check_invariant(rs: RootSystem, ws: WeightMultiset) -> None:
     counts = ws.counts
     for w, m in counts.items():
@@ -97,7 +86,7 @@ def mult_in(rs: RootSystem, expr: Expr | str | WeightMultiset, mu: Weight) -> in
     the signed orbit of mu + rho."""
     if any(c < 0 for c in mu):
         raise NotDominant(f"{mu} is not dominant")
-    ws = _as_multiset(rs, expr)
+    ws = expr if isinstance(expr, WeightMultiset) else weights(rs, expr)
     _check_invariant(rs, ws)
     # Key the multiplicities by weight + rho, so orbit images look up directly.
     shifted = {tuple(c + 1 for c in w): m for w, m in ws.counts.items()}
@@ -131,11 +120,8 @@ def decompose_multiset(rs: RootSystem, ws: WeightMultiset, *,
 def decompose(rs: RootSystem, expr: Expr | str | WeightMultiset) -> FormalGModule:
     """Decomposition into irreducibles of the G-module with the expression's
     weight multiset; sum of mult * weyl_dim equals the total dimension."""
-    ws = _as_multiset(rs, expr)
+    ws = expr if isinstance(expr, WeightMultiset) else weights(rs, expr)
     return decompose_multiset(rs, ws, check=True)
-
-
-_CHAR_CACHE: dict[tuple[str, int, Weight], WeightMultiset] = {}
 
 
 def _dominant_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
@@ -185,14 +171,8 @@ def irrep_character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     """Full weight multiset of the irreducible L(lam) (Freudenthal + orbits)."""
     if any(c < 0 for c in lam):
         raise NotDominant(f"{lam} is not dominant")
-    key = (rs.family, rs.rank, tuple(lam))
-    cached = _CHAR_CACHE.get(key)
-    if cached is not None:
-        return cached
     out: dict[Weight, int] = {}
     for mu, m in _dominant_character(rs, lam).items():
         for nu in weyl.orbit(rs, mu):
             out[nu] = m
-    ws = WeightMultiset(out)
-    _CHAR_CACHE[key] = ws
-    return ws
+    return WeightMultiset(out)

@@ -15,6 +15,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import NonIntegralWeight, UnsupportedFamilyRank
+from .nullcone import mat_inverse
 
 Weight = tuple[int, ...]
 RootCoords = tuple[Q, ...]
@@ -101,19 +102,7 @@ class RootSystem:
 
     @cached_property
     def _cartan_inverse(self) -> tuple[tuple[Q, ...], ...]:
-        n = self.rank
-        aug = [[Q(self.cartan[i][j]) for j in range(n)]
-               + [Q(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = Q(1) / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
+        return mat_inverse(self.cartan)
 
     @cached_property
     def _weyl_factors(self) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -2,8 +2,9 @@
 
 Everything here recomputes results by a different algorithm than the
 package: characters by division of alternating sums, decompositions by
-iterated highest-weight stripping, null-cone membership by brute-force
-word products, root data from sympy's ``liealgebras``.  Slow but simple;
+iterated highest-weight stripping, page cells by convolving full
+characters, null-cone membership by brute-force word products, root data
+from sympy's ``liealgebras``.  Slow but simple;
 meant for small inputs only.
 """
 
@@ -13,7 +14,7 @@ import heapq
 import random
 from fractions import Fraction as Q
 
-from bottnull import weyl
+from bottnull import _kernels, bundles, repthy, weyl
 from bottnull.rootsys import RootSystem, weight_to_root_coords
 
 Weight = tuple[int, ...]
@@ -138,6 +139,19 @@ def stripping_decompose(rs: RootSystem, multiset) -> dict[Weight, int]:
         for w, c in wcf_character(rs, top).items():
             tracker.update(w, -mult * c)
     return out
+
+
+def convolved_cell(rs: RootSystem, coh, copies: int, tensor_power: int):
+    """The page cell copies * g^tensor_power (x) coh, by convolving g's power
+    with the full character (Freudenthal) of each irreducible of coh and
+    decomposing the Weyl-invariant result."""
+    base = bundles.weights(rs, f"g^{tensor_power}").counts
+    content: dict[Weight, int] = {}
+    for mu, mult in coh.sorted_items():
+        char = repthy.irrep_character(rs, mu).counts
+        for w, c in _kernels.convolve(base, char).items():
+            content[w] = content.get(w, 0) + copies * mult * c
+    return repthy.decompose_multiset(rs, bundles.WeightMultiset(content))
 
 
 # ------------------------------------------------------------- root data

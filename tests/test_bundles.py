@@ -45,6 +45,10 @@ def test_parse_errors_carry_position():
         bundles.parse("b b")              # trailing junk
     with pytest.raises(ExprSyntaxError):
         bundles.parse("")
+    # More digits than Python converts from text.
+    for text in ("b^" + "1" * 5000, "L[" + "1" * 5000 + ",0]"):
+        with pytest.raises(ExprSyntaxError):
+            bundles.parse(text)
     with pytest.raises(UnknownAtom) as err:
         bundles.parse("b * zz")
     assert err.value.name == "zz"
@@ -203,11 +207,29 @@ def test_weight_multiset_api():
     ("A", 2, "sym^100000(g)"),            # quadratic layer loop
 ])
 def test_cost_cap_refuses_before_running_away(family, rank, text):
-    from bottnull import bwb
+    from bottnull import bwb, repthy
     rs = build_root_system(family, rank)
-    for fn in (bundles.weights, bwb.psupp, bwb.euler_characteristic):
+    for fn in (bundles.weights, bwb.psupp, bwb.euler_characteristic,
+               repthy.decompose,
+               lambda rs, text: repthy.mult_in(rs, text, (0,) * rs.rank)):
         with pytest.raises(SizeCapExceeded):
             fn(rs, text)
+
+
+def test_dim_refuses_past_the_digit_limit():
+    # 35^2784 has 4299 digits and 35^2785 has 4301: the limit is exact.
+    a7 = build_root_system("A", 7)
+    assert bundles.dim(a7, "b^2784") == 35 ** 2784
+    for text in ("b^2785", "b^1000000000", "b^2000*b^2000",
+                 "wedge^100000000(b^2000)"):
+        with pytest.raises(SizeCapExceeded):
+            bundles.dim(a7, text)
+    assert bundles.dim(a7, "sym^1000000000(g)") == math.comb(10 ** 9 + 62, 62)
+    # sym^0 of the zero module is the trivial module; sym^k of it is zero.
+    a2 = build_root_system("A", 2)
+    for text, want in (("sym^0(wedge^2(L[0,0]))", 1),
+                       ("sym^3(wedge^2(L[0,0]))", 0)):
+        assert bundles.dim(a2, text) == bundles.weights(a2, text).total_dim == want
 
 
 def test_cost_cap_charges_terms_not_dimension():

@@ -1,11 +1,17 @@
 """End-to-end command-line tests: envelope shape, exit codes, determinism."""
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bottnull import cli, ledger, nullcone, repthy
 
@@ -268,6 +274,59 @@ def test_nullcone_resolve(capsys, tmp_path):
     assert doc["payload"]["matrices"] == [[["0", "0"], ["2", "0"]]]
 
 
+# Fixed tuples and resolution points, several with denominators.  The stored
+# outputs were produced before the row reduction was shared between rref,
+# mat_inverse and common_flag; they pin every printed fraction.
+NULLCONE_TUPLES = {
+    "t3-member": [  # g x g^-1 for strictly upper x and det g = 3
+        [["-1/3", "2/3", "1/3"], ["4/3", "-2/3", "-4/3"], ["-1", "1", "1"]],
+        [["-2", "1", "2"], ["0", "0", "0"], ["-2", "1", "2"]]],
+    "t3-nonmember": [
+        [["1/2", "1", "0"], ["0", "0", "2/3"], ["1", "0", "-1/2"]],
+        [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]],
+    "t4-member": [
+        [["-19/4", "19/2", "-17/2", "53/4"], ["-4", "8", "-15/2", "21/2"],
+         ["-11/4", "11/2", "-11/2", "29/4"], ["-3/4", "3/2", "-3/2", "9/4"]],
+        [["2", "-4", "4", "-4"], ["3", "-6", "6", "-8"],
+         ["2", "-4", "4", "-6"], ["0", "0", "0", "0"]]],
+    "t4-nonmember": [  # x^4 = 1/3, and a Jordan block beside a torus
+        [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"],
+         ["1/3", "0", "0", "0"]],
+        [["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"],
+         ["0", "0", "0", "-1"]]],
+}
+NULLCONE_RESOLVE = {
+    "r3": {"g": [["1/2", "1", "0"], ["0", "2", "1"], ["1", "0", "-1/3"]],
+           "matrices": [[["0", "1", "1/2"], ["0", "0", "-1"], ["0", "0", "0"]],
+                        [["0", "0", "2"], ["0", "0", "0"], ["0", "0", "0"]]]},
+    "r4": {"g": [["2", "0", "1", "0"], ["1", "1", "0", "0"],
+                 ["0", "1", "3", "1"], ["0", "0", "1", "1"]],
+           "matrices": [[["0", "1", "0", "2/5"], ["0", "0", "-1", "1"],
+                         ["0", "0", "0", "3"], ["0", "0", "0", "0"]]]},
+}
+NULLCONE_GOLDEN = sorted(
+    [(name, op) for name in NULLCONE_TUPLES for op in ("member", "flag")]
+    + [(name, "resolve") for name in NULLCONE_RESOLVE])
+
+
+@pytest.mark.parametrize("name,op", NULLCONE_GOLDEN,
+                         ids=[f"{n}-{op}" for n, op in NULLCONE_GOLDEN])
+def test_nullcone_matches_golden(capsys, tmp_path, name, op):
+    if op == "resolve":
+        doc = NULLCONE_RESOLVE[name]
+    else:
+        mats = NULLCONE_TUPLES[name]
+        doc = {"n": len(mats[0]), "matrices": mats}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["nullcone", "--input", str(path),
+                                      "--op", op])
+    assert code == 0, err
+    golden = os.path.join(GOLDEN_DIR, f"nullcone_{name}_{op}.json")
+    with open(golden, "r", encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 def test_nullcone_malformed_json_exits_1(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -386,17 +445,28 @@ def test_user_table_that_validates_gives_a_verdict(tmp_path, capsys):
     assert json.loads(out)["payload"]["normal"] == ledger.NORMAL_YES
 
 
-def test_runaway_expression_exits_2_on_its_cost_cap():
+RUNAWAY = [
     # Dimension 2.2e13: refused by the evaluation cost cap, not run.
-    proc = subprocess.run(
-        [sys.executable, "-m", "bottnull.cli", "psupp", "--family", "A",
-         "--rank", "7", "--expr", "sym^12(g)"],
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "bottnull: error: expression evaluation exceeds the cost cap of "
-        "5000000 weight terms"]
+    ("psupp", "sym^12(g)", "expression evaluation exceeds the cost cap of "
+     "5000000 weight terms"),
+    # 4,633 digits, more than Python converts to text.
+    ("dim", "b^3000", "expression dimension has more than 4300 decimal "
+     "digits"),
+    # A 5e9-bit integer: refused before it is built.
+    ("dim", "b^1000000000", "expression dimension has more than 4300 "
+     "decimal digits"),
+]
+
+
+def test_runaway_expression_exits_2_on_its_cost_cap():
+    for command, expr, message in RUNAWAY:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bottnull.cli", command, "--family", "A",
+             "--rank", "7", "--expr", expr],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"bottnull: error: {message}"]
 
 
 # -------------------------------------------------------------------- report
@@ -427,6 +497,16 @@ def test_report_checks_all_pass(capsys):
     assert ids == sorted(set(ids), key=ids.index)  # no duplicate check ids
 
 
+def test_report_a1_runs_only_covered_checks(capsys):
+    # The table covers A1 only at q = 1: no tensor-square or tensor-cube
+    # checks, and no made-up cohomology at q = 2.
+    doc = run_json(capsys, ["report", "--family", "A", "--rank", "1"])
+    assert doc["payload"]["passed"] is True
+    assert [c["id"] for c in doc["payload"]["checks"]] == [
+        "vanishing-b", "highest-root-norm", "hodge-wedge-profile",
+        "distinct-roots"]
+
+
 def test_report_failure_exits_2(capsys, monkeypatch):
     # Sabotage one ingredient: the report must flag it and exit 2.
     monkeypatch.setattr(cli.repthy, "invariant_dim",
@@ -449,3 +529,148 @@ def test_console_script_roundtrip():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["payload"] == {"expr": "b^2", "dim": 81}
+
+
+# ---------------------------------------------------------------------- fuzz
+
+# Half supported systems, half unsupported or malformed ranks.
+_SMALL_SYSTEMS = (st.sampled_from([("A", "1"), ("A", "2"), ("B", "2")])
+                  | st.sampled_from([("A", "0"), ("A", "9"), ("B", "3"),
+                                     ("A", "x")]))
+
+
+def _expressions(degree):
+    """Expression text: grammar trees over every atom and operator, with
+    powers and wedge/sym degrees drawn from ``degree``, plus loose text."""
+    line = st.lists(st.integers(-3, 3), max_size=3).map(
+        lambda c: "L[" + ",".join(map(str, c)) + "]")
+    atom = st.sampled_from(["n", "h", "b", "g", "q", "x"]) | line
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+*"), inner).map("".join),
+            st.tuples(inner, degree).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(["wedge", "sym"]), degree, inner).map(
+                lambda t: f"{t[0]}^{t[1]}({t[2]})"))
+
+    loose = st.text(alphabet="nhbgqL[]()+*^,-01 wedgsym", max_size=10)
+    return st.recursive(atom, extend, max_leaves=3) | loose
+
+
+_WEIGHTS = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=3).map(
+        lambda c: "f:" + ",".join(map(str, c))),
+    st.lists(st.sampled_from(["0", "1", "-2", "1/2", "3/2", "1/0", "x"]),
+             max_size=3).map(lambda c: "r:" + ",".join(c)),
+    st.text(alphabet="fr:,-0123/x", max_size=8))
+
+_ENTRIES = st.sampled_from(["0", "0", "0", "1", "-1", "1/2", "-2/3", "2"])
+
+
+def _square(n):
+    return st.lists(st.lists(_ENTRIES, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+def _trace_free(m):
+    m = [list(row) for row in m]
+    m[-1][-1] = str(-sum((Q(m[i][i]) for i in range(len(m) - 1)), Q(0)))
+    return m
+
+
+def _upper(m):
+    return [[x if j > i else "0" for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+def _matrix_docs(n):
+    mats = st.lists(_square(n).map(_trace_free) | _square(n).map(_upper),
+                    min_size=1, max_size=3)
+    return st.one_of(
+        st.fixed_dictionaries({"n": st.sampled_from([n, n + 1]),
+                               "matrices": mats}),
+        st.fixed_dictionaries({"g": _square(n) | _square(n + 1),
+                               "matrices": mats}))
+
+
+def _table_doc(value):
+    doc = json.loads(ledger.save_table(ledger.builtin_tables()))
+    doc["entries"][0]["module"] = value
+    return doc
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _ENTRIES
+    | st.sampled_from(["1/0", "x", "trivial-unresolved"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(
+                       ["n", "g", "matrices", "version", "entries",
+                        "complete", "key", "module"]), inner, max_size=3)),
+    max_leaves=8)
+
+_DOCS = st.one_of(
+    st.integers(1, 4).flatmap(_matrix_docs).map(json.dumps),
+    _JSON.map(_table_doc).map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(max_size=12))
+
+
+def _system(cmd, *extra):
+    return st.tuples(_SMALL_SYSTEMS, *extra).map(
+        lambda t: [cmd, "--family", t[0][0], "--rank", t[0][1],
+                   *[a for part in t[1:] for a in part]])
+
+
+_SMALL = st.integers(0, 2)
+_ARGV = st.one_of(
+    _system("roots"),
+    _system("weyl", st.sampled_from([[], ["--word", "1,2"], ["--word", "3"],
+                                     ["--word", "x"]]),
+            st.sampled_from([[]]) | _WEIGHTS.map(lambda w: ["--weight", w])),
+    _system("bwb", _WEIGHTS.map(lambda w: ["--weight", w])),
+    *[_system(cmd, _expressions(_SMALL).map(lambda e: ["--expr", e]))
+      for cmd in ("weights", "psupp", "decompose")],
+    _system("mult", _expressions(_SMALL).map(lambda e: ["--expr", e]),
+            _WEIGHTS.map(lambda w: ["--weight", w])),
+    # dim evaluates nothing, so its exponents may be huge.
+    _system("dim", _expressions(_SMALL | st.integers(5000, 10 ** 12)).map(
+        lambda e: ["--expr", e])),
+    st.sampled_from(["member", "flag", "resolve"]).map(
+        lambda op: ["nullcone", "--input", "@FILE", "--op", op]),
+    st.tuples(st.sampled_from([("A", "1"), ("A", "2"), ("A", "3"),
+                               ("B", "2"), ("A", "8")]),
+              st.integers(-1, 4), st.booleans()).map(
+        lambda t: ["verdict", "--family", t[0][0], "--rank", t[0][1],
+                   "-r", str(t[1])] + (["--table", "@FILE"] if t[2] else [])),
+    st.sampled_from([("A", "1"), ("A", "2"), ("B", "2")]).map(
+        lambda s: ["report", "--family", s[0], "--rank", s[1]]),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=st.tuples(_ARGV, st.sampled_from([[], ["--format", "tsv"]])),
+       doc=_DOCS)
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(argv, doc):
+    argv = argv[0] + argv[1]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(doc)
+        argv = [path if a == "@FILE" else a for a in argv]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code in (1, 2), (argv, code)
+        # One error line; argparse names the subcommand and adds a usage line.
+        assert lines and re.match(r"bottnull( \w+)?: error: ", lines[-1]), lines
+        assert len(lines) == 1 or (len(lines) == 2
+                                   and lines[0].startswith("usage: ")), lines

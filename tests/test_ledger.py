@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import oracles
 from bottnull import ledger, repthy
 from bottnull.errors import LedgerGap, ValidationFailure
 from bottnull.ledger import (CohomologyTable, builtin_tables,
@@ -153,6 +154,31 @@ def test_e_page_cell_contents():
     assert cell is None  # H^1(b) = 0
     # q=1 contributes nothing anywhere
     assert all(page.cell(-1, b) is None for b in range(0, 4))
+
+
+# (family, rank) -> the largest r of the benchmark's verdict range.
+VERDICT_RANGE = {("A", 1): 6, ("A", 2): 6, ("A", 3): 3, ("A", 4): 3,
+                 ("A", 5): 4, ("A", 6): 4, ("A", 7): 3, ("B", 2): 2}
+
+
+@pytest.mark.parametrize("family,rank", sorted(VERDICT_RANGE))
+def test_e_page_cells_match_convolved_characters(family, rank):
+    # Brauer-Klimyk cells against full characters convolved and decomposed.
+    rs = build_root_system(family, rank)
+    compared = 0
+    for r in range(1, VERDICT_RANGE[family, rank] + 1):
+        try:
+            page = e_page(family, rank, r)
+        except LedgerGap:
+            continue
+        for cell in page.cells.values():
+            if cell.unresolved:
+                continue
+            want = oracles.convolved_cell(rs, cell.coh, cell.copies,
+                                          cell.tensor_power)
+            assert cell.module == want, (r, cell.a, cell.b)
+            compared += 1
+    assert compared
 
 
 def test_e_page_unresolved_cells():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from bottnull import nullcone
@@ -211,3 +213,42 @@ def test_zero_tuple():
     flag = nullcone.common_flag(t)
     assert flag is not None
     assert len(flag.basis) == 2
+
+
+# Mostly small entries and many zeros, so that rank-deficient and singular
+# matrices come up often.
+_ENTRY = st.one_of(st.just(Q(0)),
+                   st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda r: st.integers(1, 5).flatmap(lambda c: _matrices(r, c))))
+def test_rref_matches_sympy(rows):
+    reduced = _sympy(rows).rref()[0]
+    want = [tuple(Q(int(x.p), int(x.q)) for x in reduced.row(i))
+            for i in range(reduced.rows) if any(reduced.row(i))]
+    assert nullcone.rref([tuple(row) for row in rows]) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: _matrices(n, n)))
+def test_mat_inverse_matches_sympy_determinant(rows):
+    m = nullcone.matrix_from_rows(rows)
+    if _sympy(rows).det() == 0:
+        with pytest.raises(SingularMatrix):
+            nullcone.mat_inverse(m)
+    else:
+        inv = nullcone.mat_inverse(m)
+        assert nullcone.mat_mul(inv, m) == nullcone.identity(len(m))
+        assert _sympy(inv) == _sympy(rows).inv()
