@@ -212,51 +212,61 @@ def _unparse(expr: Expr, level: int) -> str:
     return f"({body})" if level >= 1 else body
 
 
-class WeightMultiset:
-    """Immutable weight -> multiplicity map with deterministic ordering."""
+class _WeightMap:
+    """Immutable, zero-free weight -> integer map with deterministic ordering.
 
-    __slots__ = ("_counts",)
+    Equal to a map of the same class or to a plain dict with the same
+    entries; maps of different classes (weight multisets, G-modules keyed by
+    highest weight) never compare equal.
+    """
 
-    def __init__(self, counts: dict[Weight, int] | None = None):
-        data = {w: c for w, c in (counts or {}).items() if c != 0}
-        self._counts = data
+    __slots__ = ("_data",)
 
-    @property
-    def counts(self) -> dict[Weight, int]:
-        return dict(self._counts)
+    def __init__(self, data: dict[Weight, int] | None = None):
+        self._data = {w: c for w, c in (data or {}).items() if c != 0}
 
     def get(self, weight: Weight) -> int:
-        return self._counts.get(weight, 0)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self._counts.values())
+        return self._data.get(weight, 0)
 
     def support(self) -> frozenset[Weight]:
-        return frozenset(self._counts)
+        return frozenset(self._data)
 
     def sorted_items(self) -> list[tuple[Weight, int]]:
-        return sorted(self._counts.items())
+        return sorted(self._data.items())
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._data)
 
     def __bool__(self) -> bool:
-        return bool(self._counts)
-
-    def __iter__(self) -> Iterator[Weight]:
-        return iter(self._counts)
+        return bool(self._data)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, WeightMultiset):
-            return self._counts == other._counts
+        if type(other) is type(self):
+            return self._data == other._data
         if isinstance(other, dict):
-            return self._counts == other
+            return self._data == other
         return NotImplemented
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{w}: {c}" for w, c in self.sorted_items())
-        return f"WeightMultiset({{{inner}}})"
+        return f"{type(self).__name__}({{{inner}}})"
+
+
+class WeightMultiset(_WeightMap):
+    """Weight -> multiplicity map of a bundle or module."""
+
+    __slots__ = ()
+
+    @property
+    def counts(self) -> dict[Weight, int]:
+        return dict(self._data)
+
+    @property
+    def total_dim(self) -> int:
+        return sum(self._data.values())
+
+    def __iter__(self) -> Iterator[Weight]:
+        return iter(self._data)
 
 
 class _Budget:

@@ -49,22 +49,23 @@ class PotentialSupport:
     __slots__ = ("_by_degree",)
 
     def __init__(self, by_degree: dict[int, dict[Weight, int]]):
-        self._by_degree = {k: dict(v) for k, v in sorted(by_degree.items()) if v}
+        multisets = ((k, WeightMultiset(v)) for k, v in sorted(by_degree.items()))
+        self._by_degree = {k: ms for k, ms in multisets if ms}
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self._by_degree)
 
     def multiset(self, degree: int) -> WeightMultiset:
-        return WeightMultiset(self._by_degree.get(degree, {}))
+        return self._by_degree.get(degree, WeightMultiset())
 
     def support(self, degree: int) -> frozenset[Weight]:
-        return frozenset(self._by_degree.get(degree, {}))
+        return self.multiset(degree).support()
 
     def set_view(self) -> dict[int, frozenset[Weight]]:
-        return {k: frozenset(v) for k, v in self._by_degree.items()}
+        return {k: ms.support() for k, ms in self._by_degree.items()}
 
     def multiset_view(self) -> dict[int, dict[Weight, int]]:
-        return {k: dict(v) for k, v in self._by_degree.items()}
+        return {k: ms.counts for k, ms in self._by_degree.items()}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PotentialSupport):
@@ -72,7 +73,7 @@ class PotentialSupport:
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"PotentialSupport({self._by_degree!r})"
+        return f"PotentialSupport({self.multiset_view()!r})"
 
 
 def psupp(rs: RootSystem, expr: Expr | str | WeightMultiset) -> PotentialSupport:

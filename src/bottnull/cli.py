@@ -59,6 +59,17 @@ def _print_tsv(header: list[str], rows: list[list]) -> None:
     sys.stdout.write("\n".join(out) + "\n")
 
 
+def _weight_rows(ws: bundles.WeightMultiset) -> list[dict]:
+    """``{weight, mult}`` rows of a weight multiset."""
+    return [{"weight": format_weight(w), "mult": m} for w, m in ws.sorted_items()]
+
+
+def _module_rows(rs: RootSystem, module: repthy.FormalGModule) -> list[dict]:
+    """``{weight, mult, dim}`` rows of a G-module, one per irreducible."""
+    return [{"weight": format_weight(w), "mult": m, "dim": repthy.weyl_dim(rs, w)}
+            for w, m in module.sorted_items()]
+
+
 def _parse_word(rs: RootSystem, text: str) -> tuple[int, ...]:
     try:
         letters = tuple(int(p) for p in text.split(","))
@@ -153,15 +164,15 @@ def _cmd_weights(args) -> int:
     rs = build_root_system(args.family, args.rank)
     expr = bundles.parse(args.expr)
     ws = bundles.weights(rs, expr)
-    items = ws.sorted_items()
+    rows = _weight_rows(ws)
     payload = {
         "expr": bundles.unparse(expr),
         "dim": ws.total_dim,
-        "distinct": len(items),
-        "weights": [{"weight": format_weight(w), "mult": m} for w, m in items],
+        "distinct": len(rows),
+        "weights": rows,
     }
     if args.format == "tsv":
-        _print_tsv(["weight", "mult"], [[format_weight(w), m] for w, m in items])
+        _print_tsv(["weight", "mult"], [[r["weight"], r["mult"]] for r in rows])
     else:
         _print_json(_envelope("weights", rs, payload))
     return 0
@@ -174,8 +185,7 @@ def _cmd_psupp(args) -> int:
     degrees = {}
     rows = []
     for k in ps.degrees():
-        entries = [{"weight": format_weight(w), "mult": m}
-                   for w, m in ps.multiset(k).sorted_items()]
+        entries = _weight_rows(ps.multiset(k))
         degrees[str(k)] = entries
         rows.extend([[k, e["weight"], e["mult"]] for e in entries])
     payload = {
@@ -222,24 +232,21 @@ def _cmd_decompose(args) -> int:
     rs = build_root_system(args.family, args.rank)
     expr = bundles.parse(args.expr)
     module = repthy.decompose(rs, expr)
-    items = module.sorted_items()
+    rows = _module_rows(rs, module)
     payload = {
         "expr": bundles.unparse(expr),
-        "modules": [{"weight": format_weight(w), "mult": m,
-                     "dim": repthy.weyl_dim(rs, w)} for w, m in items],
+        "modules": rows,
         "total_dim": module.dimension(rs),
     }
     if args.format == "tsv":
         _print_tsv(["weight", "mult", "dim"],
-                   [[format_weight(w), m, repthy.weyl_dim(rs, w)] for w, m in items])
+                   [[r["weight"], r["mult"], r["dim"]] for r in rows])
     else:
         _print_json(_envelope("decompose", rs, payload))
     return 0
 
 
 def _cmd_nullcone(args) -> int:
-    if args.format == "tsv":
-        raise InputError("nullcone output is JSON-only")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     if args.op == "resolve":
@@ -277,9 +284,7 @@ def _witness_doc(rs: RootSystem, w: ledger.Witness) -> dict:
         "a": w.a,
         "b": w.b,
         "total_degree": w.a + w.b,
-        "module": [{"weight": format_weight(wt), "mult": m,
-                    "dim": repthy.weyl_dim(rs, wt)}
-                   for wt, m in w.module.sorted_items()],
+        "module": _module_rows(rs, w.module),
         "dimension": w.module.dimension(rs),
         "reason": w.reason,
     }
@@ -299,8 +304,6 @@ def _cmd_verdict(args) -> int:
         except (AttributeError, KeyError, TypeError, ValueError,
                 UnsupportedFamilyRank, ValidationFailure) as exc:
             raise InputError(f"bad table document: {exc}") from exc
-    if args.format == "tsv":
-        raise InputError("verdict output is JSON-only")
     v = ledger.verdict(args.family, args.rank, args.copies, table)
     payload = {
         "r": v.r,
@@ -571,11 +574,11 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
 
 # ---------------------------------------------------------------- entry point
 
-def _add_common(sub, *, root_system: bool = True) -> None:
-    if root_system:
-        sub.add_argument("--family", choices=("A", "B"), required=True)
-        sub.add_argument("--rank", type=int, required=True)
-    sub.add_argument("--format", choices=("json", "tsv"), default="json")
+def _add_common(sub, *, tsv: bool = True) -> None:
+    sub.add_argument("--family", choices=("A", "B"), required=True)
+    sub.add_argument("--rank", type=int, required=True)
+    if tsv:  # verdict prints JSON only
+        sub.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -626,14 +629,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_decompose)
 
     p = subs.add_parser("nullcone", help="matrix-tuple membership / flags")
-    _add_common(p, root_system=False)
     p.add_argument("--input", required=True, help="JSON file")
     p.add_argument("--op", choices=("member", "flag", "resolve"),
                    default="member")
     p.set_defaults(fn=_cmd_nullcone)
 
     p = subs.add_parser("verdict", help="normality / rational-singularity verdict")
-    _add_common(p)
+    _add_common(p, tsv=False)
     p.add_argument("-r", "--copies", type=int, required=True)
     p.add_argument("--table", help="JSON cohomology table (default: built-in)")
     p.set_defaults(fn=_cmd_verdict)

@@ -16,12 +16,12 @@ import json
 from dataclasses import dataclass, field
 from math import comb
 
-from . import repthy
+from . import _kernels, repthy
 from .bundles import WeightMultiset, weights
 from .bwb import psupp
 from .errors import LedgerGap, ValidationFailure
 from .repthy import FormalGModule
-from .rootsys import RootSystem, Weight, build_root_system
+from .rootsys import build_root_system
 
 TABLE_FORMAT = "bott-null-ledger/1"
 
@@ -40,8 +40,11 @@ class TableEntry:
     q: int
     p: int
     module: FormalGModule | None  # None <=> unresolved placeholder
-    unresolved: bool
     provenance: str
+
+    @property
+    def unresolved(self) -> bool:
+        return self.module is None
 
 
 class CohomologyTable:
@@ -54,11 +57,12 @@ class CohomologyTable:
     def add(self, family: str, rank: int, q: int, p: int, *,
             module: FormalGModule | None = None, unresolved: bool = False,
             provenance: str = "") -> None:
-        if module is None and not unresolved:
-            raise ValueError("an entry needs a module or the unresolved flag")
+        if (module is None) != unresolved:
+            raise ValueError("an entry needs either a module or the "
+                             "unresolved flag")
         self._entries[(family, rank, q, p)] = TableEntry(
             family=family, rank=rank, q=q, p=p, module=module,
-            unresolved=unresolved, provenance=provenance)
+            provenance=provenance)
 
     def mark_complete(self, family: str, rank: int, q: int) -> None:
         self._complete.add((family, rank, q))
@@ -96,7 +100,11 @@ def _module_from_pairs(pairs, rank: int) -> FormalGModule:
                 or not all(type(c) is int and c >= 0 for c in coords)):
             raise ValueError(
                 f"module weight {coords!r} is not a dominant weight of rank {rank}")
-        mults[tuple(coords)] = int(mult)
+        if type(mult) is not int or mult < 1:
+            raise ValueError(
+                f"multiplicity {mult!r} of module weight {coords!r} is not a "
+                "positive integer")
+        mults[tuple(coords)] = mult
     return FormalGModule(mults)
 
 
@@ -227,7 +235,10 @@ def validate_table(table: CohomologyTable) -> ValidationReport:
         bound = ps.multiset(entry.p)
         for w, m in entry.module.sorted_items():
             have = bound.get(w)
-            if have == 0:
+            if m < 1:
+                failures.append(f"{name}: multiplicity {m} of weight {w} is "
+                                "not positive")
+            elif have == 0:
                 failures.append(f"{name}: weight {w} outside potential support "
                                 f"at degree {entry.p}")
             elif m > have:
@@ -252,8 +263,11 @@ class PageCell:
     copies: int
     tensor_power: int
     coh: FormalGModule | None
-    unresolved: bool
     module: FormalGModule | None  # decomposed content; None when unresolved
+
+    @property
+    def unresolved(self) -> bool:
+        return self.module is None
 
     @property
     def possibly_nonzero(self) -> bool:
@@ -294,36 +308,26 @@ def e_page(family: str, rank: int, r: int,
         copies = comb(r, q)
         tp = r - q
         if q == 0:
-            degrees = [0]
-        else:
-            degrees = list(table.degrees(family, rank, q))  # may raise LedgerGap
-        for p in degrees:
-            if q == 0:
-                coh: FormalGModule | None = FormalGModule({(0,) * rank: 1})
-                unresolved = False
-            else:
-                entry = table.entry(family, rank, q, p)
-                assert entry is not None
-                coh = entry.module
-                unresolved = entry.unresolved
-            if unresolved:
-                cells[(-q, p)] = PageCell(a=-q, b=p, copies=copies,
-                                          tensor_power=tp, coh=None,
-                                          unresolved=True, module=None)
-                continue
-            # Brauer-Klimyk: g^tp (x) L(mu) is the sum over the weights w of
-            # g^tp of the signed dot-dominant L(w + mu), so shifting g^tp by
-            # mu and decomposing gives the cell without L(mu)'s character.
-            base = weights(rs, f"g^{tp}").counts
-            content: dict[Weight, int] = {}
-            for mu, mult in coh.sorted_items():
-                for w, c in base.items():
-                    key = tuple(x + y for x, y in zip(w, mu))
-                    content[key] = content.get(key, 0) + copies * mult * c
-            module = repthy.decompose_multiset(rs, WeightMultiset(content),
-                                               check=False)
+            cohs = {0: FormalGModule({(0,) * rank: 1})}
+        else:  # table.degrees may raise LedgerGap
+            cohs = {p: table.entry(family, rank, q, p).module
+                    for p in table.degrees(family, rank, q)}
+        base = None  # g^tp, evaluated once per q and only when a cell needs it
+        for p, coh in cohs.items():
+            module = None
+            if coh is not None:
+                # Brauer-Klimyk: g^tp (x) L(mu) is the sum over the weights w
+                # of g^tp of the signed dot-dominant L(w + mu), so shifting
+                # g^tp by mu and decomposing gives the cell without L(mu)'s
+                # character.
+                if base is None:
+                    base = weights(rs, f"g^{tp}").counts
+                shifts = {mu: copies * mult for mu, mult in coh.sorted_items()}
+                module = repthy.decompose_multiset(
+                    rs, WeightMultiset(_kernels.convolve(base, shifts)),
+                    check=False)
             cells[(-q, p)] = PageCell(a=-q, b=p, copies=copies, tensor_power=tp,
-                                      coh=coh, unresolved=False, module=module)
+                                      coh=coh, module=module)
     return EPage(family=family, rank=rank, r=r, cells=cells)
 
 

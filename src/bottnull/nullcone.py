@@ -98,6 +98,8 @@ class MatrixTuple:
     matrices: tuple[Matrix, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"matrix size n must be at least 1, got {self.n}")
         for m in self.matrices:
             if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise ValueError(f"matrices must be {self.n}x{self.n}")
@@ -209,7 +211,10 @@ def tuple_to_json(t: MatrixTuple) -> str:
 def tuple_from_json(text: str) -> MatrixTuple:
     try:
         doc = json.loads(text)
+        n = doc["n"]
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
         mats = tuple(matrix_from_rows(m) for m in doc["matrices"])
-        return MatrixTuple(n=int(doc["n"]), matrices=mats)
+        return MatrixTuple(n=n, matrices=mats)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad matrix-tuple document: {exc}") from exc

@@ -11,57 +11,29 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import product
 
-from . import weyl
-from .bundles import Expr, WeightMultiset, weights
+from . import bwb, weyl
+from .bundles import Expr, WeightMultiset, _WeightMap, weights
 from .errors import NotAGModule, NotDominant
 from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
 
 
-class FormalGModule:
+class FormalGModule(_WeightMap):
     """Formal integer combination of irreducibles, keyed by highest weight.
 
     Multiplicities are usually positive; virtual (negative) entries can arise
     when decomposing Weyl-invariant multisets that are not genuine characters.
+    Not a ``WeightMultiset``: a module is never taken for the weights of one.
     """
 
-    __slots__ = ("_mults",)
-
-    def __init__(self, mults: dict[Weight, int] | None = None):
-        self._mults = {w: m for w, m in (mults or {}).items() if m != 0}
+    __slots__ = ()
 
     @property
     def mults(self) -> dict[Weight, int]:
-        return dict(self._mults)
-
-    def get(self, weight: Weight) -> int:
-        return self._mults.get(weight, 0)
-
-    def sorted_items(self) -> list[tuple[Weight, int]]:
-        return sorted(self._mults.items())
+        return dict(self._data)
 
     def dimension(self, rs: RootSystem) -> int:
-        return sum(m * weyl_dim(rs, w) for w, m in self._mults.items())
-
-    def support(self) -> frozenset[Weight]:
-        return frozenset(self._mults)
-
-    def __len__(self) -> int:
-        return len(self._mults)
-
-    def __bool__(self) -> bool:
-        return bool(self._mults)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FormalGModule):
-            return self._mults == other._mults
-        if isinstance(other, dict):
-            return self._mults == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{w}: {m}" for w, m in self.sorted_items())
-        return f"FormalGModule({{{inner}}})"
+        return sum(m * weyl_dim(rs, w) for w, m in self._data.items())
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
@@ -102,18 +74,17 @@ def invariant_dim(rs: RootSystem, expr: Expr | str | WeightMultiset) -> int:
 
 def decompose_multiset(rs: RootSystem, ws: WeightMultiset, *,
                        check: bool = True) -> FormalGModule:
-    """Alternating dominantization pass: each weight lands on its dot-dominant
-    representative with the sign of the walk length."""
+    """Alternating sum of the potential support: each weight lands on its
+    dot-dominant representative with the sign of the walk length, so degree
+    k of ``bwb.psupp`` contributes with sign (-1)^k."""
     if check:
         _check_invariant(rs, ws)
-    items = ws.sorted_items()
-    walked = weyl.dot_dominantize_batch(rs, [w for w, _ in items])
+    ps = bwb.psupp(rs, ws)
     acc: dict[Weight, int] = {}
-    for (w, m), res in zip(items, walked):
-        if res is None:
-            continue
-        k, dom = res
-        acc[dom] = acc.get(dom, 0) + (-m if k % 2 else m)
+    for k in ps.degrees():
+        sign = -1 if k % 2 else 1
+        for w, m in ps.multiset(k).sorted_items():
+            acc[w] = acc.get(w, 0) + sign * m
     return FormalGModule(acc)
 
 

@@ -105,19 +105,27 @@ def test_ledger_gap_exits_2(capsys):
     assert "coverage" in err
 
 
+def _assert_no_format_option(capsys, argv):
+    # nullcone and verdict print JSON only: --format is not an option there.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "tsv"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("usage: bottnull")
+    assert err[1] == "bottnull: error: unrecognized arguments: --format tsv"
+
+
 def test_nullcone_rejects_tsv(capsys, tmp_path):
     path = tmp_path / "t.json"
     path.write_text(nullcone.tuple_to_json(
         nullcone.MatrixTuple(n=2, matrices=(((0, 1), (0, 0)),))))
-    code, _, err = run_cli(capsys, ["nullcone", "--input", str(path),
-                                    "--format", "tsv"])
-    assert code == 1
+    _assert_no_format_option(capsys, ["nullcone", "--input", str(path)])
 
 
 def test_verdict_rejects_tsv(capsys):
-    code, _, err = run_cli(capsys, ["verdict", "--family", "A", "--rank", "2",
-                                    "-r", "2", "--format", "tsv"])
-    assert code == 1
+    _assert_no_format_option(capsys, ["verdict", "--family", "A", "--rank", "2",
+                                      "-r", "2"])
 
 
 # ------------------------------------------------------------- JSON payloads
@@ -382,17 +390,23 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-def _table_with(tmp, weight):
-    """The built-in table, saved with the A/2/2/1 module set to ``weight``."""
+def _table_with(tmp, weight, mult=1, key="A/2/2/1"):
+    """The built-in table, saved with the module at ``key`` set to
+    ``mult`` copies of ``weight``."""
     doc = json.loads(ledger.save_table(ledger.builtin_tables()))
-    (entry,) = [e for e in doc["entries"] if e["key"] == "A/2/2/1"]
-    entry["module"] = [[weight, 1]]
+    (entry,) = [e for e in doc["entries"] if e["key"] == key]
+    entry["module"] = [[weight, mult]]
     return _write(tmp, "t.json", json.dumps(doc))
 
 
-def _verdict_with_table(tmp, weight):
+def _verdict_with_table(tmp, weight, mult=1):
     return ["verdict", "--family", "A", "--rank", "2", "-r", "3",
-            "--table", _table_with(tmp, weight)]
+            "--table", _table_with(tmp, weight, mult)]
+
+
+def _nullcone_doc(tmp, doc, op="member"):
+    return ["nullcone", "--op", op,
+            "--input", _write(tmp, "t.json", json.dumps(doc))]
 
 
 MALFORMED_INPUTS = {
@@ -413,6 +427,20 @@ MALFORMED_INPUTS = {
     "table-weight-not-dominant": lambda tmp: _verdict_with_table(tmp, [-1, 0]),
     # (1,1) is dominant but outside the potential support of H^1(b^2).
     "table-breaks-support-bound": lambda tmp: _verdict_with_table(tmp, [1, 1]),
+    # Once accepted: a witness of dimension -20 in the A3 r=3 verdict.
+    "table-mult-negative": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "3", "-r", "3",
+        "--table", _table_with(tmp, [0, 2, 0], -1, key="A/3/3/3")],
+    # Once truncated to 1.
+    "table-mult-float": lambda tmp: _verdict_with_table(tmp, [0, 0], 1.9),
+    "nullcone-n-negative": lambda tmp: _nullcone_doc(
+        tmp, {"n": -1, "matrices": []}),
+    "nullcone-n-float": lambda tmp: _nullcone_doc(
+        tmp, {"n": 2.7, "matrices": [[[0, 1], [0, 0]]]}),
+    "nullcone-n-bool": lambda tmp: _nullcone_doc(
+        tmp, {"n": True, "matrices": [[[0]]]}),
+    "resolve-g-empty": lambda tmp: _nullcone_doc(
+        tmp, {"g": [], "matrices": []}, op="resolve"),
     "nullcone-entry-1-over-0": lambda tmp: [
         "nullcone", "--input", _write(tmp, "t.json", json.dumps(
             {"n": 2, "matrices": [[["0", "1/0"], ["0", "0"]]]}))],

@@ -124,13 +124,59 @@ def test_save_load_round_trip(tmp_path):
         load_table('{"format": "other/9", "entries": []}')
 
 
-@pytest.mark.parametrize("weight", [[0, 0, 0], [0], [-1, 0], [1.0, 0], [True, 0]])
-def test_load_table_rejects_bad_module_weights(weight):
+NOT_DOMINANT = "not a dominant weight of rank 2"
+NOT_POSITIVE = "not a positive integer"
+
+
+@pytest.mark.parametrize("weight,mult,match", [
+    ([0, 0, 0], 1, NOT_DOMINANT), ([0], 1, NOT_DOMINANT),
+    ([-1, 0], 1, NOT_DOMINANT), ([1.0, 0], 1, NOT_DOMINANT),
+    ([True, 0], 1, NOT_DOMINANT),
+    ([0, 0], -1, NOT_POSITIVE), ([0, 0], 0, NOT_POSITIVE),
+    ([0, 0], 1.9, NOT_POSITIVE), ([0, 0], 1.0, NOT_POSITIVE),
+    ([0, 0], True, NOT_POSITIVE), ([0, 0], "1", NOT_POSITIVE),
+], ids=[f"weight{i}" for i in range(5)]
+   + ["mult-negative", "mult-zero", "mult-float", "mult-integral-float",
+      "mult-bool", "mult-str"])
+def test_load_table_rejects_bad_module_weights(weight, mult, match):
     doc = json.loads(save_table(builtin_tables()))
     (entry,) = [e for e in doc["entries"] if e["key"] == "A/2/2/1"]
-    entry["module"] = [[weight, 1]]
-    with pytest.raises(ValueError, match="not a dominant weight of rank 2"):
+    entry["module"] = [[weight, mult]]
+    with pytest.raises(ValueError, match=match):
         load_table(json.dumps(doc))
+
+
+def test_validation_reports_non_positive_multiplicity():
+    # A table built in code can hold a virtual module; validation refuses it.
+    table = CohomologyTable()
+    table.add("A", 3, 3, 3, module=repthy.FormalGModule({(0, 2, 0): -1}))
+    table.mark_complete("A", 3, 3)
+    report = validate_table(table)
+    assert report.failures == (
+        "A/3/3/3: multiplicity -1 of weight (0, 2, 0) is not positive",)
+    with pytest.raises(ValidationFailure):
+        ensure_valid(table)
+
+
+def test_unresolved_is_derived_from_the_module():
+    table = CohomologyTable()
+    module = repthy.FormalGModule({(0, 0): 1})
+    with pytest.raises(ValueError):
+        table.add("A", 2, 2, 1, module=module, unresolved=True)
+    with pytest.raises(ValueError):
+        table.add("A", 2, 2, 1)
+    table.add("A", 2, 2, 1, module=module)
+    table.add("A", 2, 2, 2, unresolved=True)
+    table.mark_complete("A", 2, 2)
+    resolved, placeholder = table.entries()
+    assert not resolved.unresolved and resolved.module == module
+    assert placeholder.unresolved and placeholder.module is None
+    again = load_table(save_table(table))
+    assert [(e.p, e.module, e.unresolved) for e in again.entries()] == \
+        [(1, module, False), (2, None, True)]
+    page = e_page("A", 5, 4)
+    for cell in page.cells.values():
+        assert cell.unresolved == (cell.module is None) == (cell.coh is None)
 
 
 def test_e_page_corner_cell():

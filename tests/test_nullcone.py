@@ -201,6 +201,20 @@ def test_json_rejects_malformed():
         nullcone.tuple_from_json('{not json')
 
 
+@pytest.mark.parametrize("n", [-1, 0, 2.7, True, "2", None])
+def test_json_rejects_matrix_size_that_is_not_a_positive_int(n):
+    doc = {"n": n, "matrices": [[["0", "1"], ["0", "0"]]] if n == 2.7 else []}
+    with pytest.raises(InputError, match="bad matrix-tuple document"):
+        nullcone.tuple_from_json(json.dumps(doc))
+
+
+def test_matrix_tuple_needs_a_positive_size():
+    with pytest.raises(ValueError, match="at least 1"):
+        nullcone.MatrixTuple(n=0, matrices=())
+    with pytest.raises(ValueError, match="at least 1"):
+        nullcone.MatrixTuple(n=-1, matrices=())
+
+
 def test_early_stabilization_matches_full_chain():
     # A tuple whose chain stabilizes early at a nonzero subspace.
     t = _mt([[0, 0, 0], [0, 0, 1], [0, 1, 0]])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from bottnull import bundles, repthy
+from bottnull import bundles, bwb, repthy
 from bottnull.errors import NotAGModule, NotDominant
 from bottnull.rootsys import build_root_system
 
@@ -139,7 +139,6 @@ def test_decompose_rejects_non_module():
 def test_virtual_decompose_without_check():
     # Unchecked decomposition is the alternating dominantization: its
     # dimension equals the Euler characteristic of the expression.
-    from bottnull import bwb
     rs = build_root_system("A", 2)
     mod = repthy.decompose_multiset(rs, bundles.weights(rs, "b"), check=False)
     assert mod == {}  # chi(X, b) = 0: everything cancels or is singular
@@ -161,7 +160,6 @@ def test_size_cap():
 def test_virtual_dimension_equals_euler_characteristic():
     # Two independent paths to chi: walk + Weyl dimension vs the exact
     # product formula on each line.
-    from bottnull import bwb
     rng = random.Random(67)
     for family, rank in [("A", 2), ("B", 2)]:
         rs = build_root_system(family, rank)
@@ -171,6 +169,45 @@ def test_virtual_dimension_equals_euler_characteristic():
             mod = repthy.decompose_multiset(rs, ws, check=False)
             chi = sum(m * bwb.euler_line(rs, w) for w, m in ws.counts.items())
             assert mod.dimension(rs) == chi
+
+
+def test_formal_module_is_not_a_weight_multiset():
+    # One map type underneath, but a module keyed by highest weights never
+    # equals, or passes for, the weight multiset with the same entries.
+    data = {(1, 1): 1, (0, 0): 2}
+    mod, ws = repthy.FormalGModule(data), bundles.WeightMultiset(data)
+    assert mod != ws and ws != mod
+    assert mod == data and ws == data
+    assert mod == repthy.FormalGModule(dict(data))
+    assert not isinstance(mod, bundles.WeightMultiset)
+    assert repr(mod) == "FormalGModule({(0, 0): 2, (1, 1): 1})"
+    assert repr(ws) == "WeightMultiset({(0, 0): 2, (1, 1): 1})"
+    assert repr(repthy.FormalGModule({(1, 1): 0})) == "FormalGModule({})"
+    rs = build_root_system("A", 2)
+    with pytest.raises(TypeError):
+        bwb.psupp(rs, mod)
+    with pytest.raises(TypeError):
+        repthy.mult_in(rs, mod, (0, 0))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])
+def test_decompose_multiset_matches_stripping_oracle(family, rank):
+    # decompose_multiset reads psupp's buckets with sign (-1)^k; stripping
+    # characters off the top is an independent route to the same module.
+    rs = build_root_system(family, rank)
+    for text in ("g^2", "wedge^2(g)"):
+        ws = bundles.weights(rs, text)
+        assert repthy.decompose_multiset(rs, ws) == \
+            oracles.stripping_decompose(rs, ws), text
+    # b^2*q is not a G-module: both routes refuse it, and the unchecked
+    # alternating sum is its Euler characteristic.
+    ws = bundles.weights(rs, "b^2*q")
+    with pytest.raises(NotAGModule):
+        repthy.decompose_multiset(rs, ws)
+    with pytest.raises(AssertionError):
+        oracles.stripping_decompose(rs, ws)
+    virtual = repthy.decompose_multiset(rs, ws, check=False)
+    assert virtual.dimension(rs) == bwb.euler_characteristic(rs, ws)
 
 
 def test_formal_module_api():
