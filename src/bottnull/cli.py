@@ -35,27 +35,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _wroot(rs: RootSystem, w) -> str:
-    return format_root_coords(weight_to_root_coords(rs, w))
-
-
-def _envelope(command: str, rs: RootSystem | None, payload) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "command": command,
-        "root_system": rs.describe() if rs is not None else None,
-        "payload": payload,
-    }
-
-
 def _print_json(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _print_tsv(header: list[str], rows: list[list]) -> None:
+def _print_tsv(header: list[str], rows: list[dict]) -> None:
     out = ["\t".join(header)]
-    for row in rows:
-        out.append("\t".join(str(c) for c in row))
+    out.extend("\t".join(str(row[h]) for h in header) for row in rows)
     sys.stdout.write("\n".join(out) + "\n")
 
 
@@ -81,9 +67,16 @@ def _parse_word(rs: RootSystem, text: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command takes the root system (None for nullcone) and the parsed
+# arguments, and returns its JSON payload, its TSV header and its TSV rows:
+# dicts that ``_print_tsv`` picks the header's columns from (None for the
+# JSON-only nullcone and verdict).  ``main`` alone chooses the format and
+# prints.
+_Output = tuple[dict, list[str] | None, list[dict] | None]
 
-def _cmd_roots(args) -> int:
-    rs = build_root_system(args.family, args.rank)
+
+def _cmd_roots(rs: RootSystem | None, args) -> _Output:
     rows = [{"index": i,
              "root": format_root_coords(tuple(Q(c) for c in r.root_coords)),
              "fund": format_weight(r.fund_coords),
@@ -96,25 +89,16 @@ def _cmd_roots(args) -> int:
         "rho": format_weight(rs.rho),
         "dim_g": rs.dim_g,
     }
-    if args.format == "tsv":
-        _print_tsv(["index", "root", "fund", "height"],
-                   [[r["index"], r["root"], r["fund"], r["height"]] for r in rows])
-    else:
-        _print_json(_envelope("roots", rs, payload))
-    return 0
+    return payload, ["index", "root", "fund", "height"], rows
 
 
-def _cmd_weyl(args) -> int:
-    rs = build_root_system(args.family, args.rank)
+def _cmd_weyl(rs: RootSystem | None, args) -> _Output:
     if args.word is None:
-        counts = weyl.poincare_counts(rs)
+        counts = sorted(weyl.poincare_counts(rs).items())
         payload = {"order": weyl.order(rs),
-                   "by_length": {str(k): v for k, v in sorted(counts.items())}}
-        if args.format == "tsv":
-            _print_tsv(["length", "count"], sorted(counts.items()))
-        else:
-            _print_json(_envelope("weyl", rs, payload))
-        return 0
+                   "by_length": {str(k): v for k, v in counts}}
+        return payload, ["length", "count"], [{"length": k, "count": v}
+                                              for k, v in counts]
     word = _parse_word(rs, args.word)
     reduced = weyl.reduce_word(rs, word)
     inversions = sorted(weyl.inversion_set(rs, word))
@@ -129,39 +113,27 @@ def _cmd_weyl(args) -> int:
         payload["weight"] = format_weight(lam)
         payload["act"] = format_weight(weyl.act(rs, word, lam))
         payload["dot"] = format_weight(weyl.dot(rs, word, lam))
-    if args.format == "tsv":
-        header = sorted(payload)
-        _print_tsv(header, [[json.dumps(payload[h]) if isinstance(payload[h], list)
-                             else payload[h] for h in header]])
-    else:
-        _print_json(_envelope("weyl", rs, payload))
-    return 0
+    row = {h: json.dumps(v) if isinstance(v, list) else v
+           for h, v in payload.items()}
+    return payload, sorted(payload), [row]
 
 
-def _cmd_bwb(args) -> int:
-    rs = build_root_system(args.family, args.rank)
+def _cmd_bwb(rs: RootSystem | None, args) -> _Output:
     lam = parse_weight(rs, args.weight)
     res = bwb.line_cohomology(rs, lam)
     payload = {"input": format_weight(lam), "vanishes": res.vanishes}
+    header = ["input", "vanishes"]
     if not res.vanishes:
         payload["degree"] = res.degree
         payload["weight"] = format_weight(res.weight)
-        payload["weight_root_coords"] = _wroot(rs, res.weight)
+        payload["weight_root_coords"] = format_root_coords(
+            weight_to_root_coords(rs, res.weight))
         payload["dimension"] = repthy.weyl_dim(rs, res.weight)
-    if args.format == "tsv":
-        if res.vanishes:
-            _print_tsv(["input", "vanishes"], [[payload["input"], "true"]])
-        else:
-            _print_tsv(["input", "vanishes", "degree", "weight", "dimension"],
-                       [[payload["input"], "false", res.degree,
-                         payload["weight"], payload["dimension"]]])
-    else:
-        _print_json(_envelope("bwb", rs, payload))
-    return 0
+        header += ["degree", "weight", "dimension"]
+    return payload, header, [{**payload, "vanishes": str(res.vanishes).lower()}]
 
 
-def _cmd_weights(args) -> int:
-    rs = build_root_system(args.family, args.rank)
+def _cmd_weights(rs: RootSystem | None, args) -> _Output:
     expr = bundles.parse(args.expr)
     ws = bundles.weights(rs, expr)
     rows = _weight_rows(ws)
@@ -171,65 +143,38 @@ def _cmd_weights(args) -> int:
         "distinct": len(rows),
         "weights": rows,
     }
-    if args.format == "tsv":
-        _print_tsv(["weight", "mult"], [[r["weight"], r["mult"]] for r in rows])
-    else:
-        _print_json(_envelope("weights", rs, payload))
-    return 0
+    return payload, ["weight", "mult"], rows
 
 
-def _cmd_psupp(args) -> int:
-    rs = build_root_system(args.family, args.rank)
+def _cmd_psupp(rs: RootSystem | None, args) -> _Output:
     expr = bundles.parse(args.expr)
     ps = bwb.psupp(rs, expr)
-    degrees = {}
-    rows = []
-    for k in ps.degrees():
-        entries = _weight_rows(ps.multiset(k))
-        degrees[str(k)] = entries
-        rows.extend([[k, e["weight"], e["mult"]] for e in entries])
+    degrees = {str(k): _weight_rows(ps.multiset(k)) for k in ps.degrees()}
     payload = {
         "expr": bundles.unparse(expr),
         "degrees": degrees,
         "set_view": {str(k): sorted(format_weight(w) for w in ps.support(k))
                      for k in ps.degrees()},
     }
-    if args.format == "tsv":
-        _print_tsv(["degree", "weight", "mult"], rows)
-    else:
-        _print_json(_envelope("psupp", rs, payload))
-    return 0
+    rows = [{"degree": k, **e} for k, entries in degrees.items() for e in entries]
+    return payload, ["degree", "weight", "mult"], rows
 
 
-def _cmd_mult(args) -> int:
-    rs = build_root_system(args.family, args.rank)
+def _cmd_mult(rs: RootSystem | None, args) -> _Output:
     expr = bundles.parse(args.expr)
     mu = parse_weight(rs, args.weight)
-    value = repthy.mult_in(rs, expr, mu)
     payload = {"expr": bundles.unparse(expr), "weight": format_weight(mu),
-               "mult": value}
-    if args.format == "tsv":
-        _print_tsv(["expr", "weight", "mult"],
-                   [[payload["expr"], payload["weight"], value]])
-    else:
-        _print_json(_envelope("mult", rs, payload))
-    return 0
+               "mult": repthy.mult_in(rs, expr, mu)}
+    return payload, ["expr", "weight", "mult"], [payload]
 
 
-def _cmd_dim(args) -> int:
-    rs = build_root_system(args.family, args.rank)
+def _cmd_dim(rs: RootSystem | None, args) -> _Output:
     expr = bundles.parse(args.expr)
-    value = bundles.dim(rs, expr)
-    payload = {"expr": bundles.unparse(expr), "dim": value}
-    if args.format == "tsv":
-        _print_tsv(["expr", "dim"], [[payload["expr"], value]])
-    else:
-        _print_json(_envelope("dim", rs, payload))
-    return 0
+    payload = {"expr": bundles.unparse(expr), "dim": bundles.dim(rs, expr)}
+    return payload, ["expr", "dim"], [payload]
 
 
-def _cmd_decompose(args) -> int:
-    rs = build_root_system(args.family, args.rank)
+def _cmd_decompose(rs: RootSystem | None, args) -> _Output:
     expr = bundles.parse(args.expr)
     module = repthy.decompose(rs, expr)
     rows = _module_rows(rs, module)
@@ -238,15 +183,10 @@ def _cmd_decompose(args) -> int:
         "modules": rows,
         "total_dim": module.dimension(rs),
     }
-    if args.format == "tsv":
-        _print_tsv(["weight", "mult", "dim"],
-                   [[r["weight"], r["mult"], r["dim"]] for r in rows])
-    else:
-        _print_json(_envelope("decompose", rs, payload))
-    return 0
+    return payload, ["weight", "mult", "dim"], rows
 
 
-def _cmd_nullcone(args) -> int:
+def _cmd_nullcone(rs: RootSystem | None, args) -> _Output:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     if args.op == "resolve":
@@ -263,20 +203,17 @@ def _cmd_nullcone(args) -> int:
         payload = {"op": "resolve", "n": sample.n, "r": sample.r,
                    "matrices": [nullcone.matrix_to_strings(m)
                                 for m in sample.matrices]}
-        _print_json(_envelope("nullcone", None, payload))
-        return 0
+        return payload, None, None
     t = nullcone.tuple_from_json(text)
+    payload = {"op": args.op, "n": t.n, "r": t.r}
     if args.op == "member":
-        payload = {"op": "member", "n": t.n, "r": t.r,
-                   "member": nullcone.in_nullcone(t)}
-        _print_json(_envelope("nullcone", None, payload))
-        return 0
-    flag = nullcone.common_flag(t)
-    payload = {"op": "flag", "n": t.n, "r": t.r, "member": flag is not None,
-               "flag": None if flag is None else
-               [[str(x) for x in vec] for vec in flag.basis]}
-    _print_json(_envelope("nullcone", None, payload))
-    return 0
+        payload["member"] = nullcone.in_nullcone(t)
+    else:
+        flag = nullcone.common_flag(t)
+        payload["member"] = flag is not None
+        payload["flag"] = (None if flag is None else
+                           [[str(x) for x in vec] for vec in flag.basis])
+    return payload, None, None
 
 
 def _witness_doc(rs: RootSystem, w: ledger.Witness) -> dict:
@@ -290,10 +227,7 @@ def _witness_doc(rs: RootSystem, w: ledger.Witness) -> dict:
     }
 
 
-def _cmd_verdict(args) -> int:
-    if args.copies < 1:
-        raise InputError(f"-r must be at least 1, got {args.copies}")
-    rs = build_root_system(args.family, args.rank)
+def _cmd_verdict(rs: RootSystem | None, args) -> _Output:
     table = None
     if args.table is not None:
         with open(args.table, "r", encoding="utf-8") as fh:
@@ -312,21 +246,14 @@ def _cmd_verdict(args) -> int:
         "path": v.path,
         "witnesses": [_witness_doc(rs, w) for w in v.witnesses],
     }
-    _print_json(_envelope("verdict", rs, payload))
-    return 0
+    return payload, None, None
 
 
-def _cmd_report(args) -> int:
-    rs = build_root_system(args.family, args.rank)
+def _cmd_report(rs: RootSystem | None, args) -> _Output:
     checks = _report_checks(rs, seed=args.seed)
-    passed = all(c["status"] == "pass" for c in checks)
-    payload = {"checks": checks, "passed": passed}
-    if args.format == "tsv":
-        _print_tsv(["id", "status", "detail"],
-                   [[c["id"], c["status"], c["detail"]] for c in checks])
-    else:
-        _print_json(_envelope("report", rs, payload))
-    return 0 if passed else 2
+    payload = {"checks": checks,
+               "passed": all(c["status"] == "pass" for c in checks)}
+    return payload, ["id", "status", "detail"], checks
 
 
 # ---------------------------------------------------------------- report suite
@@ -362,19 +289,18 @@ def _ledger_alternating_dim(rs: RootSystem, table: ledger.CohomologyTable,
     return total
 
 
-def _validate_entries(rs: RootSystem, table: ledger.CohomologyTable,
-                      q: int) -> tuple[bool, str]:
-    sub = ledger.CohomologyTable()
-    for e in table.entries():
-        if (e.family, e.rank, e.q) == (rs.family, rs.rank, q):
-            sub.add(e.family, e.rank, e.q, e.p, module=e.module,
-                    unresolved=e.unresolved, provenance=e.provenance)
-    sub.mark_complete(rs.family, rs.rank, q)
-    rep = ledger.validate_table(sub)
-    detail = f"{rep.checked} entries within potential-support bounds"
+def _validate_entries(rs: RootSystem, table: ledger.CohomologyTable, q: int,
+                      ps: bwb.PotentialSupport) -> tuple[bool, str]:
+    rep = ledger.validate_block(table, rs, q, ps)
     if not rep.passed:
-        detail = "; ".join(rep.failures)
-    return rep.passed, detail
+        return False, "; ".join(rep.failures)
+    return True, f"{rep.checked} entries within potential-support bounds"
+
+
+def _power(rs: RootSystem, q: int) -> tuple[bwb.PotentialSupport, int]:
+    """Potential support and Euler characteristic of b^q, one evaluation."""
+    ws = bundles.weights(rs, f"b^{q}")
+    return bwb.psupp(rs, ws), bwb.euler_characteristic(rs, ws)
 
 
 def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
@@ -398,12 +324,11 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
                f"(theta+rho,theta+rho)-(rho,rho) = {norm} = 2n")
 
     # Tensor square; type A only where the table covers it (n >= 3).
-    ps2 = bwb.psupp(rs, "b^2")
     if is_a and table.covers(family, rank, 2):
+        ps2, euler2 = _power(rs, 2)
         ok_support = _setview_matches(ps2, rank, {})
         h1 = table.entry(family, rank, 2, 1)
         inv = repthy.invariant_dim(rs, "g*g")
-        euler2 = bwb.euler_characteristic(rs, "b^2")
         ok = (ok_support and h1 is not None and not h1.unresolved
               and h1.module == {zero: 1}
               and table.degrees(family, rank, 2) == (1,)
@@ -411,13 +336,14 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
         _check(checks, "tensor-square-a", ok,
                "support {0} in every contributing degree; H^1 = C matches "
                f"invariant dimension {inv}; chi = {euler2}")
-        ok_v, detail_v = _validate_entries(rs, table, 2)
+        ok_v, detail_v = _validate_entries(rs, table, 2, ps2)
         _check(checks, "tensor-square-a-validated", ok_v, detail_v)
         euler_qq = bwb.euler_characteristic(rs, "q*q")
         want = rs.dim_g ** 2 - 1
         _check(checks, "tangent-square-a", euler_qq == want,
                f"chi(X, (g/b)^2) = {euler_qq} = dim(g x g) - 1")
     elif family == "B":
+        ps2, euler2 = _power(rs, 2)
         ok_support = _setview_matches(
             ps2, rank, {2: {zero, (0, 1)}, **{k: set() for k in range(4, 9)}})
         mult_once = ps2.multiset(2).get((0, 1)) == 1
@@ -428,7 +354,6 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
         h2 = table.entry(family, rank, 2, 2)
         inv = repthy.invariant_dim(rs, "g*g")
         alt = _ledger_alternating_dim(rs, table, 2)
-        euler2 = bwb.euler_characteristic(rs, "b^2")
         ok = (h1 is not None and h1.module == {zero: 1}
               and h2 is not None and h2.module == {(0, 1): 1}
               and table.degrees(family, rank, 2) == (1, 2)
@@ -436,12 +361,12 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
         _check(checks, "tensor-square-b2-cohomology", ok,
                f"H^1 = C, H^2 = L(0,1); invariant dimension {inv}; "
                f"alternating dimension {alt} = chi {euler2}")
-        ok_v, detail_v = _validate_entries(rs, table, 2)
+        ok_v, detail_v = _validate_entries(rs, table, 2, ps2)
         _check(checks, "tensor-square-b2-validated", ok_v, detail_v)
 
     # Tensor cube (type A, where the table covers it).
     if is_a and table.covers(family, rank, 3):
-        ps3 = bwb.psupp(rs, "b^3")
+        ps3, euler3 = _power(rs, 3)
         if n == 3:
             special = {2: {zero, (1, 1), (3, 0), (0, 3)}, 3: {zero, (1, 1)}}
         elif n == 4:
@@ -454,13 +379,12 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
         inv3 = repthy.invariant_dim(rs, "g^3")
         h2 = table.entry(family, rank, 3, 2)
         alt = _ledger_alternating_dim(rs, table, 3)
-        euler3 = bwb.euler_characteristic(rs, "b^3")
         ok = (h2 is not None and not h2.unresolved
               and h2.module.get(zero) == 2 and inv3 == 2 and alt == euler3)
         _check(checks, "tensor-cube-cohomology-a", ok,
                f"trivial multiplicity in H^2 is 2 = invariant dimension of g^3; "
                f"alternating dimension {alt} = chi {euler3}")
-        ok_v, detail_v = _validate_entries(rs, table, 3)
+        ok_v, detail_v = _validate_entries(rs, table, 3, ps3)
         _check(checks, "tensor-cube-a-validated", ok_v, detail_v)
 
     # Fourth tensor power (type A, ranks 5 and 6).
@@ -477,7 +401,7 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
                f"per-degree supports match the established branch for n = {n}")
         degrees = table.degrees(family, rank, 4)
         want_degrees = (2, 3, 5) if rank == 5 else (2, 3)
-        ok_v, detail_v = _validate_entries(rs, table, 4)
+        ok_v, detail_v = _validate_entries(rs, table, 4, ps4)
         _check(checks, "tensor-fourth-cohomology-a",
                degrees == want_degrees and ok_v,
                f"recorded degrees {list(degrees)}; {detail_v}")
@@ -649,19 +573,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except InputError as exc:
+        # verdict's -r is checked before the family and rank are.
+        if getattr(args, "copies", 1) < 1:
+            raise InputError(f"-r must be at least 1, got {args.copies}")
+        rs = (build_root_system(args.family, args.rank)
+              if args.command != "nullcone" else None)
+        payload, header, rows = args.fn(rs, args)
+        if getattr(args, "format", "json") == "tsv":
+            _print_tsv(header, rows)
+        else:
+            _print_json({"version": FORMAT_VERSION, "command": args.command,
+                         "root_system": None if rs is None else rs.describe(),
+                         "payload": payload})
+    except (InputError, OSError) as exc:
         print(f"bottnull: error: {exc}", file=sys.stderr)
         return 1
     except Error as exc:
         print(f"bottnull: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"bottnull: error: {exc}", file=sys.stderr)
-        return 1
+    return 0 if payload.get("passed", True) else 2  # a failed report check
 
 
 if __name__ == "__main__":

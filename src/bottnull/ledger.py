@@ -18,10 +18,10 @@ from math import comb
 
 from . import _kernels, repthy
 from .bundles import WeightMultiset, weights
-from .bwb import psupp
+from .bwb import PotentialSupport, psupp
 from .errors import LedgerGap, ValidationFailure
 from .repthy import FormalGModule
-from .rootsys import build_root_system
+from .rootsys import RootSystem, build_root_system
 
 TABLE_FORMAT = "bott-null-ledger/1"
 
@@ -60,11 +60,18 @@ class CohomologyTable:
         if (module is None) != unresolved:
             raise ValueError("an entry needs either a module or the "
                              "unresolved flag")
+        if q < 1 or p < 0:
+            raise ValueError(f"table key {family}/{rank}/{q}/{p} needs q >= 1 "
+                             "and p >= 0")
+        if (family, rank, q, p) in self._entries:
+            raise ValueError(f"duplicate table key {family}/{rank}/{q}/{p}")
         self._entries[(family, rank, q, p)] = TableEntry(
             family=family, rank=rank, q=q, p=p, module=module,
             provenance=provenance)
 
     def mark_complete(self, family: str, rank: int, q: int) -> None:
+        if q < 1:
+            raise ValueError(f"complete mark {family}/{rank}/{q} needs q >= 1")
         self._complete.add((family, rank, q))
 
     def covers(self, family: str, rank: int, q: int) -> bool:
@@ -206,26 +213,24 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def validate_table(table: CohomologyTable) -> ValidationReport:
-    """Check every entry against the potential-support bound of its bundle.
+def validate_block(table: CohomologyTable, rs: RootSystem, q: int,
+                   ps: PotentialSupport) -> ValidationReport:
+    """Check the entries of one tensor power q against ``ps = psupp(rs, b^q)``.
 
     Placeholders must have the zero weight in potential support at their
     degree; explicit modules need supportwise containment and multiplicity
-    domination.
+    domination.  A complete block whose entries pass must also alternate to
+    the G-equivariant Euler characteristic: by Borel-Weil-Bott,
+    sum_p (-1)^p H^p equals sum_k (-1)^k psupp_k weight by weight, except
+    at the zero weight of a block that holds a placeholder.
     """
     failures: list[str] = []
-    checked = 0
-    cache: dict[tuple[str, int, int], object] = {}
-    for entry in table.entries():
-        key = (entry.family, entry.rank, entry.q)
-        ps = cache.get(key)
-        if ps is None:
-            rs = build_root_system(entry.family, entry.rank)
-            ps = psupp(rs, f"b^{entry.q}")
-            cache[key] = ps
-        checked += 1
+    block = [e for e in table.entries()
+             if (e.family, e.rank, e.q) == (rs.family, rs.rank, q)]
+    zero = (0,) * rs.rank
+    alternating: dict[tuple[int, ...], int] = {}
+    for entry in block:
         name = f"{entry.family}/{entry.rank}/{entry.q}/{entry.p}"
-        zero = (0,) * entry.rank
         if entry.unresolved:
             if zero not in ps.support(entry.p):
                 failures.append(
@@ -234,6 +239,7 @@ def validate_table(table: CohomologyTable) -> ValidationReport:
             continue
         bound = ps.multiset(entry.p)
         for w, m in entry.module.sorted_items():
+            alternating[w] = alternating.get(w, 0) + (-1) ** entry.p * m
             have = bound.get(w)
             if m < 1:
                 failures.append(f"{name}: multiplicity {m} of weight {w} is "
@@ -244,6 +250,30 @@ def validate_table(table: CohomologyTable) -> ValidationReport:
             elif m > have:
                 failures.append(f"{name}: multiplicity {m} of weight {w} exceeds "
                                 f"potential-support bound {have}")
+    if not failures and table.covers(rs.family, rs.rank, q):
+        chi = repthy.alternating_module(ps)
+        exempt = zero if any(e.unresolved for e in block) else None
+        for w in sorted(chi.support() | alternating.keys()):
+            if w != exempt and alternating.get(w, 0) != chi.get(w):
+                failures.append(
+                    f"{rs.family}/{rs.rank}/{q}: the recorded modules "
+                    f"alternate to multiplicity {alternating.get(w, 0)} at "
+                    f"highest weight {w}, chi_G has {chi.get(w)}")
+    return ValidationReport(passed=not failures, checked=len(block),
+                            failures=tuple(failures))
+
+
+def validate_table(table: CohomologyTable) -> ValidationReport:
+    """``validate_block`` on every tensor power that has entries or is
+    marked complete, one potential support each."""
+    failures: list[str] = []
+    checked = 0
+    blocks = {(e.family, e.rank, e.q) for e in table.entries()}
+    for family, rank, q in sorted(blocks.union(table.coverage())):
+        rs = build_root_system(family, rank)
+        report = validate_block(table, rs, q, psupp(rs, f"b^{q}"))
+        checked += report.checked
+        failures.extend(report.failures)
     return ValidationReport(passed=not failures, checked=checked,
                             failures=tuple(failures))
 

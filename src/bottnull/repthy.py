@@ -79,7 +79,12 @@ def decompose_multiset(rs: RootSystem, ws: WeightMultiset, *,
     k of ``bwb.psupp`` contributes with sign (-1)^k."""
     if check:
         _check_invariant(rs, ws)
-    ps = bwb.psupp(rs, ws)
+    return alternating_module(bwb.psupp(rs, ws))
+
+
+def alternating_module(ps: bwb.PotentialSupport) -> FormalGModule:
+    """sum_k (-1)^k psupp_k: by Borel-Weil-Bott, the virtual G-module
+    sum_p (-1)^p H^p(X, E) of the bundle E whose potential support is ps."""
     acc: dict[Weight, int] = {}
     for k in ps.degrees():
         sign = -1 if k % 2 else 1

@@ -81,6 +81,19 @@ def _alternating_orbit(rs: RootSystem, shifted: Weight) -> dict[Weight, int]:
     return {w: c for w, c in acc.items() if c}
 
 
+def weyl_numerator(rs: RootSystem, counts: dict[Weight, int]) -> dict[Weight, int]:
+    """sum over lambda of counts[lambda] * sum_w sign(w) e^{w(lambda + rho)}:
+    the Weyl-character numerator of the virtual module sum_lambda
+    counts[lambda] * chi(X, L_lambda), one replayed word per element (a
+    singular lambda + rho cancels to nothing)."""
+    acc: dict[Weight, int] = {}
+    for lam, m in counts.items():
+        shifted = tuple(c + 1 for c in lam)
+        for img, sign in _alternating_orbit(rs, shifted).items():
+            acc[img] = acc.get(img, 0) + m * sign
+    return {w: c for w, c in acc.items() if c}
+
+
 def word_mult(rs: RootSystem, counts: dict[Weight, int], mu: Weight) -> int:
     """Multiplicity of L(mu) in a Weyl-invariant multiset: the alternating
     sum of counts[w . mu], replaying every canonical word through ``dot``."""

@@ -399,6 +399,13 @@ def _table_with(tmp, weight, mult=1, key="A/2/2/1"):
     return _write(tmp, "t.json", json.dumps(doc))
 
 
+def _edited_table(tmp, edit):
+    """The built-in table, saved after ``edit`` changed its document."""
+    doc = json.loads(ledger.save_table(ledger.builtin_tables()))
+    edit(doc)
+    return _write(tmp, "t.json", json.dumps(doc))
+
+
 def _verdict_with_table(tmp, weight, mult=1):
     return ["verdict", "--family", "A", "--rank", "2", "-r", "3",
             "--table", _table_with(tmp, weight, mult)]
@@ -433,6 +440,22 @@ MALFORMED_INPUTS = {
         "--table", _table_with(tmp, [0, 2, 0], -1, key="A/3/3/3")],
     # Once truncated to 1.
     "table-mult-float": lambda tmp: _verdict_with_table(tmp, [0, 0], 1.9),
+    # Once a silent replacement of the built-in H^1 = C by a placeholder.
+    "table-duplicate-key": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "3",
+        "--table", _edited_table(tmp, lambda doc: doc["entries"].append(
+            {"key": "A/2/2/1", "module": "trivial-unresolved"}))],
+    # Once exit 0 and "normal: no" from a claim that H^*(X, b^4) = 0 on A3,
+    # where chi(X, b^4) = -1603.
+    "table-complete-without-entries": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "3", "-r", "4",
+        "--table", _edited_table(
+            tmp, lambda doc: doc["complete"].append("A/3/4"))],
+    # Once accepted; with complete blocks validated, b^-1 failed to parse.
+    "table-complete-q-negative": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "1",
+        "--table", _edited_table(
+            tmp, lambda doc: doc["complete"].append("A/2/-1"))],
     "nullcone-n-negative": lambda tmp: _nullcone_doc(
         tmp, {"n": -1, "matrices": []}),
     "nullcone-n-float": lambda tmp: _nullcone_doc(

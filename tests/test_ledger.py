@@ -5,6 +5,8 @@ import pytest
 
 import oracles
 from bottnull import ledger, repthy
+from bottnull.bundles import weights
+from bottnull.bwb import psupp
 from bottnull.errors import LedgerGap, ValidationFailure
 from bottnull.ledger import (CohomologyTable, builtin_tables,
                              certain_survivors, e_page, ensure_valid,
@@ -144,6 +146,79 @@ def test_load_table_rejects_bad_module_weights(weight, mult, match):
     entry["module"] = [[weight, mult]]
     with pytest.raises(ValueError, match=match):
         load_table(json.dumps(doc))
+
+
+def test_load_table_refuses_duplicate_and_out_of_range_keys():
+    doc = json.loads(save_table(builtin_tables()))
+    doc["entries"].append({"key": "A/2/2/1", "module": "trivial-unresolved"})
+    with pytest.raises(ValueError, match="duplicate table key A/2/2/1"):
+        load_table(json.dumps(doc))
+    doc["entries"][-1]["key"] = "A/2/0/1"
+    with pytest.raises(ValueError, match="A/2/0/1 needs q >= 1 and p >= 0"):
+        load_table(json.dumps(doc))
+    doc["entries"].pop()
+    doc["complete"].append("A/2/-1")
+    with pytest.raises(ValueError, match="A/2/-1 needs q >= 1"):
+        load_table(json.dumps(doc))
+
+
+def _builtin_edited(edit):
+    doc = json.loads(save_table(builtin_tables()))
+    edit(doc)
+    return load_table(json.dumps(doc))
+
+
+def _without(key):
+    def edit(doc):
+        doc["entries"] = [e for e in doc["entries"] if e["key"] != key]
+    return edit
+
+
+def test_complete_blocks_must_alternate_to_the_euler_characteristic():
+    # A3 q=4 marked complete with no entries claims H^*(X, b^4) = 0.
+    report = validate_table(_builtin_edited(
+        lambda doc: doc["complete"].append("A/3/4")))
+    assert not report.passed
+    assert all(f.startswith("A/3/4: ") for f in report.failures)
+    assert ("A/3/4: the recorded modules alternate to multiplicity 0 at "
+            "highest weight (0, 0, 0), chi_G has -3") in report.failures
+    # B2 q=2 without its H^2 = L(0,1).
+    report = validate_table(_builtin_edited(_without("B/2/2/2")))
+    assert report.failures == (
+        "B/2/2: the recorded modules alternate to multiplicity 0 at "
+        "highest weight (0, 1), chi_G has 1",)
+    # Placeholders exempt the zero weight of their block, nothing else.
+    report = validate_table(_builtin_edited(_without("A/5/4/5")))
+    assert report.failures == (
+        "A/5/4: the recorded modules alternate to multiplicity 0 at "
+        "highest weight (0, 0, 2, 0, 0), chi_G has -1",)
+    with pytest.raises(ValidationFailure):
+        ensure_valid(_builtin_edited(_without("A/2/3/2")))
+
+
+def test_validate_block_uses_the_given_potential_support():
+    table = builtin_tables()
+    rs = build_root_system("A", 3)
+    ps = psupp(rs, "b^3")
+    report = ledger.validate_block(table, rs, 3, ps)
+    assert report.passed and report.checked == 2
+    # A potential support without H^3's weight refuses the recorded L(0,2,0).
+    report = ledger.validate_block(table, rs, 3, psupp(rs, "b^2"))
+    assert "A/3/3/3: weight (0, 2, 0) outside potential support at degree 3" \
+        in report.failures
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])
+def test_euler_module_of_psupp(family, rank):
+    rs = build_root_system(family, rank)
+    for q in (1, 2, 3):
+        ws = weights(rs, f"b^{q}")
+        chi = repthy.alternating_module(psupp(rs, ws))
+        assert chi == repthy.decompose_multiset(rs, ws, check=False)
+        # Independently, by words: chi_G and the bundle's weights have the
+        # same Weyl numerator sum_w sign(w) e^{w(lambda + rho)}.
+        assert (oracles.weyl_numerator(rs, chi.mults)
+                == oracles.weyl_numerator(rs, ws.counts)), (family, rank, q)
 
 
 def test_validation_reports_non_positive_multiplicity():
