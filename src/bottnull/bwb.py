@@ -182,14 +182,9 @@ def euler_from_psupp(rs: RootSystem, ps: PotentialSupport) -> int:
     Equals euler_characteristic of the originating expression: both reorganize
     the same signed sum.
     """
-    from .repthy import weyl_dim
+    from .repthy import alternating_module
 
-    total = 0
-    for k in ps.degrees():
-        sign = -1 if k % 2 else 1
-        for w, mult in ps.multiset(k).sorted_items():
-            total += sign * mult * weyl_dim(rs, w)
-    return total
+    return alternating_module(ps).dimension(rs)
 
 
 def highest_root_shift_norm(rs: RootSystem) -> Q:
