@@ -2,7 +2,8 @@
 corpus that covers every subcommand in JSON and, where it has one, TSV.
 
 The stored files were written by the code as it stood before the CLI got
-one output path.  ``python tests/test_cli_golden.py`` writes them again
+one output path; the ``VERDICT_RANGE`` records, before page cells stopped
+holding a decomposed module.  ``python tests/test_cli_golden.py`` writes them again
 from the ``bottnull`` on ``sys.path``; run it only to record a deliberate
 change of output.
 """
@@ -72,6 +73,17 @@ CORPUS = {
     "weyl_bad_word": "weyl --family A --rank 2 --word 3",
     "nullcone_absent": "nullcone --input absent.json",
 }
+
+# (family, rank) -> the largest r of the benchmark's verdict range; every
+# verdict in it is recorded.
+VERDICT_RANGE = {("A", 1): 6, ("A", 2): 6, ("A", 3): 3, ("A", 4): 3,
+                 ("A", 5): 4, ("A", 6): 4, ("A", 7): 3, ("B", 2): 2}
+VERDICTS = {f"verdict_{f.lower()}{rank}_r{r}":
+            f"verdict --family {f} --rank {rank} -r {r}"
+            for (f, rank), top in VERDICT_RANGE.items()
+            for r in range(1, top + 1)}
+CORPUS.update({name: cmd for name, cmd in VERDICTS.items()
+               if cmd not in CORPUS.values()})
 
 
 def run_case(name: str) -> str:
