@@ -95,7 +95,7 @@ def _cmd_roots(rs: RootSystem | None, args) -> _Output:
 def _cmd_weyl(rs: RootSystem | None, args) -> _Output:
     if args.word is None:
         counts = sorted(weyl.poincare_counts(rs).items())
-        payload = {"order": weyl.order(rs),
+        payload = {"order": sum(v for _, v in counts),
                    "by_length": {str(k): v for k, v in counts}}
         return payload, ["length", "count"], [{"length": k, "count": v}
                                               for k, v in counts]

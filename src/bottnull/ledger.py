@@ -19,7 +19,7 @@ from math import comb
 from . import _kernels, repthy
 from .bundles import WeightMultiset, weights
 from .bwb import PotentialSupport, psupp
-from .errors import LedgerGap, ValidationFailure
+from .errors import LedgerGap, SizeCapExceeded, ValidationFailure
 from .repthy import FormalGModule
 from .rootsys import RootSystem, build_root_system
 
@@ -55,11 +55,8 @@ class CohomologyTable:
         self._complete: set[tuple[str, int, int]] = set()
 
     def add(self, family: str, rank: int, q: int, p: int, *,
-            module: FormalGModule | None = None, unresolved: bool = False,
-            provenance: str = "") -> None:
-        if (module is None) != unresolved:
-            raise ValueError("an entry needs either a module or the "
-                             "unresolved flag")
+            module: FormalGModule | None, provenance: str = "") -> None:
+        """Record H^p(X, b^q); ``module=None`` records a placeholder."""
         if q < 1 or p < 0:
             raise ValueError(f"table key {family}/{rank}/{q}/{p} needs q >= 1 "
                              "and p >= 0")
@@ -140,13 +137,11 @@ def load_table(text: str) -> CohomologyTable:
     table = CohomologyTable()
     for entry in doc["entries"]:
         family, rank, q, p = entry["key"].split("/")
-        if entry["module"] == "trivial-unresolved":
-            table.add(family, int(rank), int(q), int(p), unresolved=True,
-                      provenance=entry.get("provenance", ""))
-        else:
-            table.add(family, int(rank), int(q), int(p),
-                      module=_module_from_pairs(entry["module"], int(rank)),
-                      provenance=entry.get("provenance", ""))
+        module = entry["module"]
+        table.add(family, int(rank), int(q), int(p),
+                  module=(None if module == "trivial-unresolved"
+                          else _module_from_pairs(module, int(rank))),
+                  provenance=entry.get("provenance", ""))
     for key in doc["complete"]:
         family, rank, q = key.split("/")
         table.mark_complete(family, int(rank), int(q))
@@ -190,7 +185,7 @@ def builtin_tables() -> CohomologyTable:
     # unresolved multiplicity; for n = 6 additionally H^5 = L(0,0,2,0,0).
     for rank in (5, 6):
         for p in (2, 3):
-            t.add("A", rank, 4, p, unresolved=True,
+            t.add("A", rank, 4, p, module=None,
                   provenance="established: 4th tensor power, type A (n>=6); "
                               "trivial-isotypic, multiplicity unresolved")
         t.mark_complete("A", rank, 4)
@@ -271,7 +266,12 @@ def validate_table(table: CohomologyTable) -> ValidationReport:
     blocks = {(e.family, e.rank, e.q) for e in table.entries()}
     for family, rank, q in sorted(blocks.union(table.coverage())):
         rs = build_root_system(family, rank)
-        report = validate_block(table, rs, q, psupp(rs, f"b^{q}"))
+        try:
+            ps = psupp(rs, f"b^{q}")
+        except SizeCapExceeded as exc:
+            failures.append(f"{family}/{rank}/{q}: {exc}")
+            continue
+        report = validate_block(table, rs, q, ps)
         checked += report.checked
         failures.extend(report.failures)
     return ValidationReport(passed=not failures, checked=checked,
@@ -292,16 +292,16 @@ class PageCell:
     b: int
     copies: int
     tensor_power: int
-    coh: FormalGModule | None
-    module: FormalGModule | None  # decomposed content; None when unresolved
+    coh: FormalGModule | None  # the table's H^p; None for a placeholder
 
     @property
     def unresolved(self) -> bool:
-        return self.module is None
+        return self.coh is None
 
     @property
     def possibly_nonzero(self) -> bool:
-        return self.unresolved or bool(self.module)
+        # Characters have no zero divisors: the cell is zero iff H^p is.
+        return self.unresolved or bool(self.coh)
 
 
 @dataclass(frozen=True)
@@ -332,33 +332,29 @@ def e_page(family: str, rank: int, r: int,
     """
     if table is None:
         table = builtin_tables()
-    rs = build_root_system(family, rank)
+    build_root_system(family, rank)  # raises UnsupportedFamilyRank
     cells: dict[tuple[int, int], PageCell] = {}
     for q in range(0, r + 1):
-        copies = comb(r, q)
-        tp = r - q
         if q == 0:
             cohs = {0: FormalGModule({(0,) * rank: 1})}
         else:  # table.degrees may raise LedgerGap
             cohs = {p: table.entry(family, rank, q, p).module
                     for p in table.degrees(family, rank, q)}
-        base = None  # g^tp, evaluated once per q and only when a cell needs it
         for p, coh in cohs.items():
-            module = None
-            if coh is not None:
-                # Brauer-Klimyk: g^tp (x) L(mu) is the sum over the weights w
-                # of g^tp of the signed dot-dominant L(w + mu), so shifting
-                # g^tp by mu and decomposing gives the cell without L(mu)'s
-                # character.
-                if base is None:
-                    base = weights(rs, f"g^{tp}").counts
-                shifts = {mu: copies * mult for mu, mult in coh.sorted_items()}
-                module = repthy.decompose_multiset(
-                    rs, WeightMultiset(_kernels.convolve(base, shifts)),
-                    check=False)
-            cells[(-q, p)] = PageCell(a=-q, b=p, copies=copies, tensor_power=tp,
-                                      coh=coh, module=module)
+            cells[(-q, p)] = PageCell(a=-q, b=p, copies=comb(r, q),
+                                      tensor_power=r - q, coh=coh)
     return EPage(family=family, rank=rank, r=r, cells=cells)
+
+
+def cell_module(rs: RootSystem, cell: PageCell) -> FormalGModule:
+    """The decomposed content of a resolved cell, copies * g^tp (x) H^p."""
+    # Brauer-Klimyk: g^tp (x) L(mu) is the sum over the weights w of g^tp of
+    # the signed dot-dominant L(w + mu), so shifting g^tp by mu and
+    # decomposing gives the cell without L(mu)'s character.
+    base = weights(rs, f"g^{cell.tensor_power}").counts
+    shifts = {mu: cell.copies * mult for mu, mult in cell.coh.sorted_items()}
+    return repthy.decompose_multiset(
+        rs, WeightMultiset(_kernels.convolve(base, shifts)), check=False)
 
 
 @dataclass(frozen=True)
@@ -378,7 +374,7 @@ def certain_survivors(page: EPage) -> tuple[Witness, ...]:
     witnesses = []
     span = page.r + page.max_b() + 2
     for (a, b), cell in sorted(page.cells.items()):
-        if a >= 0 or not cell.possibly_nonzero or cell.unresolved:
+        if a >= 0 or not cell.coh:  # zero or a placeholder
             continue
         blocked = False
         for s in range(1, span + 1):
@@ -387,9 +383,9 @@ def certain_survivors(page: EPage) -> tuple[Witness, ...]:
                 blocked = True
                 break
         if not blocked:
-            assert cell.module is not None
+            rs = build_root_system(page.family, page.rank)
             witnesses.append(Witness(
-                a=a, b=b, module=cell.module,
+                a=a, b=b, module=cell_module(rs, cell),
                 reason=(f"cell ({a},{b}) has no possibly-nonzero source or "
                         f"target on any lane; contributes in total degree {a + b}")))
     return tuple(witnesses)

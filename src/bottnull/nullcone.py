@@ -92,7 +92,7 @@ def mat_inverse(m: Sequence[Sequence]) -> Matrix:
 
 @dataclass(frozen=True)
 class MatrixTuple:
-    """An r-tuple of trace-free n x n rational matrices."""
+    """An r-tuple (r >= 1) of trace-free n x n rational matrices."""
 
     n: int
     matrices: tuple[Matrix, ...]
@@ -100,6 +100,8 @@ class MatrixTuple:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"matrix size n must be at least 1, got {self.n}")
+        if not self.matrices:  # else n alone would size the work
+            raise ValueError("a matrix tuple needs at least one matrix")
         for m in self.matrices:
             if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise ValueError(f"matrices must be {self.n}x{self.n}")

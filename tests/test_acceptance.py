@@ -155,7 +155,7 @@ def test_criterion_06_table_validation_and_mutation():
             if (e.family, e.rank, e.q, e.p) == ("A", 2, 2, 1):
                 module = repthy.FormalGModule({(1, 1): 1})
             mutated.add(e.family, e.rank, e.q, e.p, module=module,
-                        unresolved=e.unresolved, provenance=e.provenance)
+                        provenance=e.provenance)
         for family, rank, q in table.coverage():
             mutated.mark_complete(family, rank, q)
         assert not ledger.validate_table(mutated).passed

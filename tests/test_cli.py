@@ -456,6 +456,16 @@ MALFORMED_INPUTS = {
         "verdict", "--family", "A", "--rank", "2", "-r", "1",
         "--table", _edited_table(
             tmp, lambda doc: doc["complete"].append("A/2/-1"))],
+    # Once exit 2 with the bare cost-cap message, naming no table key.
+    "table-complete-past-cost-cap": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "1",
+        "--table", _edited_table(
+            tmp, lambda doc: doc["complete"].append("A/1/3000000"))],
+    # Once accepted: an n x n identity row-reduced for a bare n.
+    "nullcone-member-no-matrices": lambda tmp: _nullcone_doc(
+        tmp, {"n": 1000000000, "matrices": []}),
+    "nullcone-flag-no-matrices": lambda tmp: _nullcone_doc(
+        tmp, {"n": 1000000000, "matrices": []}, op="flag"),
     "nullcone-n-negative": lambda tmp: _nullcone_doc(
         tmp, {"n": -1, "matrices": []}),
     "nullcone-n-float": lambda tmp: _nullcone_doc(

@@ -3,9 +3,9 @@ corpus that covers every subcommand in JSON and, where it has one, TSV.
 
 The stored files were written by the code as it stood before the CLI got
 one output path; the ``VERDICT_RANGE`` records, before page cells stopped
-holding a decomposed module.  ``python tests/test_cli_golden.py`` writes them again
-from the ``bottnull`` on ``sys.path``; run it only to record a deliberate
-change of output.
+holding a decomposed module.  ``python tests/test_cli_golden.py`` writes
+them again from the ``bottnull`` on ``sys.path``; run it only to record a
+deliberate change of output.
 """
 
 import io

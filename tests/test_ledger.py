@@ -7,7 +7,8 @@ import oracles
 from bottnull import ledger, repthy
 from bottnull.bundles import weights
 from bottnull.bwb import psupp
-from bottnull.errors import LedgerGap, ValidationFailure
+from bottnull.errors import (LedgerGap, UnsupportedFamilyRank,
+                             ValidationFailure)
 from bottnull.ledger import (CohomologyTable, builtin_tables,
                              certain_survivors, e_page, ensure_valid,
                              load_table, save_table, validate_table, verdict)
@@ -92,7 +93,7 @@ def test_validation_mutation_fails():
         if (e.family, e.rank, e.q, e.p) == ("A", 2, 2, 1):
             module = repthy.FormalGModule({(0, 0): 1, (1, 1): 1})
         mutated.add(e.family, e.rank, e.q, e.p, module=module,
-                    unresolved=e.unresolved, provenance=e.provenance)
+                    provenance=e.provenance)
     for family, rank, q in table.coverage():
         mutated.mark_complete(family, rank, q)
     report = validate_table(mutated)
@@ -236,12 +237,12 @@ def test_validation_reports_non_positive_multiplicity():
 def test_unresolved_is_derived_from_the_module():
     table = CohomologyTable()
     module = repthy.FormalGModule({(0, 0): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         table.add("A", 2, 2, 1, module=module, unresolved=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         table.add("A", 2, 2, 1)
     table.add("A", 2, 2, 1, module=module)
-    table.add("A", 2, 2, 2, unresolved=True)
+    table.add("A", 2, 2, 2, module=None)
     table.mark_complete("A", 2, 2)
     resolved, placeholder = table.entries()
     assert not resolved.unresolved and resolved.module == module
@@ -251,7 +252,7 @@ def test_unresolved_is_derived_from_the_module():
         [(1, module, False), (2, None, True)]
     page = e_page("A", 5, 4)
     for cell in page.cells.values():
-        assert cell.unresolved == (cell.module is None) == (cell.coh is None)
+        assert cell.unresolved == (cell.coh is None)
 
 
 def test_e_page_corner_cell():
@@ -259,7 +260,7 @@ def test_e_page_corner_cell():
     corner = page.cell(0, 0)
     assert corner is not None
     rs = build_root_system("A", 2)
-    assert corner.module.dimension(rs) == 64  # (dim g)^2
+    assert ledger.cell_module(rs, corner).dimension(rs) == 64  # (dim g)^2
     assert corner.copies == 1 and corner.tensor_power == 2
 
 
@@ -270,7 +271,7 @@ def test_e_page_cell_contents():
     assert cell is not None
     # q=2, p=1: C(2,2) copies of g^0 (x) H^1(b (x) b) = C
     assert cell.copies == math.comb(2, 2)
-    assert cell.module == {(0, 0): 1}
+    assert ledger.cell_module(rs, cell) == {(0, 0): 1}
     cell = page.cell(-1, 1)
     assert cell is None  # H^1(b) = 0
     # q=1 contributes nothing anywhere
@@ -297,7 +298,7 @@ def test_e_page_cells_match_convolved_characters(family, rank):
                 continue
             want = oracles.convolved_cell(rs, cell.coh, cell.copies,
                                           cell.tensor_power)
-            assert cell.module == want, (r, cell.a, cell.b)
+            assert ledger.cell_module(rs, cell) == want, (r, cell.a, cell.b)
             compared += 1
     assert compared
 
@@ -305,10 +306,11 @@ def test_e_page_cells_match_convolved_characters(family, rank):
 def test_e_page_unresolved_cells():
     page = e_page("A", 5, 4)
     cell = page.cell(-4, 2)
-    assert cell is not None and cell.unresolved and cell.module is None
+    assert cell is not None and cell.unresolved and cell.coh is None
     assert cell.possibly_nonzero
     cell = page.cell(-4, 5)
-    assert cell.module == {(0, 0, 2, 0, 0): 1}
+    rs = build_root_system("A", 5)
+    assert ledger.cell_module(rs, cell) == {(0, 0, 2, 0, 0): 1}
 
 
 def test_e_page_requires_ledger():
@@ -316,6 +318,45 @@ def test_e_page_requires_ledger():
         e_page("A", 2, 4)
     with pytest.raises(LedgerGap):
         e_page("B", 2, 3)
+
+
+def test_e_page_refuses_unsupported_rank():
+    with pytest.raises(UnsupportedFamilyRank):
+        e_page("A", 9, 2)
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of ``ledger.<name>``."""
+    calls = []
+    real = getattr(ledger, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(ledger, name, spy)
+    return calls
+
+
+def test_verdict_decomposes_only_its_witnesses(monkeypatch):
+    weights_calls = _spy(monkeypatch, "weights")
+    cell_calls = _spy(monkeypatch, "cell_module")
+    # A6 r=4 scans the page and finds no witness: no expression is evaluated.
+    assert verdict("A", 6, 4).witnesses == ()
+    assert weights_calls == [] and cell_calls == []
+    v = verdict("A", 5, 4)
+    assert [(cell.a, cell.b) for _, cell in cell_calls] == [(-4, 5)]
+    assert [(w.a, w.b) for w in v.witnesses] == [(-4, 5)]
+
+
+def test_block_past_the_cost_cap_is_a_named_failure():
+    table = builtin_tables()
+    table.mark_complete("A", 1, 3000000)
+    report = validate_table(table)
+    assert report.failures == (
+        "A/1/3000000: expression evaluation exceeds the cost cap of "
+        "5000000 weight terms",)
+    with pytest.raises(ValidationFailure, match="^A/1/3000000: "):
+        ensure_valid(table)
 
 
 def test_certain_survivors_examples():
@@ -390,7 +431,7 @@ def test_placeholder_perturbation_does_not_change_verdict():
                           provenance=e.provenance)
             else:
                 table.add(e.family, e.rank, e.q, e.p, module=e.module,
-                          unresolved=e.unresolved, provenance=e.provenance)
+                          provenance=e.provenance)
         for family, rank, q in base.coverage():
             table.mark_complete(family, rank, q)
         v = verdict("A", 5, 4, table)

@@ -215,6 +215,12 @@ def test_matrix_tuple_needs_a_positive_size():
         nullcone.MatrixTuple(n=-1, matrices=())
 
 
+def test_matrix_tuple_needs_a_matrix():
+    # Without one, n alone would size the row reductions.
+    with pytest.raises(ValueError, match="at least one matrix"):
+        nullcone.MatrixTuple(n=10**9, matrices=())
+
+
 def test_early_stabilization_matches_full_chain():
     # A tuple whose chain stabilizes early at a nonzero subspace.
     t = _mt([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
