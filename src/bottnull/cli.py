@@ -197,7 +197,7 @@ def _cmd_nullcone(rs: RootSystem | None, args) -> _Output:
                 raise ValueError("g must be a square matrix")
             mats = tuple(nullcone.matrix_from_rows(m) for m in doc["matrices"])
             t = nullcone.MatrixTuple(n=len(g), matrices=mats)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad resolve document: {exc}") from exc
         sample = nullcone.resolution_sample(g, t)
         payload = {"op": "resolve", "n": sample.n, "r": sample.r,

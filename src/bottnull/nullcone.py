@@ -1,15 +1,26 @@
 """Simultaneous nilpotency: membership of matrix tuples in the null-cone of
 r copies of sl_n, common invariant flags, and resolution-bundle points.
 
-All arithmetic is exact (``fractions.Fraction``).  Vectors are row tuples;
-matrices act on column vectors.
+Arithmetic is exact, and the rows are integer inside.  Membership, the
+subspace chain and the flag do not change when a matrix is scaled by a
+nonzero rational, so each matrix is cleared once to an integer matrix by the
+lcm of its denominators.  One elimination step, ``_reduce`` (clear a row at
+the pivots of an echelon basis by cross-multiplying, then divide it by the
+gcd of its entries), is the package's only row reduction.
+``fractions.Fraction`` appears only at the boundary: the entries read by
+``matrix_from_rows``, the normalized flag basis, ``rref``, ``mat_inverse``,
+and the conjugated matrices of ``triangularize`` and ``resolution_sample``.
+Vectors are row tuples; matrices act on column vectors.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InputError, NotStrictlyUpper, NotTraceFree, SingularMatrix
@@ -17,77 +28,137 @@ from .errors import InputError, NotStrictlyUpper, NotTraceFree, SingularMatrix
 Matrix = tuple[tuple[Q, ...], ...]
 Vector = tuple[Q, ...]
 
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _entry(x) -> Q:
+    """An exact entry: an int (not a bool), a Fraction, or an integer or
+    ``"p/q"`` string; Python's int digit limit bounds every string."""
+    if type(x) is int or isinstance(x, Q):
+        return Q(x)
+    if isinstance(x, str) and _ENTRY.fullmatch(x):
+        try:
+            return Q(x)
+        except (ValueError, ZeroDivisionError):  # digit limit, zero denominator
+            pass
+    shown = repr(x)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    raise ValueError(f"bad matrix entry {shown}: expected an integer or a "
+                     "\"p/q\" string with q > 0")
+
 
 def matrix_from_rows(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Q(x) for x in row) for row in rows)
+    """Rows of exact entries (see ``_entry``); raises ValueError on any other."""
+    if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows):
+        raise ValueError("a matrix must be a list of rows")
+    return tuple(tuple(_entry(x) for x in row) for row in rows)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in m)
+    return tuple(sum(map(mul, r, v)) for r in m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     cols = list(zip(*b))
-    return tuple(tuple(sum(a[i][k] * cols[j][k] for k in range(n))
-                       for j in range(n)) for i in range(n))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_trace(m: Matrix) -> Q:
     return sum(m[i][i] for i in range(len(m)))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n))
-                 for i in range(n))
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _reduce(row: list[Q], basis: list[list[Q]], pivots: list[int]) -> int | None:
-    """Clear ``row`` in place at every pivot of the echelon ``basis`` and scale
-    it to a leading 1; return its pivot column, or None if it lies in the span.
+def _clear(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows and the lcm d of the denominators, so rows == ints / d."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                 for row in rows), d
 
-    The result is the one vector of row + span(basis) that vanishes at the
-    pivot columns, however far ``basis`` itself is reduced.
+
+def _reduce(row: list[int], basis: list[list[int]],
+            pivots: list[int]) -> int | None:
+    """Clear the integer ``row`` in place at every pivot of the echelon
+    ``basis`` by cross-multiplying, then divide it by the gcd of its entries,
+    leaving its leading entry positive; return its pivot column, or None if it
+    lies in the span.
+
+    The result is the primitive multiple of the one vector of row +
+    span(basis) that vanishes at the pivot columns, however far ``basis``
+    itself is reduced.
     """
     for p, b in zip(pivots, basis):
         f = row[p]
-        if f != 0:
-            for j in range(len(row)):
-                row[j] -= f * b[j]
-    piv = next((j for j, x in enumerate(row) if x != 0), None)
+        if f:
+            c = b[p]
+            g = gcd(f, c)
+            f //= g
+            c //= g
+            row[:] = [c * x - f * y for x, y in zip(row, b)]
+    piv = next((j for j, x in enumerate(row) if x), None)
     if piv is not None:
-        scale = Q(1) / row[piv]
-        row[:] = [x * scale for x in row]
+        g = gcd(*row) if row[piv] > 0 else -gcd(*row)
+        if g != 1:
+            row[:] = [x // g for x in row]
     return piv
 
 
-def rref(vectors: Sequence[Vector]) -> list[Vector]:
-    """Reduced row-echelon basis of the span, rows ordered by pivot column."""
-    basis: list[list[Q]] = []
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon basis of the span of integer rows, ordered by
+    pivot column, and its pivots.  Each row is primitive and positive at its
+    pivot, so dividing it by that entry gives the rational rref row."""
+    basis: list[list[int]] = []
     pivots: list[int] = []
-    for v in vectors:
+    for v in rows:
         row = list(v)
         piv = _reduce(row, basis, pivots)
         if piv is None:
             continue
         for b in basis:  # back-substitution into the earlier rows
-            f = b[piv]
-            if f != 0:
-                for j in range(len(row)):
-                    b[j] -= f * row[j]
+            if b[piv]:
+                _reduce(b, [row], [piv])
         basis.append(row)
         pivots.append(piv)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [tuple(basis[i]) for i in order]
+    order = sorted(range(len(basis)), key=pivots.__getitem__)
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
+def _monic(row: Sequence[int], piv: int) -> Vector:
+    return tuple(Q(x, row[piv]) for x in row)
+
+
+def rref(vectors: Sequence[Vector]) -> list[Vector]:
+    """Reduced row-echelon basis of the span, rows ordered by pivot column."""
+    rows, pivots = _echelon(_clear(vectors)[0])
+    return [_monic(row, p) for row, p in zip(rows, pivots)]
+
+
+def _inverse(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Integer N and den > 0 with inverse(m) == N / den for an integer m.
+
+    The reduced echelon rows of [m | 1] are (p_i e_i | R_i): row i of the
+    inverse is R_i / p_i, and den is the lcm of the p_i.  Raises
+    SingularMatrix.
+    """
+    n = len(m)
+    rows, pivots = _echelon([(*row, *unit)
+                             for row, unit in zip(m, identity(n))])
+    if pivots != list(range(n)):  # a pivot past column n-1
+        raise SingularMatrix("matrix is not invertible")
+    den = lcm(*(row[i] for i, row in enumerate(rows)))
+    return [[x * (den // row[i]) for x in row[n:]]
+            for i, row in enumerate(rows)], den
 
 
 def mat_inverse(m: Sequence[Sequence]) -> Matrix:
     """Exact inverse, the right half of rref([m | 1]); raises SingularMatrix."""
-    n = len(m)
-    reduced = rref([tuple(row) + unit for row, unit in zip(m, identity(n))])
-    if any(row[i] != 1 for i, row in enumerate(reduced)):  # a pivot past i
-        raise SingularMatrix("matrix is not invertible")
-    return tuple(row[n:] for row in reduced)
+    ints, d = _clear(m)
+    inv, den = _inverse(ints)
+    return tuple(tuple(Q(d * x, den) for x in row) for row in inv)
 
 
 @dataclass(frozen=True)
@@ -113,19 +184,22 @@ class MatrixTuple:
         return len(self.matrices)
 
 
-def _subspace_chain(t: MatrixTuple) -> list[list[Vector]]:
-    """U_0 = C^n, U_{k+1} = sum_i x_i(U_k), until zero or stabilization."""
-    chain = [rref(identity(t.n))]
+def _subspace_chain(t: MatrixTuple) -> list[Sequence[Sequence[int]]]:
+    """U_0 = C^n, U_{k+1} = sum_i x_i(U_k), until zero or stabilization.
+
+    Each U_k is its reduced-echelon basis of primitive integer rows (see
+    ``_echelon``); the x_i act as their integer multiples.
+    """
+    mats = [_clear(m)[0] for m in t.matrices]
+    chain = [identity(t.n)]
     while True:
         current = chain[-1]
         if not current:
             break
-        images = [mat_vec(m, v) for m in t.matrices for v in current]
-        nxt = rref(images)
-        if len(nxt) == len(current):
-            chain.append(nxt)
-            break  # stabilized at nonzero dimension
+        nxt = _echelon([mat_vec(m, v) for m in mats for v in current])[0]
         chain.append(nxt)
+        if len(nxt) == len(current):
+            break  # stabilized at nonzero dimension
         if len(chain) > t.n + 1:
             break
     return chain
@@ -158,20 +232,17 @@ def common_flag(t: MatrixTuple) -> Flag | None:
     chain = _subspace_chain(t)
     if chain[-1]:
         return None
-    basis: list[Vector] = []
-    echelon: list[list[Q]] = []
+    basis: list[list[int]] = []
     pivots: list[int] = []
     for subspace in reversed(chain):
         for row in subspace:
             vec = list(row)
-            piv = _reduce(vec, echelon, pivots)
-            if piv is None:
-                continue
-            basis.append(tuple(vec))
-            echelon.append(vec)
-            pivots.append(piv)
+            piv = _reduce(vec, basis, pivots)
+            if piv is not None:
+                basis.append(vec)
+                pivots.append(piv)
     assert len(basis) == t.n
-    return Flag(basis=tuple(basis))
+    return Flag(basis=tuple(_monic(vec, p) for vec, p in zip(basis, pivots)))
 
 
 def is_strictly_upper(m: Matrix) -> bool:
@@ -179,11 +250,19 @@ def is_strictly_upper(m: Matrix) -> bool:
     return all(m[i][j] == 0 for i in range(n) for j in range(n) if j <= i)
 
 
+def _conjugate(left: Sequence[Sequence[int]], x: Matrix,
+               right: Sequence[Sequence[int]], den: int) -> Matrix:
+    """left x right / den, with x cleared to integers first."""
+    ints, d = _clear(x)
+    prod = mat_mul(mat_mul(left, ints), right)
+    return tuple(tuple(Q(v, den * d) for v in row) for row in prod)
+
+
 def triangularize(t: MatrixTuple, flag: Flag) -> tuple[Matrix, ...]:
     """g^{-1} x_i g for the flag's basis matrix g (strictly upper if valid)."""
-    g = flag.matrix
-    ginv = mat_inverse(g)
-    return tuple(mat_mul(mat_mul(ginv, m), g) for m in t.matrices)
+    g = _clear(flag.matrix)[0]  # a multiple of g conjugates alike
+    ginv, den = _inverse(g)
+    return tuple(_conjugate(ginv, m, g, den) for m in t.matrices)
 
 
 def resolution_sample(g: Matrix, nilpotent: MatrixTuple) -> MatrixTuple:
@@ -195,8 +274,10 @@ def resolution_sample(g: Matrix, nilpotent: MatrixTuple) -> MatrixTuple:
         if not is_strictly_upper(m):
             raise NotStrictlyUpper("matrix tuple entries must be strictly upper "
                                    "triangular")
-    ginv = mat_inverse(g)  # raises SingularMatrix when g is not invertible
-    conjugated = tuple(mat_mul(mat_mul(g, m), ginv) for m in nilpotent.matrices)
+    ints = _clear(g)[0]
+    ginv, den = _inverse(ints)  # raises SingularMatrix when g is not invertible
+    conjugated = tuple(_conjugate(ints, m, ginv, den)
+                       for m in nilpotent.matrices)
     return MatrixTuple(n=nilpotent.n, matrices=conjugated)
 
 
@@ -218,5 +299,5 @@ def tuple_from_json(text: str) -> MatrixTuple:
             raise ValueError(f"n must be an integer, got {n!r}")
         mats = tuple(matrix_from_rows(m) for m in doc["matrices"])
         return MatrixTuple(n=n, matrices=mats)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad matrix-tuple document: {exc}") from exc

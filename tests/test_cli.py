@@ -486,6 +486,24 @@ MALFORMED_INPUTS = {
     "resolve-g-not-square": lambda tmp: [
         "nullcone", "--op", "resolve", "--input", _write(tmp, "t.json", json.dumps(
             {"g": [[1, 0], [0]], "matrices": [[[0, 1], [0, 0]]]}))],
+    # Entries other than an int or an integer/"p/q" string.  Both infinities
+    # were once an OverflowError traceback from Fraction.
+    "nullcone-entry-infinity": lambda tmp: _nullcone_doc(
+        tmp, {"n": 2, "matrices": [[[0, float("inf")], [0, 0]]]}),
+    "nullcone-entry-nan-in-flag": lambda tmp: _nullcone_doc(
+        tmp, {"n": 2, "matrices": [[[0, float("nan")], [0, 0]]]}, op="flag"),
+    "resolve-g-entry-infinity": lambda tmp: _nullcone_doc(
+        tmp, {"g": [[1, float("-inf")], [0, 1]],
+              "matrices": [[[0, 1], [0, 0]]]}, op="resolve"),
+    # Once read as 1.
+    "nullcone-entry-bool": lambda tmp: _nullcone_doc(
+        tmp, {"n": 2, "matrices": [[[0, True], [0, 0]]]}),
+    # Once read as the binary fraction 3602879701896397/36028797018963968.
+    "nullcone-entry-float": lambda tmp: _nullcone_doc(
+        tmp, {"n": 2, "matrices": [[[0, 0.1], [0, 0]]]}),
+    # Once expanded to a 13-million-bit integer before any check.
+    "nullcone-entry-huge-exponent": lambda tmp: _nullcone_doc(
+        tmp, {"n": 2, "matrices": [[["0", "1e4000000"], ["0", "0"]]]}),
 }
 
 

@@ -4,10 +4,11 @@ from fractions import Fraction as Q
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from bottnull import nullcone
+from bottnull.rootsys import build_root_system
 from bottnull.errors import (InputError, InvalidWeight, NotStrictlyUpper,
                              NotTraceFree, SingularMatrix)
 
@@ -201,6 +202,21 @@ def test_json_rejects_malformed():
         nullcone.tuple_from_json('{not json')
 
 
+@pytest.mark.parametrize("entry", [True, 0.5, float("inf"), float("nan"),
+                                   "1e4000000", " 1", "1.0", "0x10", "1/0",
+                                   "\u0661", "1/-2", None, [1]])
+def test_matrix_entries_must_be_exact(entry):
+    with pytest.raises(ValueError, match="bad matrix entry"):
+        nullcone.matrix_from_rows([[entry]])
+
+
+def test_matrix_entries_read_exactly():
+    assert nullcone.matrix_from_rows([[3, Q(1, 3), "-7", "+4/6"]]) == (
+        (Q(3), Q(1, 3), Q(-7), Q(2, 3)),)
+    with pytest.raises(ValueError, match="list of rows"):
+        nullcone.matrix_from_rows(["01"])
+
+
 @pytest.mark.parametrize("n", [-1, 0, 2.7, True, "2", None])
 def test_json_rejects_matrix_size_that_is_not_a_positive_int(n):
     doc = {"n": n, "matrices": [[["0", "1"], ["0", "0"]]] if n == 2.7 else []}
@@ -272,3 +288,112 @@ def test_mat_inverse_matches_sympy_determinant(rows):
         inv = nullcone.mat_inverse(m)
         assert nullcone.mat_mul(inv, m) == nullcone.identity(len(m))
         assert _sympy(inv) == _sympy(rows).inv()
+
+
+# ----------------------------------------------- integer rows inside, checked
+# against sympy's inverse and brute-force word products.
+
+def _sympy_inverse(rows):
+    inv = _sympy(rows).inv()
+    return tuple(tuple(Q(int(inv[i, j].p), int(inv[i, j].q))
+                       for j in range(inv.cols)) for i in range(inv.rows))
+
+
+def _scaled(m, s):
+    return tuple(tuple(x * s for x in row) for row in m)
+
+
+_SCALE = st.builds(Q, st.integers(-10**30, 10**30).filter(bool),
+                   st.integers(1, 10**30))
+
+
+def _integer_matrix(n, entries):
+    return st.lists(entries, min_size=n * n, max_size=n * n).map(
+        lambda e: tuple(tuple(Q(e[i * n + j]) for j in range(n))
+                        for i in range(n)))
+
+
+def _strictly_upper(n):
+    return _integer_matrix(n, st.integers(-3, 3)).map(
+        lambda m: tuple(tuple(x if j > i else Q(0) for j, x in enumerate(row))
+                        for i, row in enumerate(m)))
+
+
+@st.composite
+def _invertible(draw, n):
+    """An integer g with |det g| > 1, so g x g^-1 carries denominators."""
+    g = draw(_integer_matrix(n, st.integers(-2, 2)))
+    assume(abs(_sympy(g).det()) > 1)
+    return g
+
+
+@st.composite
+def _tuples(draw):
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 3))
+    if draw(st.booleans()):  # a member: conjugated strictly upper matrices
+        g = draw(_invertible(n))
+        ginv = _sympy_inverse(g)
+        mats = tuple(oracles.conjugate(g, ginv, draw(_strictly_upper(n)))
+                     for _ in range(r))
+    else:  # mostly not a member
+        mats = []
+        for _ in range(r):
+            m = [list(row) for row in draw(_matrices(n, n))]
+            m[-1][-1] -= sum(m[i][i] for i in range(n))
+            mats.append(tuple(tuple(row) for row in m))
+        mats = tuple(mats)
+    return nullcone.MatrixTuple(n=n, matrices=mats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tuples(), st.lists(_SCALE, min_size=3, max_size=3))
+def test_scaling_each_matrix_keeps_membership_and_flag(t, scales):
+    scaled = nullcone.MatrixTuple(n=t.n, matrices=tuple(
+        _scaled(m, s) for m, s in zip(t.matrices, scales)))
+    member = oracles.brute_nullcone_member(t.matrices)
+    assert nullcone.in_nullcone(t) == nullcone.in_nullcone(scaled) == member
+    flag = nullcone.common_flag(t)
+    assert nullcone.common_flag(scaled) == flag
+    assert (flag is not None) == member
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    _invertible(n), st.lists(_strictly_upper(n), min_size=1, max_size=3))),
+    _SCALE)
+def test_conjugations_match_a_sympy_inverse(g_and_uppers, s):
+    g, uppers = g_and_uppers
+    t = nullcone.MatrixTuple(n=len(g), matrices=tuple(uppers))
+    # A rational multiple of g gives the same point.
+    sample = nullcone.resolution_sample(_scaled(g, s), t)
+    ginv = _sympy_inverse(g)
+    assert sample.matrices == tuple(oracles.conjugate(g, ginv, x)
+                                    for x in uppers)
+    flag = nullcone.common_flag(sample)
+    f = flag.matrix
+    finv = _sympy_inverse(f)
+    tri = nullcone.triangularize(sample, flag)
+    assert tri == tuple(oracles.conjugate(finv, f, x) for x in sample.matrices)
+    assert all(type(x) is Q for m in tri + sample.matrices
+               for row in m for x in row)
+
+
+def test_boundary_values_are_fractions():
+    # Integer inputs still give Fraction outputs.
+    assert nullcone.rref([(2, 4, 6), (1, 1, 0)]) == [(1, 0, -3), (0, 1, 3)]
+    assert all(type(x) is Q for row in nullcone.rref([(2, 4, 6), (1, 1, 0)])
+               for x in row)
+    inv = nullcone.mat_inverse(((2, 1), (1, 1)))
+    assert inv == ((1, -1), (-1, 2))
+    assert all(type(x) is Q for row in inv for x in row)
+    flag = nullcone.common_flag(_mt([[0, 2, 4], [0, 0, 6], [0, 0, 0]]))
+    assert all(type(x) is Q for vec in flag.basis for x in vec)
+
+
+@pytest.mark.parametrize("family,rank",
+                         [("A", k) for k in range(1, 8)] + [("B", 2)])
+def test_cartan_inverse_matches_sympy(family, rank):
+    rs = build_root_system(family, rank)
+    assert rs._cartan_inverse == _sympy_inverse(rs.cartan)
+    assert all(type(x) is Q for row in rs._cartan_inverse for x in row)
