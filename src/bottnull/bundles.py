@@ -19,6 +19,7 @@ from math import comb
 from typing import Iterator, Union
 
 from . import _kernels
+from ._kernels._pykernels import _max_abs, _packer
 from .errors import ExprSyntaxError, InvalidWeight, SizeCapExceeded, UnknownAtom
 from .rootsys import RootSystem, Weight
 
@@ -300,10 +301,15 @@ def _merge(acc: dict, extra: dict, scale: int = 1) -> None:
 
 def _graded_power(rs: RootSystem, ws: dict, k: int, symmetric: bool,
                   budget: _Budget) -> dict:
-    """Index-expansion wedge/sym of a weight multiset via layered DP."""
+    """Index-expansion wedge/sym of a weight multiset via layered DP.
+
+    Layer d holds sums of d weights, so its coordinates are at most
+    ``k * max|c|``: the layers run on packed keys and only layer k is
+    unpacked."""
     budget.charge(k + 1)
+    pack, unpack = _packer(rs.rank, k * _max_abs(ws))
     layers: list[dict] = [{} for _ in range(k + 1)]
-    layers[0][_zero(rs)] = 1
+    layers[0][0] = 1
     items = sorted(ws.items())
     for t, (w, m) in enumerate(items):
         # This pass copies the layers and, for each j up to ``top`` (the
@@ -319,17 +325,18 @@ def _graded_power(rs: RootSystem, ws: dict, k: int, symmetric: bool,
             coeff = comb(m + j - 1, j) if symmetric else comb(m, j)
             if coeff == 0:
                 continue
-            off = tuple(j * c for c in w)
+            off = j * pack(w)
             for d in range(j, k + 1):
                 src = layers[d - j]
                 if not src:
                     continue
                 tgt = new[d]
-                for wt, c in src.items():
-                    key = tuple(x + y for x, y in zip(wt, off))
-                    tgt[key] = tgt.get(key, 0) + c * coeff
+                get = tgt.get
+                for key, c in src.items():
+                    key += off
+                    tgt[key] = get(key, 0) + c * coeff
         layers = new
-    return layers[k]
+    return dict(zip(unpack(layers[k]), layers[k].values()))
 
 
 def _eval(rs: RootSystem, expr: Expr, budget: _Budget) -> dict:

@@ -44,12 +44,21 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 
 
 def _check_invariant(rs: RootSystem, ws: WeightMultiset) -> None:
-    counts = ws.counts
-    for w, m in counts.items():
-        for i in range(1, rs.rank + 1):
-            if counts.get(weyl.simple_reflection(rs, i, w), 0) != m:
-                raise NotAGModule(
-                    f"weight multiset is not Weyl-invariant at {w} (s_{i})")
+    # s_i fixes w when w[i] == 0, and the map holds no zero counts, so only
+    # the other reflections can fail; the first failing (w, s_i) is the
+    # same as when every reflection is checked.
+    get = ws._data.get
+    support = rs.simple_root_support
+    for w, m in ws._data.items():
+        for i, col in enumerate(support):
+            c = w[i]
+            if c:
+                img = list(w)
+                for j, a in col:
+                    img[j] -= c * a
+                if get(tuple(img), 0) != m:
+                    raise NotAGModule(
+                        f"weight multiset is not Weyl-invariant at {w} (s_{i + 1})")
 
 
 def mult_in(rs: RootSystem, expr: Expr | str | WeightMultiset, mu: Weight) -> int:

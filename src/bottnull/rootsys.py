@@ -101,6 +101,14 @@ class RootSystem:
                      for j in range(self.rank))
 
     @cached_property
+    def simple_root_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero ``(j, a)`` entries of each simple root's fundamental
+        coordinates: reflecting in alpha_i changes only coordinates j of
+        ``simple_root_support[i - 1]`` (i and its Dynkin neighbours)."""
+        return tuple(tuple((j, a) for j, a in enumerate(col) if a)
+                     for col in self.simple_fund_columns)
+
+    @cached_property
     def _cartan_inverse(self) -> tuple[tuple[Q, ...], ...]:
         return mat_inverse(self.cartan)
 

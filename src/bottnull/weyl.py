@@ -62,7 +62,7 @@ class DominanceResult:
 def to_dominant(rs: RootSystem, weight: Sequence[int]) -> DominanceResult:
     """Chamber walk on ``weight + rho``, flipping the smallest negative index."""
     mu = [c + 1 for c in weight]
-    letters = chamber_walk(mu, rs.simple_fund_columns)
+    letters = chamber_walk(mu, rs.simple_root_support)
     if 0 in mu:
         return DominanceResult(singular=True)
     dominant = tuple(c - 1 for c in mu)
@@ -83,7 +83,7 @@ def _canonical_word_from_image(rs: RootSystem, image: Weight) -> tuple[int, ...]
     # If u(image) = rho with u = s_{c_k}...s_{c_1}, then the element sending
     # rho to image is u^{-1} = word (c_1, ..., c_k) in rightmost-first order.
     mu = list(image)
-    letters = chamber_walk(mu, rs.simple_fund_columns)
+    letters = chamber_walk(mu, rs.simple_root_support)
     assert tuple(mu) == rs.rho
     return tuple(letters)
 
@@ -116,10 +116,7 @@ def _orbit_layers(rs: RootSystem, top: Weight) -> Iterator[list[Weight]]:
     an image have the same length and every image lies in exactly one layer:
     its depth is the length of the minimal element sending ``top`` to it.
     """
-    # Reflecting in alpha_i changes only the coordinates where its column
-    # is nonzero (i and its neighbours in the Dynkin diagram).
-    support = [tuple((j, a) for j, a in enumerate(col) if a)
-               for col in rs.simple_fund_columns]
+    support = rs.simple_root_support
     layer = [top]
     while layer:
         yield layer
@@ -181,5 +178,5 @@ def dot_dominantize_batch(
 def linear_dominant(rs: RootSystem, weight: Sequence[int]) -> Weight:
     """Dominant representative of the linear (unshifted) Weyl orbit."""
     mu = list(weight)
-    chamber_walk(mu, rs.simple_fund_columns)
+    chamber_walk(mu, rs.simple_root_support)
     return tuple(mu)

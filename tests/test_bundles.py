@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bottnull import bundles
 from bottnull.bundles import Atom, Line, Power, Sum, Sym, Tensor, Wedge
@@ -170,6 +173,48 @@ def test_g_weights_invariant_under_simple_reflections():
             reflected = {weyl.simple_reflection(rs, i, w): m
                          for w, m in g.counts.items()}
             assert g == reflected
+
+
+_LINE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("A", 7), ("B", 2)]
+_COORD = st.one_of(st.integers(-4, 4), st.integers(-(1 << 70), 1 << 70))
+
+
+@st.composite
+def _sum_of_lines(draw):
+    family, rank = draw(st.sampled_from(_LINE_SYSTEMS))
+    lines = draw(st.lists(st.tuples(*[_COORD] * rank), min_size=1, max_size=5))
+    lines += draw(st.lists(st.sampled_from(lines), max_size=2))  # repeats
+    return build_root_system(family, rank), lines, draw(st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_sum_of_lines())
+def test_wedge_and_sym_of_lines_match_combinations(case):
+    # Index-expansion semantics: wedge^k picks k distinct summands, sym^k
+    # picks k summands with repetition; each pick contributes its weight sum.
+    rs, lines, k = case
+    text = "+".join("L[" + ",".join(map(str, w)) + "]" for w in lines)
+    for op, picks in (("wedge", itertools.combinations),
+                      ("sym", itertools.combinations_with_replacement)):
+        oracle = Counter(tuple(sum(w[i] for w in pick) for i in range(rs.rank))
+                         for pick in picks(lines, k))
+        assert bundles.weights(rs, f"{op}^{k}({text})") == dict(oracle)
+
+
+def test_power_past_the_cap_stops_after_six_convolutions(monkeypatch):
+    # The look-ahead charge of a power assumes the accumulated multiset
+    # stops growing, so b^9 on A7 is refused only before its seventh step.
+    calls = []
+    real = bundles._kernels.convolve
+
+    def counting(a, b):
+        calls.append(len(a) * len(b))
+        return real(a, b)
+
+    monkeypatch.setattr(bundles._kernels, "convolve", counting)
+    with pytest.raises(SizeCapExceeded):
+        bundles.weights(build_root_system("A", 7), "b^9")
+    assert len(calls) == 6
 
 
 def test_structural_dim_matches_total_dim():

@@ -548,6 +548,17 @@ def test_runaway_expression_exits_2_on_its_cost_cap():
         assert proc.stderr.splitlines() == [f"bottnull: error: {message}"]
 
 
+def test_power_refused_after_its_steps_exits_2_with_one_line(capsys):
+    # b^9 on A7 passes the look-ahead of its first six convolutions and is
+    # refused before the seventh.
+    code, out, err = run_cli(capsys, ["psupp", "--family", "A", "--rank", "7",
+                                      "--expr", "b^9"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "bottnull: error: expression evaluation exceeds the cost cap of "
+        "5000000 weight terms"]
+
+
 # -------------------------------------------------------------------- report
 
 # Stored report outputs, byte for byte.  A7 runs the signed-orbit mult_in

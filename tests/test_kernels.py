@@ -7,6 +7,8 @@ import itertools
 import random
 from collections import Counter
 
+from hypothesis import given, settings, strategies as st
+
 import bottnull
 from bottnull import _kernels as kern
 from bottnull import rootsys, weyl
@@ -40,6 +42,55 @@ def test_pure_convolve_matches_counter_oracle():
             for wa, wb in itertools.product(expanded_a, expanded_b)
         )
         assert _pykernels.convolve(a, b) == dict(oracle)
+
+
+# Coordinates of every size: small ones, which merge often, and ones up to
+# 2^70, including the extremes, which need fields wider than a machine word.
+_COORD = st.one_of(st.integers(-3, 3),
+                   st.integers(-(1 << 70), 1 << 70),
+                   st.sampled_from([1 << 70, -(1 << 70), (1 << 70) - 1]))
+
+
+@st.composite
+def _operands(draw):
+    rank = draw(st.integers(1, 8))
+    multiset = st.dictionaries(st.tuples(*[_COORD] * rank), st.integers(1, 3),
+                               max_size=6)
+    return draw(multiset), draw(multiset)
+
+
+def _first_seen(a, b):
+    """Distinct sums in the order the pair loop meets them: the larger
+    operand outside, the other inside."""
+    if len(a) < len(b):
+        a, b = b, a
+    return list(dict.fromkeys(tuple(x + y for x, y in zip(wa, wb))
+                              for wa in a for wb in b))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_operands())
+def test_convolve_matches_counter_oracle_at_any_width(operands):
+    a, b = operands
+    oracle = Counter(
+        tuple(x + y for x, y in zip(wa, wb))
+        for wa, wb in itertools.product(
+            [w for w, c in a.items() for _ in range(c)],
+            [w for w, c in b.items() for _ in range(c)]))
+    got = kern.convolve(a, b)
+    assert got == dict(oracle)
+    assert list(got) == _first_seen(a, b)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 8).flatmap(
+    lambda rank: st.lists(st.tuples(*[_COORD] * rank), min_size=1, max_size=5)))
+def test_packed_keys_add_and_round_trip(ws):
+    bound = max(abs(c) for w in ws for c in w)
+    pack, unpack = _pykernels._packer(len(ws[0]), 2 * bound)
+    assert unpack([pack(w) for w in ws]) == ws
+    sums = [tuple(x + y for x, y in zip(u, v)) for u in ws for v in ws]
+    assert unpack([pack(u) + pack(v) for u in ws for v in ws]) == sums
 
 
 def test_dot_walk_agrees_with_scalar_walk():

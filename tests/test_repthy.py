@@ -1,9 +1,11 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from bottnull import bundles, bwb, repthy
+from bottnull import bundles, bwb, repthy, weyl
 from bottnull.errors import NotAGModule, NotDominant
 from bottnull.rootsys import build_root_system
 
@@ -134,6 +136,84 @@ def test_decompose_rejects_non_module():
         repthy.decompose(rs, "n")
     with pytest.raises(NotAGModule):
         repthy.mult_in(rs, "q*q*n", (0, 0))
+
+
+def _drop_root(rs, text, root):
+    counts = bundles.weights(rs, text).counts
+    counts[root] -= 1
+    return counts
+
+
+def _add_weight(rs, text, weight):
+    counts = bundles.weights(rs, text).counts
+    counts[weight] = counts.get(weight, 0) + 1
+    return counts
+
+
+# The texts the check gave when it tried every s_i at every weight, before
+# it skipped the reflections that fix a weight.  (0, 0, 5) and (0, 3) lie
+# outside every orbit of g and are fixed by every s_i but the last.
+@pytest.mark.parametrize("family,rank,build,where", [
+    ("A", 3, lambda rs: _drop_root(rs, "g", (2, -1, 0)), "(1, 1, -1) (s_2)"),
+    ("A", 3, lambda rs: _drop_root(rs, "g^2", (2, -1, 0)), "(1, 1, -1) (s_2)"),
+    ("A", 3, lambda rs: _add_weight(rs, "g", (0, 0, 5)), "(0, 0, 5) (s_3)"),
+    ("B", 2, lambda rs: _drop_root(rs, "g", (2, -1)), "(0, 1) (s_2)"),
+    ("B", 2, lambda rs: _drop_root(rs, "g^2", (2, -1)), "(0, 1) (s_2)"),
+    ("B", 2, lambda rs: _add_weight(rs, "g", (0, 3)), "(0, 3) (s_2)"),
+])
+def test_not_a_module_names_the_first_failing_reflection(family, rank, build,
+                                                         where):
+    rs = build_root_system(family, rank)
+    ws = bundles.WeightMultiset(build(rs))
+    for fn in (repthy.decompose, lambda rs, ws: repthy.mult_in(rs, ws, (0,) * rank)):
+        with pytest.raises(NotAGModule) as err:
+            fn(rs, ws)
+        assert str(err.value) == f"weight multiset is not Weyl-invariant at {where}"
+
+
+G_MODULE_EXPRS = ("g", "g^2", "g^3", "wedge^2(g)", "wedge^3(g)", "sym^2(g)",
+                  "g+wedge^2(g)")
+
+
+@lru_cache(maxsize=None)
+def _module_counts(family, rank, text):
+    return bundles.weights(build_root_system(family, rank), text).counts
+
+
+def _first_non_invariant(rs, counts):
+    """Oracle: the first (weight, s_i) in map order whose image count
+    differs, trying every reflection at every weight."""
+    for w, m in counts.items():
+        for i in range(1, rs.rank + 1):
+            if counts.get(weyl.simple_reflection(rs, i, w), 0) != m:
+                return f"{w} (s_{i})"
+    return None
+
+
+@st.composite
+def _module_minus_one_weight(draw):
+    family, rank = draw(st.sampled_from([("A", 2), ("A", 3), ("A", 4), ("B", 2)]))
+    text = draw(st.sampled_from(G_MODULE_EXPRS))
+    counts = _module_counts(family, rank, text)
+    # The zero weight is fixed by the whole group: only it may go unnoticed.
+    moved = sorted(w for w in counts if any(w))
+    weight = draw(st.sampled_from(moved))
+    whole = draw(st.booleans())  # remove the weight, or one copy of it
+    return build_root_system(family, rank), counts, weight, whole
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_module_minus_one_weight())
+def test_module_passes_and_fails_without_any_one_weight(case):
+    rs, counts, weight, whole = case
+    repthy._check_invariant(rs, bundles.WeightMultiset(counts))
+    broken = dict(counts)
+    broken[weight] = 0 if whole else broken[weight] - 1
+    broken = {w: m for w, m in broken.items() if m}
+    with pytest.raises(NotAGModule) as err:
+        repthy._check_invariant(rs, bundles.WeightMultiset(broken))
+    where = _first_non_invariant(rs, broken)
+    assert str(err.value) == f"weight multiset is not Weyl-invariant at {where}"
 
 
 def test_virtual_decompose_without_check():

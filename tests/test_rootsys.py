@@ -77,6 +77,19 @@ def test_fundamental_coords_of_simple_roots_are_cartan_columns():
             assert rs.positive_roots[j].fund_coords == col
 
 
+@pytest.mark.parametrize("family,rank", SUPPORTED)
+def test_simple_root_support_lists_nonzero_cartan_entries(family, rank):
+    rs = build_root_system(family, rank)
+    assert len(rs.simple_root_support) == rank
+    for i, entries in enumerate(rs.simple_root_support):
+        dense = [0] * rank
+        for j, a in entries:
+            dense[j] = a
+        assert tuple(dense) == rs.positive_roots[i].fund_coords
+        assert [j for j, _ in entries] == sorted({j for j, a in entries if a})
+        assert (i, 2) in entries
+
+
 def test_highest_roots():
     rs = build_root_system("A", 3)
     # theta = alpha_1 + alpha_2 + alpha_3, fundamental coords (1,0,1)
