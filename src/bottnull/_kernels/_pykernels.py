@@ -2,8 +2,8 @@
 
 Weight sums run on packed keys: ``_packer`` maps each weight to one Python
 int with a signed field per coordinate, so adding two packed keys adds the
-weights.  Keys are packed on entry and unpacked once per distinct result;
-callers see tuple keys only.
+weights.  ``_convolve_packed`` is the one pair loop: ``bundles.weights``
+runs it on keys packed once per evaluation, ``convolve`` on tuple keys.
 
 ``chamber_walk`` is the one chamber walk of the package; ``weyl`` builds its
 dominantization, canonical words and linear orbit representatives on it.
@@ -20,8 +20,9 @@ def _packer(rank: int, bound: int):
     """``(pack, unpack)`` for weights of ``rank`` coordinates in
     ``[-bound, bound]``.
 
-    ``pack(w) = sum(w[i] << i * width)`` with ``width = bits(bound) + 1``, so
-    ``pack(u) + pack(v) == pack(u + v)`` for any integer tuples.
+    ``pack(w) = sum(w[i] << (rank - 1 - i) * width)`` with ``width =
+    bits(bound) + 1``, so ``pack(u) + pack(v) == pack(u + v)`` for any
+    integer tuples, and keys within the bound sort like their tuples.
     ``unpack(keys)`` inverts ``pack`` on an iterable of keys of weights
     within the bound and returns their tuples in order.  Python ints have
     no width limit, so any bound works.
@@ -29,7 +30,7 @@ def _packer(rank: int, bound: int):
     width = bound.bit_length() + 1
     half = 1 << (width - 1)  # > bound: a field plus half lies in [1, 2^width)
     mask = (1 << width) - 1
-    shifts = range(0, rank * width, width)
+    shifts = range((rank - 1) * width, -1, -width)
     offset = sum(half << s for s in shifts)
 
     def pack(w) -> int:
@@ -44,29 +45,30 @@ def _packer(rank: int, bound: int):
     return pack, unpack
 
 
-def _max_abs(ws: dict) -> int:
-    return max((abs(c) for w in ws for c in w), default=0)
-
-
-def convolve(a: dict, b: dict) -> dict:
-    """Minkowski convolution of weight multisets (tuple keys, int counts).
-
-    The pair loop adds packed keys (see ``_packer``); the result has tuple
-    keys in the order their sums are first met.
-    """
-    if not a or not b:
-        return {}
+def _convolve_packed(a: dict, b: dict) -> dict:
+    """Minkowski convolution on packed keys (see ``_packer``): the larger
+    operand outside, each distinct sum in the order the loop first meets it."""
     if len(a) < len(b):
         a, b = b, a
-    pack, unpack = _packer(len(next(iter(a))), _max_abs(a) + _max_abs(b))
-    pb = [(pack(w), c) for w, c in b.items()]
+    pb = list(b.items())
     out: dict = {}
     get = out.get
-    for wa, ca in a.items():
-        ka = pack(wa)
+    for ka, ca in a.items():
         for kb, cb in pb:
             key = ka + kb
             out[key] = get(key, 0) + ca * cb
+    return out
+
+
+def convolve(a: dict, b: dict) -> dict:
+    """Minkowski convolution of weight multisets with tuple keys: packed
+    for ``max|c| of a + max|c| of b``, unpacked once per distinct sum."""
+    if not a or not b:
+        return {}
+    bound = sum(max((abs(c) for w in m for c in w), default=0) for m in (a, b))
+    pack, unpack = _packer(len(next(iter(a))), bound)
+    out = _convolve_packed({pack(w): c for w, c in a.items()},
+                           {pack(w): c for w, c in b.items()})
     return dict(zip(unpack(out), out.values()))
 
 

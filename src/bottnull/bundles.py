@@ -8,6 +8,8 @@ and ``L[c1,...,ck]`` (line with the given fundamental coordinates).  Operators:
 
 Semantics keep only the weight multiset (filtration-graded data): every
 evaluation is a map weight -> multiplicity with deterministic ordering.
+``weights`` packs keys once per evaluation (one width from ``_bound``) and
+unpacks only the result to tuples.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Union
 
-from . import _kernels
-from ._kernels._pykernels import _max_abs, _packer
+from ._kernels._pykernels import _convolve_packed, _packer
 from .errors import ExprSyntaxError, InvalidWeight, SizeCapExceeded, UnknownAtom
 from .rootsys import RootSystem, Weight
 
@@ -290,24 +291,11 @@ class _Budget:
                 "weight terms")
 
 
-def _zero(rs: RootSystem) -> Weight:
-    return (0,) * rs.rank
-
-
-def _merge(acc: dict, extra: dict, scale: int = 1) -> None:
-    for w, c in extra.items():
-        acc[w] = acc.get(w, 0) + scale * c
-
-
-def _graded_power(rs: RootSystem, ws: dict, k: int, symmetric: bool,
-                  budget: _Budget) -> dict:
-    """Index-expansion wedge/sym of a weight multiset via layered DP.
-
-    Layer d holds sums of d weights, so its coordinates are at most
-    ``k * max|c|``: the layers run on packed keys and only layer k is
-    unpacked."""
+def _graded_power(ws: dict, k: int, symmetric: bool, budget: _Budget) -> dict:
+    """Index-expansion wedge/sym of a packed weight multiset via layered DP:
+    layer d holds sums of d weights, taken in tuple order (``sorted`` on
+    packed keys gives it)."""
     budget.charge(k + 1)
-    pack, unpack = _packer(rs.rank, k * _max_abs(ws))
     layers: list[dict] = [{} for _ in range(k + 1)]
     layers[0][0] = 1
     items = sorted(ws.items())
@@ -325,7 +313,7 @@ def _graded_power(rs: RootSystem, ws: dict, k: int, symmetric: bool,
             coeff = comb(m + j - 1, j) if symmetric else comb(m, j)
             if coeff == 0:
                 continue
-            off = j * pack(w)
+            off = j * w
             for d in range(j, k + 1):
                 src = layers[d - j]
                 if not src:
@@ -336,61 +324,69 @@ def _graded_power(rs: RootSystem, ws: dict, k: int, symmetric: bool,
                     key += off
                     tgt[key] = get(key, 0) + c * coeff
         layers = new
-    return dict(zip(unpack(layers[k]), layers[k].values()))
+    return layers[k]
 
 
-def _eval(rs: RootSystem, expr: Expr, budget: _Budget) -> dict:
+def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
+    """Weight multiset of ``expr`` on keys packed by ``pack``; the packed
+    zero weight is 0 and ``pack`` is linear, so -pack(w) packs -w."""
     if isinstance(expr, Atom):
-        if expr.kind == "n":
-            return {tuple(-c for c in r.fund_coords): 1 for r in rs.positive_roots}
-        if expr.kind == "h":
-            return {_zero(rs): rs.rank}
-        if expr.kind == "b":
-            out = {tuple(-c for c in r.fund_coords): 1 for r in rs.positive_roots}
-            out[_zero(rs)] = rs.rank
-            return out
-        if expr.kind == "q":
-            return {r.fund_coords: 1 for r in rs.positive_roots}
-        out = {r.fund_coords: 1 for r in rs.positive_roots}
-        for r in rs.positive_roots:
-            out[tuple(-c for c in r.fund_coords)] = 1
-        out[_zero(rs)] = rs.rank
-        return out
+        roots = [pack(r.fund_coords) for r in rs.positive_roots]
+        q, n, h = dict.fromkeys(roots, 1), {-r: 1 for r in roots}, {0: rs.rank}
+        return {"n": n, "h": h, "b": {**n, **h}, "q": q,
+                "g": {**q, **n, **h}}[expr.kind]
     if isinstance(expr, Line):
         if len(expr.coords) != rs.rank:
             raise InvalidWeight(
                 f"line weight has {len(expr.coords)} coordinates; rank is {rs.rank}")
-        return {expr.coords: 1}
+        return {pack(expr.coords): 1}
     if isinstance(expr, Tensor):
-        acc = _eval(rs, expr.factors[0], budget)
+        acc = _eval(rs, expr.factors[0], budget, pack)
         for f in expr.factors[1:]:
-            factor = _eval(rs, f, budget)
+            factor = _eval(rs, f, budget, pack)
             budget.charge(1 + len(acc) * len(factor))
-            acc = _kernels.convolve(acc, factor)
+            acc = _convolve_packed(acc, factor)
         return acc
     if isinstance(expr, Sum):
         acc: dict = {}
         for t in expr.terms:
-            term = _eval(rs, t, budget)
+            term = _eval(rs, t, budget, pack)
             budget.charge(len(term))
-            _merge(acc, term)
+            for w, c in term.items():
+                acc[w] = acc.get(w, 0) + c
         return acc
     if isinstance(expr, Power):
-        acc = {_zero(rs): 1}
-        base = _eval(rs, expr.base, budget)
+        acc = {0: 1}
+        base = _eval(rs, expr.base, budget, pack)
         budget.charge(expr.exponent)  # one convolution call per step
         # acc only grows, so every later step costs at least as much.
         for step in range(expr.exponent):
             pairs = len(acc) * len(base)
             budget.charge(pairs, ahead=pairs * (expr.exponent - step - 1))
-            acc = _kernels.convolve(acc, base)
+            acc = _convolve_packed(acc, base)
         return acc
-    if isinstance(expr, Wedge):
-        return _graded_power(rs, _eval(rs, expr.inner, budget), expr.degree,
-                             symmetric=False, budget=budget)
-    if isinstance(expr, Sym):
-        return _graded_power(rs, _eval(rs, expr.inner, budget), expr.degree,
-                             symmetric=True, budget=budget)
+    # Wedge or Sym: ``_bound`` has refused any other node.
+    return _graded_power(_eval(rs, expr.inner, budget, pack), expr.degree,
+                         symmetric=isinstance(expr, Sym), budget=budget)
+
+
+def _bound(rs: RootSystem, expr: Expr) -> int:
+    """Bound on |coordinate| over the weights of ``expr`` and of each of its
+    subexpressions, so one packed width serves a whole evaluation.  A zero
+    exponent or degree still evaluates its operand, hence ``max(k, 1)``."""
+    if isinstance(expr, Atom):
+        return 0 if expr.kind == "h" else max(
+            abs(c) for r in rs.positive_roots for c in r.fund_coords)
+    if isinstance(expr, Line):
+        return max(map(abs, expr.coords), default=0)
+    if isinstance(expr, Tensor):
+        return sum(_bound(rs, f) for f in expr.factors)
+    if isinstance(expr, Sum):
+        return max((_bound(rs, t) for t in expr.terms), default=0)
+    if isinstance(expr, Power):
+        return max(expr.exponent, 1) * _bound(rs, expr.base)
+    if isinstance(expr, (Wedge, Sym)):
+        return max(expr.degree, 1) * _bound(rs, expr.inner)
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -402,7 +398,9 @@ def weights(rs: RootSystem, expr: Expr | str) -> WeightMultiset:
     """
     if isinstance(expr, str):
         expr = parse(expr)
-    return WeightMultiset(_eval(rs, expr, _Budget()))
+    pack, unpack = _packer(rs.rank, _bound(rs, expr))
+    out = _eval(rs, expr, _Budget(), pack)
+    return WeightMultiset(dict(zip(unpack(out), out.values())))
 
 
 def dim(rs: RootSystem, expr: Expr | str) -> int:

@@ -94,6 +94,8 @@ def _cmd_roots(rs: RootSystem | None, args) -> _Output:
 
 def _cmd_weyl(rs: RootSystem | None, args) -> _Output:
     if args.word is None:
+        if args.weight is not None:
+            raise InputError("--weight needs --word: the word to act by")
         counts = sorted(weyl.poincare_counts(rs).items())
         payload = {"order": sum(v for _, v in counts),
                    "by_length": {str(k): v for k, v in counts}}
@@ -518,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("weyl", help="word reduction, actions, enumeration")
     _add_common(p)
     p.add_argument("--word", help="comma-separated 1-based letters, e.g. 1,2")
-    p.add_argument("--weight", help="f:c1,c2,... or r:p/q,...")
+    p.add_argument("--weight", help="f:c1,c2,... or r:p/q,...; needs --word")
     p.set_defaults(fn=_cmd_weyl)
 
     p = subs.add_parser("bwb", help="line-bundle cohomology")

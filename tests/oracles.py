@@ -11,7 +11,9 @@ meant for small inputs only.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 from bottnull import _kernels, bundles, repthy, weyl
@@ -165,6 +167,46 @@ def convolved_cell(rs: RootSystem, coh, copies: int, tensor_power: int):
         for w, c in _kernels.convolve(base, char).items():
             content[w] = content.get(w, 0) + copies * mult * c
     return repthy.decompose_multiset(rs, bundles.WeightMultiset(content))
+
+
+# ------------------------------------------------------------- bundles
+
+def _add_pairs(a: Counter, b: Counter) -> Counter:
+    out: Counter = Counter()
+    for (u, cu), (v, cv) in itertools.product(a.items(), b.items()):
+        out[tuple(x + y for x, y in zip(u, v))] += cu * cv
+    return out
+
+
+def expand_weights(rs: RootSystem, expr) -> Counter:
+    """Weight multiset of a bundle expression on tuple keys, with no packing:
+    ``Counter`` products for tensors and powers, and wedge/sym as sums over
+    the k-subsets / k-multisets of the expanded list of weights."""
+    if isinstance(expr, bundles.Atom):
+        pos = Counter(r.fund_coords for r in rs.positive_roots)
+        neg = Counter(tuple(-c for c in w) for w in pos)
+        h = Counter({(0,) * rs.rank: rs.rank})
+        return {"n": neg, "h": h, "b": neg + h, "q": pos,
+                "g": pos + neg + h}[expr.kind]
+    if isinstance(expr, bundles.Line):
+        assert len(expr.coords) == rs.rank
+        return Counter({expr.coords: 1})
+    if isinstance(expr, bundles.Sum):
+        return sum((expand_weights(rs, t) for t in expr.terms), Counter())
+    if isinstance(expr, bundles.Tensor):
+        factors = [expand_weights(rs, f) for f in expr.factors]
+    elif isinstance(expr, bundles.Power):
+        factors = [expand_weights(rs, expr.base)] * expr.exponent
+    else:
+        expanded = list(expand_weights(rs, expr.inner).elements())
+        picks = (itertools.combinations if isinstance(expr, bundles.Wedge)
+                 else itertools.combinations_with_replacement)
+        return Counter(tuple(sum(w[i] for w in pick) for i in range(rs.rank))
+                       for pick in picks(expanded, expr.degree))
+    acc = Counter({(0,) * rs.rank: 1})
+    for f in factors:
+        acc = _add_pairs(acc, f)
+    return +acc
 
 
 # ------------------------------------------------------------- root data

@@ -4,8 +4,9 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from bottnull import bundles
 from bottnull.bundles import Atom, Line, Power, Sum, Sym, Tensor, Wedge
 from bottnull.errors import (ExprSyntaxError, InvalidWeight, SizeCapExceeded,
@@ -201,17 +202,56 @@ def test_wedge_and_sym_of_lines_match_combinations(case):
         assert bundles.weights(rs, f"{op}^{k}({text})") == dict(oracle)
 
 
+def _trees(rank):
+    """Expression trees of all seven node kinds over rank-``rank`` lines."""
+    leaves = st.one_of(st.sampled_from([Atom(k) for k in bundles.ATOMS]),
+                       st.tuples(*[_COORD] * rank).map(Line))
+    k = st.integers(0, 3)
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda fs: Tensor(tuple(fs))),
+        st.lists(kids, min_size=2, max_size=3).map(lambda ts: Sum(tuple(ts))),
+        st.builds(Power, kids, k),
+        st.builds(Wedge, k, kids),
+        st.builds(Sym, k, kids)), max_leaves=5)
+
+
+def _subexpressions(expr):
+    yield expr
+    for child in getattr(expr, "factors", getattr(expr, "terms", ())):
+        yield from _subexpressions(child)
+    for child in (getattr(expr, "base", None), getattr(expr, "inner", None)):
+        if child is not None:
+            yield from _subexpressions(child)
+
+
+@st.composite
+def _system_and_tree(draw):
+    family, rank = draw(st.sampled_from([("A", 1), ("A", 2), ("B", 2), ("A", 3)]))
+    return build_root_system(family, rank), draw(_trees(rank))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_system_and_tree())
+def test_weights_match_the_unpacked_oracle(case):
+    # One packed width serves a whole evaluation, so it must bound every
+    # subexpression: wide lines through sums, tensors, powers, wedge and sym.
+    rs, expr = case
+    # The oracle expands wedge and sym weight by weight.
+    assume(all(bundles.dim(rs, e) <= 2000 for e in _subexpressions(expr)))
+    assert bundles.weights(rs, expr) == oracles.expand_weights(rs, expr)
+
+
 def test_power_past_the_cap_stops_after_six_convolutions(monkeypatch):
     # The look-ahead charge of a power assumes the accumulated multiset
     # stops growing, so b^9 on A7 is refused only before its seventh step.
     calls = []
-    real = bundles._kernels.convolve
+    real = bundles._convolve_packed
 
     def counting(a, b):
         calls.append(len(a) * len(b))
         return real(a, b)
 
-    monkeypatch.setattr(bundles._kernels, "convolve", counting)
+    monkeypatch.setattr(bundles, "_convolve_packed", counting)
     with pytest.raises(SizeCapExceeded):
         bundles.weights(build_root_system("A", 7), "b^9")
     assert len(calls) == 6
@@ -284,6 +324,8 @@ def test_cost_cap_charges_terms_not_dimension():
     assert bundles.dim(rs, text) > bundles.COST_CAP
     assert bundles.weights(rs, text).total_dim == bundles.dim(rs, text)
     # The largest benchmark expression stays well under the cap.
+    a7, b4 = build_root_system("A", 7), bundles.parse("b^4")
+    pack, _ = bundles._packer(a7.rank, bundles._bound(a7, b4))
     budget = bundles._Budget()
-    bundles._eval(build_root_system("A", 7), bundles.parse("b^4"), budget)
+    bundles._eval(a7, b4, budget, pack)
     assert budget.spent < bundles.COST_CAP // 10

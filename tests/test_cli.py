@@ -504,6 +504,9 @@ MALFORMED_INPUTS = {
     # Once expanded to a 13-million-bit integer before any check.
     "nullcone-entry-huge-exponent": lambda tmp: _nullcone_doc(
         tmp, {"n": 2, "matrices": [[["0", "1e4000000"], ["0", "0"]]]}),
+    # Once exit 0: the group enumeration, with the weight silently dropped.
+    "weyl-weight-without-word": lambda tmp: [
+        "weyl", "--family", "A", "--rank", "2", "--weight", "f:1,0"],
 }
 
 

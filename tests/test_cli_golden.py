@@ -72,6 +72,16 @@ CORPUS = {
     "dim_bad_expr": "dim --family A --rank 2 --expr b+",
     "weyl_bad_word": "weyl --family A --rank 2 --word 3",
     "nullcone_absent": "nullcone --input absent.json",
+    # The first weight that fails the invariance check names the error, so
+    # these pin the order in which evaluation first meets each weight.
+    "decompose_a3_b2_not_invariant": "decompose --family A --rank 3 --expr b^2",
+    "mult_a2_line_g_not_invariant": ("mult --family A --rank 2 --expr 'L[1,0]*g' "
+                                     "--weight f:0,0"),
+    "decompose_b2_wedge_not_invariant": ("decompose --family B --rank 2 "
+                                         "--expr 'wedge^2(b)+q'"),
+    # A coordinate wider than a machine word, through tensor, wedge and sym.
+    "weights_a2_wide": ("weights --family A --rank 2 --expr "
+                        "'L[100000000000000000000,-3]*wedge^2(b)+sym^2(L[-7,2])'"),
 }
 
 # (family, rank) -> the largest r of the benchmark's verdict range; every

@@ -89,6 +89,7 @@ def test_packed_keys_add_and_round_trip(ws):
     bound = max(abs(c) for w in ws for c in w)
     pack, unpack = _pykernels._packer(len(ws[0]), 2 * bound)
     assert unpack([pack(w) for w in ws]) == ws
+    assert sorted(ws, key=pack) == sorted(ws)  # wedge/sym rely on this order
     sums = [tuple(x + y for x, y in zip(u, v)) for u in ws for v in ws]
     assert unpack([pack(u) + pack(v) for u in ws for v in ws]) == sums
 
