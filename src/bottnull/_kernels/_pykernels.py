@@ -105,14 +105,18 @@ def dot_walk_batch(weights: list, cartan) -> list:
     Returns one entry per input: ``None`` when the shifted weight is singular
     (hits a wall), else ``(length, dominant)`` where ``dominant`` is the
     rho-shifted dominant representative (i.e. the dot-action image under the
-    unique Weyl element of that length).  The sparse simple-root table is
-    built from ``cartan`` once per call.
+    unique Weyl element of that length).  A weight with a coordinate -1
+    (``w + rho`` already on a wall) is ``None`` without a walk.  The sparse
+    simple-root table is built from ``cartan`` once per call.
     """
     rank = len(cartan)
     support = [tuple((i, cartan[i][j]) for i in range(rank) if cartan[i][j])
                for j in range(rank)]
     out = []
     for w in weights:
+        if -1 in w:
+            out.append(None)
+            continue
         mu = [c + 1 for c in w]
         length = len(chamber_walk(mu, support))
         if 0 in mu:

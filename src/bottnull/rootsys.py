@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
+from math import prod
 from typing import Sequence
 
 from .errors import NonIntegralWeight, UnsupportedFamilyRank
@@ -109,22 +110,44 @@ class RootSystem:
                      for col in self.simple_fund_columns)
 
     @cached_property
+    def dot_walk_memo(self) -> dict[Weight, tuple[int, Weight] | None]:
+        """``weyl.dot_dominantize_batch``'s results on this root system:
+        weight -> None (singular) or (length, dominant)."""
+        return {}
+
+    @cached_property
     def _cartan_inverse(self) -> tuple[tuple[Q, ...], ...]:
         return mat_inverse(self.cartan)
 
     @cached_property
-    def _weyl_factors(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Per positive root alpha, the coefficients c with (lam, alpha) =
-        sum_i c_i lam_i; and the product of (rho, alpha) over all of them."""
-        coeffs = tuple(tuple(rc * d for rc, d in zip(r.root_coords, self.symmetrizer))
-                       for r in self.positive_roots)
-        den = 1
-        for c in coeffs:
-            den *= sum(c)
-        return coeffs, den
+    def _weyl_chain(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """Per non-simple positive root, in height order, ``(parent, j)``:
+        the root is ``positive_roots[parent] + alpha_{j+1}``.  Also the
+        product of (rho, alpha) over all positive roots."""
+        index = {r.root_coords: k for k, r in enumerate(self.positive_roots)}
+        steps = []
+        for r in self.positive_roots[self.rank:]:
+            rc = r.root_coords
+            for j in range(self.rank):
+                parent = rc[:j] + (rc[j] - 1,) + rc[j + 1:]
+                if parent in index:
+                    steps.append((index[parent], j))
+                    break
+        steps = tuple(steps)
+        # (rho, alpha_j) = d_j.
+        return steps, _chain_product(steps, self.symmetrizer)
 
     def describe(self) -> dict:
         return {"family": self.family, "rank": self.rank}
+
+
+def _chain_product(steps, simple_pairings) -> int:
+    """Product of (mu, alpha) over the positive roots, from the pairings
+    (mu, alpha_j) with the simple roots and the chain ``steps``."""
+    pairings = list(simple_pairings)
+    for parent, j in steps:
+        pairings.append(pairings[parent] + pairings[j])
+    return prod(pairings)
 
 
 @lru_cache(maxsize=None)
@@ -183,11 +206,10 @@ def weyl_product(rs: RootSystem, lam: Sequence[int]) -> int:
     otherwise (-1)^l(w) dim L(w . lam) for the w that makes w . lam
     dominant, so dim L(lam) for dominant lam (Weyl dimension formula).
     """
-    coeffs, den = rs._weyl_factors
-    shifted = [c + 1 for c in lam]
-    num = 1
-    for c in coeffs:
-        num *= sum(ci * x for ci, x in zip(c, shifted))
+    steps, den = rs._weyl_chain
+    # (lam + rho, alpha_j) = d_j (lam + rho)_j, since (omega_i, alpha_j) =
+    # d_j delta_ij; every other pairing is one addition along the chain.
+    num = _chain_product(steps, [d * (c + 1) for d, c in zip(rs.symmetrizer, lam)])
     val, rem = divmod(num, den)
     assert rem == 0
     return val

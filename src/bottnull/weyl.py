@@ -60,7 +60,12 @@ class DominanceResult:
 
 
 def to_dominant(rs: RootSystem, weight: Sequence[int]) -> DominanceResult:
-    """Chamber walk on ``weight + rho``, flipping the smallest negative index."""
+    """Chamber walk on ``weight + rho``, flipping the smallest negative index.
+
+    A coordinate -1 puts ``weight + rho`` on a wall already: singular, no walk.
+    """
+    if -1 in weight:
+        return DominanceResult(singular=True)
     mu = [c + 1 for c in weight]
     letters = chamber_walk(mu, rs.simple_root_support)
     if 0 in mu:
@@ -171,8 +176,23 @@ def order(rs: RootSystem) -> int:
 def dot_dominantize_batch(
     rs: RootSystem, weights: Iterable[Weight]
 ) -> list[tuple[int, Weight] | None]:
-    """Batch form of to_dominant without words: None (singular) or (length, dominant)."""
-    return _kernels.dot_walk_batch(list(weights), rs.cartan)
+    """Batch form of to_dominant without words: None (singular) or (length,
+    dominant), one entry per input weight (a tuple), in input order.
+
+    Results are memoized in ``rs.dot_walk_memo``, which lives as long as
+    ``rs`` (one per family and rank per process: ``build_root_system`` is
+    cached) and holds one entry per distinct weight ever walked on it
+    (about 180 bytes each), with no size cap.  Only the distinct weights
+    missing from the memo are walked, in one ``_kernels.dot_walk_batch``
+    call.
+    """
+    memo = rs.dot_walk_memo
+    weights = list(weights)
+    misses = [w for w in weights if w not in memo]
+    if misses:
+        misses = list(dict.fromkeys(misses))
+        memo.update(zip(misses, _kernels.dot_walk_batch(misses, rs.cartan)))
+    return [memo[w] for w in weights]
 
 
 def linear_dominant(rs: RootSystem, weight: Sequence[int]) -> Weight:

@@ -4,8 +4,8 @@ Everything here recomputes results by a different algorithm than the
 package: characters by division of alternating sums, decompositions by
 iterated highest-weight stripping, page cells by convolving full
 characters, null-cone membership by brute-force word products, root data
-from sympy's ``liealgebras``.  Slow but simple;
-meant for small inputs only.
+from sympy's ``liealgebras``, Weyl products from the invariant form.  Slow
+but simple; meant for small inputs only.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction as Q
 
 from bottnull import _kernels, bundles, repthy, weyl
-from bottnull.rootsys import RootSystem, weight_to_root_coords
+from bottnull.rootsys import RootSystem, invariant_form, weight_to_root_coords
 
 Weight = tuple[int, ...]
 
@@ -81,6 +81,18 @@ def _alternating_orbit(rs: RootSystem, shifted: Weight) -> dict[Weight, int]:
         sign = -1 if len(word) % 2 else 1
         acc[img] = acc.get(img, 0) + sign
     return {w: c for w, c in acc.items() if c}
+
+
+def weyl_product_by_form(rs: RootSystem, lam: Weight) -> Q:
+    """prod over positive roots alpha of (lam+rho, alpha) / (rho, alpha),
+    each factor from ``invariant_form`` on the root's fundamental
+    coordinates (through the inverse Cartan matrix)."""
+    shifted = tuple(c + 1 for c in lam)
+    val = Q(1)
+    for root in rs.positive_roots:
+        val *= (invariant_form(rs, shifted, root.fund_coords)
+                / invariant_form(rs, rs.rho, root.fund_coords))
+    return val
 
 
 def weyl_numerator(rs: RootSystem, counts: dict[Weight, int]) -> dict[Weight, int]:

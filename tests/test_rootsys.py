@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -176,3 +177,21 @@ def test_parse_and_format_weights():
 def test_describe():
     rs = build_root_system("B", 2)
     assert rs.describe() == {"family": "B", "rank": 2}
+
+
+@pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 8)]
+                         + [("B", 2)])
+def test_weyl_product_matches_invariant_form_oracle(family, rank):
+    rs = build_root_system(family, rank)
+    rng = random.Random(rank)
+    weights = [tuple(rng.randint(-5, 5) for _ in range(rank))
+               for _ in range(150)]
+    # Singular ones: a coordinate -1 puts lam + rho on a simple wall, and
+    # (-3, 1, ..., 1) has lam + rho on the wall of alpha_1 + alpha_2 (type A)
+    # or of 2 alpha_1 + alpha_2 (B2) only.
+    weights += [(-1,) + w[1:] for w in weights[:20]]
+    if rank >= 2:
+        weights.append((-3,) + (1,) * (rank - 1))
+    values = [rootsys.weyl_product(rs, lam) for lam in weights]
+    assert values == [oracles.weyl_product_by_form(rs, lam) for lam in weights]
+    assert 0 in values and any(values)

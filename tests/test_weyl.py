@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from bottnull import weyl
+from bottnull._kernels import _pykernels
 from bottnull.errors import InputError, NotDominant
 from bottnull.rootsys import build_root_system, coroot_pairing, invariant_form
 
@@ -213,6 +215,64 @@ def test_dot_dominantize_batch_matches_scalar():
                 assert out is None
             else:
                 assert out == (res.length, res.dominant)
+
+
+def _cold(family, rank):
+    """A root system equal to the cached one, with an empty walk memo."""
+    return dataclasses.replace(build_root_system(family, rank))
+
+
+def _scalar(rs, lam):
+    res = weyl.to_dominant(rs, lam)
+    return None if res.singular else (res.length, res.dominant)
+
+
+@pytest.mark.parametrize("family,rank", SUPPORTED)
+def test_dot_dominantize_batch_cold_warm_and_scalar_agree(family, rank):
+    rs = _cold(family, rank)
+    rng = random.Random(rank)
+    weights = [tuple(rng.randint(-6, 6) for _ in range(rank))
+               for _ in range(200)]
+    cold = weyl.dot_dominantize_batch(rs, weights)
+    assert len(rs.dot_walk_memo) == len(set(weights))
+    warm = weyl.dot_dominantize_batch(rs, reversed(weights))
+    assert cold == warm[::-1] == [_scalar(rs, lam) for lam in weights]
+    assert None in cold and any(cold)
+
+
+def test_dot_dominantize_batch_walks_each_distinct_miss_once(monkeypatch):
+    rs = _cold("A", 3)
+    a, b, c = (-2, 1, 0), (0, -1, 3), (1, 1, -4)
+    walked = []
+
+    def recording(weights, cartan):
+        walked.append(list(weights))
+        return _pykernels.dot_walk_batch(weights, cartan)
+
+    monkeypatch.setattr(weyl._kernels, "dot_walk_batch", recording)
+    batch = [a, b, a, c, b, a]
+    assert weyl.dot_dominantize_batch(rs, batch) == \
+        [_scalar(rs, lam) for lam in batch]
+    assert walked == [[a, b, c]]
+    assert weyl.dot_dominantize_batch(rs, [c, a, c]) == \
+        [_scalar(rs, lam) for lam in (c, a, c)]
+    assert weyl.dot_dominantize_batch(rs, []) == []
+    assert walked == [[a, b, c]]
+
+
+def test_dot_walk_memo_is_per_root_system():
+    a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
+    assert a2.dot_walk_memo is not b2.dot_walk_memo
+    grid = [(x, y) for x in range(-4, 4) for y in range(-4, 4)]
+    # Either order of first use: A2 then B2, then B2 then A2 on cold copies.
+    for first, second in [(a2, b2), (_cold("B", 2), _cold("A", 2))]:
+        for rs in (first, second):
+            assert weyl.dot_dominantize_batch(rs, grid) == \
+                [_scalar(rs, lam) for lam in grid]
+    differ = [lam for lam in grid if _scalar(a2, lam) != _scalar(b2, lam)]
+    assert differ
+    for lam in differ:
+        assert a2.dot_walk_memo[lam] != b2.dot_walk_memo[lam]
 
 
 @st.composite
