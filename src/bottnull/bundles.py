@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from ._kernels._pykernels import _convolve_packed, _packer
 from .errors import ExprSyntaxError, InvalidWeight, SizeCapExceeded, UnknownAtom
@@ -29,6 +29,11 @@ ATOMS = ("n", "h", "b", "g", "q")
 # Most weight terms one evaluation may touch (see ``_Budget``); every command
 # that evaluates an expression goes through ``weights``.
 COST_CAP = 5_000_000
+
+# Deepest nesting of parentheses and wedge/sym operands that ``parse``
+# accepts, so that evaluating, hashing and printing a parsed tree never
+# exhausts Python's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,7 @@ class _Parser:
             pos = m.end()
         self.tokens.append(("end", "", len(text)))
         self.idx = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -144,19 +150,27 @@ class _Parser:
             raise ExprSyntaxError("expected a non-negative integer", pos)
         return value
 
+    def nested(self, pos: int) -> Expr:
+        """The parenthesized operand of the ``(``, ``wedge`` or ``sym`` at
+        ``pos``, one nesting level deeper than the current one."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
+
     def primary(self) -> Expr:
         kind, text, pos = self.next()
         if text == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
+            return self.nested(pos)
         if kind == "name":
             if text in ("wedge", "sym"):
                 self.expect("^")
                 k = self.uint()
                 self.expect("(")
-                inner = self.expr()
-                self.expect(")")
+                inner = self.nested(pos)
                 return Wedge(k, inner) if text == "wedge" else Sym(k, inner)
             if text == "L":
                 self.expect("[")
@@ -401,6 +415,23 @@ def weights(rs: RootSystem, expr: Expr | str) -> WeightMultiset:
     pack, unpack = _packer(rs.rank, _bound(rs, expr))
     out = _eval(rs, expr, _Budget(), pack)
     return WeightMultiset(dict(zip(unpack(out), out.values())))
+
+
+def memoized(rs: RootSystem, kind: str, expr: Expr | str,
+             answer: Callable[[RootSystem, WeightMultiset], object]):
+    """``answer(rs, weights(rs, expr))``, kept in ``rs.expr_memo`` under
+    ``(kind, parse(expr))``: a text and its parsed tree share one entry, and
+    each is evaluated once per root system for the life of the process.
+    An error (``SizeCapExceeded``, ``InvalidWeight``, ``NotAGModule``, ...)
+    propagates and is not stored, so a repeat raises it again."""
+    if isinstance(expr, str):
+        expr = parse(expr)
+    key = (kind, expr)
+    memo = rs.expr_memo
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = answer(rs, weights(rs, expr))
+    return out
 
 
 def dim(rs: RootSystem, expr: Expr | str) -> int:

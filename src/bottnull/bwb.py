@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 from operator import add, sub
 
 from . import weyl
-from .bundles import Expr, WeightMultiset, weights
+from .bundles import Expr, WeightMultiset, memoized, weights
 from .errors import CheckFailed
 from .rootsys import RootSystem, Weight, invariant_form, weyl_product
 
@@ -77,8 +77,19 @@ class PotentialSupport:
 
 
 def psupp(rs: RootSystem, expr: Expr | str | WeightMultiset) -> PotentialSupport:
-    """Potential support of H^*(X, E): every weight of E pushed through BWB."""
-    ws = expr if isinstance(expr, WeightMultiset) else weights(rs, expr)
+    """Potential support of H^*(X, E): every weight of E pushed through BWB.
+
+    The answer for an expression (text or parsed tree) is memoized per root
+    system for the life of the process (``bundles.memoized``), so a repeat
+    evaluates and walks nothing; a ``WeightMultiset`` is answered afresh on
+    every call and never stored.
+    """
+    if isinstance(expr, WeightMultiset):
+        return _potential_support(rs, expr)
+    return memoized(rs, "psupp", expr, _potential_support)
+
+
+def _potential_support(rs: RootSystem, ws: WeightMultiset) -> PotentialSupport:
     items = ws.sorted_items()
     walked = weyl.dot_dominantize_batch(rs, [w for w, _ in items])
     acc: dict[int, dict[Weight, int]] = {}

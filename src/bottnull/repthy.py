@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 from itertools import product
 
 from . import bwb, weyl
-from .bundles import Expr, WeightMultiset, _WeightMap, weights
+from .bundles import Expr, WeightMultiset, _WeightMap, memoized, weights
 from .errors import NotAGModule, NotDominant
 from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
@@ -104,9 +104,16 @@ def alternating_module(ps: bwb.PotentialSupport) -> FormalGModule:
 
 def decompose(rs: RootSystem, expr: Expr | str | WeightMultiset) -> FormalGModule:
     """Decomposition into irreducibles of the G-module with the expression's
-    weight multiset; sum of mult * weyl_dim equals the total dimension."""
-    ws = expr if isinstance(expr, WeightMultiset) else weights(rs, expr)
-    return decompose_multiset(rs, ws, check=True)
+    weight multiset; sum of mult * weyl_dim equals the total dimension.
+
+    The answer for an expression (text or parsed tree) is memoized per root
+    system for the life of the process (``bundles.memoized``), so the
+    Weyl-invariance check runs once per expression; ``NotAGModule`` is not
+    stored.  A ``WeightMultiset`` is checked and decomposed on every call.
+    """
+    if isinstance(expr, WeightMultiset):
+        return decompose_multiset(rs, expr)
+    return memoized(rs, "decompose", expr, decompose_multiset)
 
 
 def _dominant_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:

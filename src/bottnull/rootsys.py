@@ -116,6 +116,13 @@ class RootSystem:
         return {}
 
     @cached_property
+    def expr_memo(self) -> dict[tuple[str, object], object]:
+        """``bundles.memoized``'s answers on this root system: (kind, parsed
+        expression) -> the ``bwb.PotentialSupport`` of kind ``"psupp"`` or
+        the ``repthy.FormalGModule`` of kind ``"decompose"``."""
+        return {}
+
+    @cached_property
     def _cartan_inverse(self) -> tuple[tuple[Q, ...], ...]:
         return mat_inverse(self.cartan)
 

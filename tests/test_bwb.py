@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from bottnull import bundles, bwb, weyl
-from bottnull.errors import CheckFailed
-from bottnull.rootsys import build_root_system, coroot_pairing
+from bottnull.bundles import WeightMultiset
+from bottnull.errors import CheckFailed, InvalidWeight, SizeCapExceeded
+from bottnull.rootsys import A_RANKS, build_root_system, coroot_pairing
 
 
 def test_line_cohomology_dominant():
@@ -194,7 +198,10 @@ def test_potential_support_equality_and_views():
 
 
 def _flag_one_sum(monkeypatch, target):
-    """Make the batch walk report -target as a nontrivial dominant weight."""
+    """Make the batch walk report -target as a nontrivial dominant weight.
+
+    Its tests take ``cold_memos``: ``psupp`` reaches the patched walk only
+    for an expression that no earlier test left in the answer memo."""
     real = weyl.dot_dominantize_batch
     seen = []
 
@@ -214,6 +221,7 @@ def _root_sum(rank, subset):
     return tuple(sum(r[j] for r in subset) for j in range(rank))
 
 
+@pytest.mark.usefixtures("cold_memos")
 def test_distinct_roots_maps_a_flagged_sum_to_its_subsets(monkeypatch):
     rs = build_root_system("A", 3)
     roots = [r.fund_coords for r in rs.positive_roots]
@@ -232,6 +240,7 @@ def test_distinct_roots_maps_a_flagged_sum_to_its_subsets(monkeypatch):
     assert seen == [len(distinct)]
 
 
+@pytest.mark.usefixtures("cold_memos")
 def test_distinct_roots_sampled_maps_a_flagged_sum(monkeypatch):
     rs = build_root_system("A", 6)
     n = len(rs.positive_roots)
@@ -247,8 +256,96 @@ def test_distinct_roots_sampled_maps_a_flagged_sum(monkeypatch):
                                    if _root_sum(6, s) == target]
 
 
+@pytest.mark.usefixtures("cold_memos")
 def test_distinct_roots_a5_walks_2932_sums(monkeypatch):
     seen = _flag_one_sum(monkeypatch, (99,) * 5)
     rep = bwb.distinct_roots_check(build_root_system("A", 5))
     assert rep.subsets_checked == 2 ** 15 and rep.violations == ()
     assert seen == [2932]
+
+
+# ------------------------------------------------------------- answer memo
+
+SYSTEMS = [("A", r) for r in A_RANKS] + [("B", 2)]
+POOL = ("b", "b^2", "b^3", "g", "g^2", "n*q", "wedge^2(n)", "wedge^2(g)",
+        "sym^2(q)", "sym^3(q)", "b^2+wedge^2(n)", "g+wedge^2(g)")
+
+
+@st.composite
+def _system_and_pool_expr(draw):
+    """A supported root system and a pool expression of dimension at most
+    2000 on it (``oracles.expand_weights`` expands wedge and sym pick by
+    pick), or a line times ``b^k``."""
+    family, rank = draw(st.sampled_from(SYSTEMS))
+    rs = build_root_system(family, rank)
+    line = "L[" + ",".join(map(str, draw(st.tuples(
+        *[st.integers(-3, 3)] * rank)))) + "]"
+    pool = [e for e in POOL if bundles.dim(rs, e) <= 2000]
+    pool += [f"{line}*b^{k}" for k in (1, 2) if bundles.dim(rs, f"b^{k}") <= 2000]
+    return family, rank, draw(st.sampled_from(pool))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_system_and_pool_expr())
+def test_memo_answers_match_the_unpacked_oracle(case):
+    family, rank, text = case
+    cold = dataclasses.replace(build_root_system(family, rank))
+    first = bwb.psupp(cold, text)
+    assert bwb.psupp(cold, text) is first
+    warm = bwb.psupp(build_root_system(family, rank), text)
+    oracle = WeightMultiset(oracles.expand_weights(cold, bundles.parse(text)))
+    assert first == warm == bwb.psupp(cold, oracle)
+
+
+def test_text_and_parsed_expression_share_one_entry(cold_memos, monkeypatch):
+    rs = build_root_system("A", 3)
+    evaluated = []
+    real = bundles.weights
+    monkeypatch.setattr(bundles, "weights",
+                        lambda rs, expr: evaluated.append(expr) or real(rs, expr))
+    ps = bwb.psupp(rs, "b^2")
+    assert bwb.psupp(rs, bundles.parse("b^2")) is ps
+    assert bwb.psupp(rs, " b ^ 2 ") is ps
+    assert evaluated == [bundles.parse("b^2")]
+    assert rs.expr_memo == {("psupp", bundles.parse("b^2")): ps}
+    # A different text for the same bundle is a different entry.
+    assert bwb.psupp(rs, "(n+h)^2") == ps and len(rs.expr_memo) == 2
+
+
+def test_memos_are_per_root_system(cold_memos):
+    a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
+    assert a2.expr_memo is not b2.expr_memo
+    # One key, two root systems: each answers its own.
+    a, b = bwb.psupp(a2, "sym^2(q)"), bwb.psupp(b2, "sym^2(q)")
+    assert a != b
+    assert a2.expr_memo == {("psupp", bundles.parse("sym^2(q)")): a}
+    assert b2.expr_memo == {("psupp", bundles.parse("sym^2(q)")): b}
+    # A copy of a cached root system starts with an empty memo of its own.
+    copy = dataclasses.replace(a2)
+    assert copy.expr_memo == {} and bwb.psupp(copy, "sym^2(q)") == a
+    assert copy.expr_memo is not a2.expr_memo
+
+
+def test_weight_multiset_bypasses_the_memo(cold_memos, monkeypatch):
+    rs = build_root_system("A", 2)
+    walks = []
+    real = weyl.dot_dominantize_batch
+    monkeypatch.setattr(weyl, "dot_dominantize_batch",
+                        lambda rs, ws: walks.append(1) or real(rs, ws))
+    ws = bundles.weights(rs, "b^2")
+    assert bwb.psupp(rs, ws) == bwb.psupp(rs, ws) == bwb.psupp(rs, "b^2")
+    assert len(walks) == 3 and len(rs.expr_memo) == 1
+    assert bwb.psupp(rs, "b^2") == bwb.psupp(rs, ws) and len(walks) == 4
+
+
+@pytest.mark.parametrize("rank,text,error", [
+    (1, "b^3000000", SizeCapExceeded),  # refused before its first convolution
+    (2, "b*L[1,0,0]", InvalidWeight),
+])
+def test_errors_are_raised_on_every_call_and_not_stored(cold_memos, rank, text,
+                                                        error):
+    rs = build_root_system("A", rank)
+    for _ in range(2):
+        with pytest.raises(error):
+            bwb.psupp(rs, text)
+    assert rs.expr_memo == {}

@@ -507,6 +507,13 @@ MALFORMED_INPUTS = {
     # Once exit 0: the group enumeration, with the weight silently dropped.
     "weyl-weight-without-word": lambda tmp: [
         "weyl", "--family", "A", "--rank", "2", "--weight", "f:1,0"],
+    # Once a RecursionError traceback from the parser.
+    "expr-nested-300-parens": lambda tmp: [
+        "psupp", "--family", "A", "--rank", "2",
+        "--expr", "(" * 300 + "b" + ")" * 300],
+    "expr-nested-250-wedges": lambda tmp: [
+        "psupp", "--family", "A", "--rank", "2",
+        "--expr", "wedge^1(" * 250 + "b" + ")" * 250],
 }
 
 
@@ -519,6 +526,41 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("bottnull: error: ")
+
+
+def _nested(levels):
+    """An expression ``levels`` deep whose tree grows by three or four nodes
+    per level (sum, tensor, power, and a wedge at every other level)."""
+    text = "b"
+    for i in range(levels):
+        text = (f"wedge^1({text}^1*h^1+L[0,0]*h^0)" if i % 2
+                else f"({text}^1*L[0,0]^1+h^0)")
+    return text
+
+
+def test_nesting_is_refused_past_100_levels(capsys):
+    code, out, err = run_cli(capsys, ["dim", "--family", "A", "--rank", "2",
+                                      "--expr", "(" * 101 + "b" + ")" * 101])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "bottnull: error: expression nested too deeply (at position 100)"]
+    code, _, err = run_cli(capsys, ["psupp", "--family", "A", "--rank", "2",
+                                    "--expr", _nested(101)])
+    assert code == 1 and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["weights", "psupp", "decompose", "dim"])
+def test_nesting_of_100_levels_runs(capsys, command):
+    # Evaluating, hashing (the memo key) and printing the deepest accepted
+    # tree stay inside Python's recursion limit.  The expression is b plus
+    # trivial terms, so decompose refuses it as a non-module, with exit 2.
+    code, out, err = run_cli(capsys, [command, "--family", "A", "--rank", "2",
+                                      "--expr", _nested(100)])
+    if command == "decompose":
+        assert code == 2 and err.startswith("bottnull: error: weight multiset")
+    else:
+        assert code == 0, err
+        assert json.loads(out)["payload"]["expr"] == _nested(100)
 
 
 def test_user_table_that_validates_gives_a_verdict(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import lru_cache
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from bottnull import bundles, bwb, repthy, weyl
-from bottnull.errors import NotAGModule, NotDominant
-from bottnull.rootsys import build_root_system
+from bottnull.errors import NotAGModule, NotDominant, SizeCapExceeded
+from bottnull.rootsys import A_RANKS, build_root_system
 
 
 def test_weyl_dim_values():
@@ -338,3 +339,78 @@ def test_mult_in_builds_no_words(monkeypatch):
     assert repthy.mult_in(rs, ws, (0,) * 4) == 2
     adjoint = (1, 0, 0, 1)
     assert repthy.mult_in(rs, ws, adjoint) == repthy.decompose(rs, "g^3").get(adjoint)
+
+
+# ------------------------------------------------------------- answer memo
+
+SYSTEMS = [("A", r) for r in A_RANKS] + [("B", 2)]
+# Weyl-invariant pool expressions; sums and products of G-modules.
+G_MODULE_POOL = ("g", "g^2", "g^3", "wedge^2(g)", "wedge^3(g)", "sym^2(g)",
+                 "g+wedge^2(g)", "g*wedge^2(g)", "(n+h+q)^2+h")
+
+
+@st.composite
+def _system_and_module_expr(draw):
+    family, rank = draw(st.sampled_from(SYSTEMS))
+    rs = build_root_system(family, rank)
+    pool = [e for e in G_MODULE_POOL if bundles.dim(rs, e) <= 2000]
+    return family, rank, draw(st.sampled_from(pool))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_system_and_module_expr())
+def test_memo_decompositions_match_the_oracles(case):
+    family, rank, text = case
+    cold = dataclasses.replace(build_root_system(family, rank))
+    first = repthy.decompose(cold, text)
+    assert repthy.decompose(cold, text) is first
+    warm = repthy.decompose(build_root_system(family, rank), text)
+    expanded = bundles.WeightMultiset(
+        oracles.expand_weights(cold, bundles.parse(text)))
+    assert first == warm == repthy.decompose(cold, expanded)
+    assert first.dimension(cold) == expanded.total_dim
+    if len(cold.positive_roots) <= 6:  # the oracle's Weyl sums grow with |W|
+        assert first == oracles.stripping_decompose(cold, expanded)
+
+
+def test_decompose_memo_checks_invariance_once(cold_memos, monkeypatch):
+    rs = build_root_system("A", 3)
+    checked = []
+    real = repthy._check_invariant
+    monkeypatch.setattr(repthy, "_check_invariant",
+                        lambda rs, ws: checked.append(1) or real(rs, ws))
+    mod = repthy.decompose(rs, "wedge^2(g)")
+    assert repthy.decompose(rs, bundles.parse("wedge^2(g)")) is mod
+    assert len(checked) == 1
+    assert rs.expr_memo == {("decompose", bundles.parse("wedge^2(g)")): mod}
+    # decompose and psupp keep separate entries for one expression.
+    bwb.psupp(rs, "wedge^2(g)")
+    assert len(rs.expr_memo) == 2
+    # A weight multiset is checked and decomposed on every call, unstored.
+    ws = bundles.weights(rs, "wedge^2(g)")
+    assert repthy.decompose(rs, ws) == repthy.decompose(rs, ws) == mod
+    assert len(checked) == 3 and len(rs.expr_memo) == 2
+
+
+def test_decompose_memos_are_per_root_system(cold_memos):
+    a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
+    a, b = repthy.decompose(a2, "g"), repthy.decompose(b2, "g")
+    assert a == {(1, 1): 1} and b == {(2, 0): 1}
+    assert a2.expr_memo == {("decompose", bundles.parse("g")): a}
+    assert b2.expr_memo == {("decompose", bundles.parse("g")): b}
+
+
+def test_non_module_is_refused_on_every_call(cold_memos):
+    rs = build_root_system("A", 2)
+    for _ in range(2):
+        with pytest.raises(NotAGModule):
+            repthy.decompose(rs, "b")
+    assert rs.expr_memo == {}
+
+
+def test_past_the_cap_is_refused_on_every_call(cold_memos):
+    rs = build_root_system("A", 1)
+    for _ in range(2):
+        with pytest.raises(SizeCapExceeded):
+            repthy.decompose(rs, "g^3000000")
+    assert rs.expr_memo == {}
