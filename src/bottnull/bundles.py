@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterator, Union
 
 from ._kernels._pykernels import _convolve_packed, _packer
+from ._record import Record
 from .errors import ExprSyntaxError, InvalidWeight, SizeCapExceeded, UnknownAtom
 from .rootsys import RootSystem, Weight
 
@@ -36,45 +36,42 @@ COST_CAP = 5_000_000
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     kind: str  # one of ATOMS
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Record):
     coords: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(Record):
     factors: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Record):
     terms: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Wedge:
+class Wedge(Record):
     degree: int
     inner: "Expr"
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(Record):
     degree: int
     inner: "Expr"
 
 
 Expr = Union[Atom, Line, Tensor, Sum, Power, Wedge, Sym]
+
+# The parser returns one shared node per atom, so comparing two parsed trees
+# (a lookup in ``RootSystem.expr_memo``) finds their atoms identical.
+_ATOM_NODES = {kind: Atom(kind) for kind in ATOMS}
 
 _TOKEN = re.compile(r"(?P<int>-?\d+)|(?P<name>[A-Za-z]+)|(?P<sym>[-+*^()\[\],])")
 
@@ -181,7 +178,7 @@ class _Parser:
                 self.expect("]")
                 return Line(tuple(coords))
             if text in ATOMS:
-                return Atom(text)
+                return _ATOM_NODES[text]
             raise UnknownAtom(text, pos)
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 

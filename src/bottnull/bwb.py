@@ -11,18 +11,17 @@ bundle whose associated graded has weight multiset chi(E).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import add, sub
 
 from . import weyl
+from ._record import Record
 from .bundles import Expr, WeightMultiset, memoized, weights
 from .errors import CheckFailed
 from .rootsys import RootSystem, Weight, invariant_form, weyl_product
 
 
-@dataclass(frozen=True)
-class LineCohomology:
+class LineCohomology(Record):
     """BWB outcome for one line bundle: all-degrees vanishing (singular shifted
     weight) or a single irreducible in one degree."""
 
@@ -118,8 +117,7 @@ def kostant_check(rs: RootSystem, k: int) -> int:
     return expected
 
 
-@dataclass(frozen=True)
-class DistinctRootsReport:
+class DistinctRootsReport(Record):
     """Subsets checked, and the violating subsets (tuples of roots, in the
     order the check visited them)."""
 
@@ -135,8 +133,11 @@ def distinct_roots_check(rs: RootSystem, *, seed: int = 0,
     For every subset S of the positive roots, the line bundle of -sum(S)
     either vanishes in all degrees or contributes the trivial module (its
     dominantization is 0).  Exhaustive when 2^{#roots} is small; otherwise
-    a seeded sample of subsets.  Subsets are bit masks over the positive
-    roots; each distinct sum is dominantized once.
+    a seeded sample of subsets.  Each distinct sum is dominantized once.
+    The exhaustive check builds the distinct sums by adding each root to
+    every sum so far (A5: 2,932 sums for 32,768 subsets); subsets are bit
+    masks over the positive roots, walked only to list the subsets of a
+    flagged sum, or to draw the sample.
     """
     n_roots = len(rs.positive_roots)
     roots = [r.fund_coords for r in rs.positive_roots]
@@ -162,7 +163,13 @@ def distinct_roots_check(rs: RootSystem, *, seed: int = 0,
             prev = mask
             yield mask, total
 
-    distinct = sorted({total for _, total in with_sums(masks())})
+    if exhaustive:
+        sums = {zero}
+        for root in roots:
+            sums |= {tuple(map(add, total, root)) for total in sums}
+    else:
+        sums = {total for _, total in with_sums(masks())}
+    distinct = sorted(sums)
     walked = weyl.dot_dominantize_batch(
         rs, [tuple(-c for c in total) for total in distinct])
     bad = {total for total, res in zip(distinct, walked)

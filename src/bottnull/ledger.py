@@ -13,10 +13,10 @@ are independent of the unknown multiplicities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import comb
 
 from . import _kernels, repthy
+from ._record import Record
 from .bundles import WeightMultiset, weights
 from .bwb import PotentialSupport, psupp
 from .errors import LedgerGap, SizeCapExceeded, ValidationFailure
@@ -33,8 +33,7 @@ RATIONAL_NO = "normalization-not-rational"
 RATIONAL_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Record):
     family: str
     rank: int
     q: int
@@ -201,8 +200,7 @@ def builtin_tables() -> CohomologyTable:
     return t
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     passed: bool
     checked: int
     failures: tuple[str, ...]
@@ -284,8 +282,7 @@ def ensure_valid(table: CohomologyTable) -> None:
         raise ValidationFailure("; ".join(report.failures))
 
 
-@dataclass(frozen=True)
-class PageCell:
+class PageCell(Record):
     """One page cell at (a, b) = (-q, p): copies * g^{tensor (r-q)} * H^p."""
 
     a: int
@@ -304,14 +301,13 @@ class PageCell:
         return self.unresolved or bool(self.coh)
 
 
-@dataclass(frozen=True)
-class EPage:
+class EPage(Record, uncompared=("cells",)):
     """First page of the filtration spectral sequence for r copies."""
 
     family: str
     rank: int
     r: int
-    cells: dict[tuple[int, int], PageCell] = field(compare=False)
+    cells: dict[tuple[int, int], PageCell]
 
     def cell(self, a: int, b: int) -> PageCell | None:
         return self.cells.get((a, b))
@@ -357,8 +353,7 @@ def cell_module(rs: RootSystem, cell: PageCell) -> FormalGModule:
         rs, WeightMultiset(_kernels.convolve(base, shifts)), check=False)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     a: int
     b: int
     module: FormalGModule
@@ -391,8 +386,7 @@ def certain_survivors(page: EPage) -> tuple[Witness, ...]:
     return tuple(witnesses)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     family: str
     rank: int
     r: int

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
+from ._record import Record
 from .errors import InputError, NotStrictlyUpper, NotTraceFree, SingularMatrix
 
 Matrix = tuple[tuple[Q, ...], ...]
@@ -161,8 +161,7 @@ def mat_inverse(m: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Q(d * x, den) for x in row) for row in inv)
 
 
-@dataclass(frozen=True)
-class MatrixTuple:
+class MatrixTuple(Record):
     """An r-tuple (r >= 1) of trace-free n x n rational matrices."""
 
     n: int
@@ -210,8 +209,7 @@ def in_nullcone(t: MatrixTuple) -> bool:
     return not _subspace_chain(t)[-1]
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """Ordered basis b_1..b_n; F_j = span(b_1..b_j) is the invariant flag."""
 
     basis: tuple[Vector, ...]

@@ -9,12 +9,12 @@ coordinates of the simple root alpha_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import prod
 from typing import Sequence
 
+from ._record import Record
 from .errors import NonIntegralWeight, UnsupportedFamilyRank
 from .nullcone import mat_inverse
 
@@ -25,8 +25,7 @@ A_RANKS = range(1, 8)
 B_RANKS = (2,)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Record):
     """A positive root in both coordinate systems."""
 
     root_coords: tuple[int, ...]
@@ -73,8 +72,7 @@ def _positive_roots(cartan, rank):
     return sorted(known, key=lambda rc: (sum(rc), tuple(-c for c in rc)))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """Immutable root-system descriptor for one supported family/rank."""
 
     family: str

@@ -9,12 +9,12 @@ come from one layered breadth-first search and build no words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from ._kernels._pykernels import chamber_walk
+from ._record import Record
 from .errors import InputError, NotDominant
 from .rootsys import RootSystem, Weight
 
@@ -41,8 +41,7 @@ def dot(rs: RootSystem, word: Sequence[int], weight: Sequence[int]) -> Weight:
     return tuple(c - 1 for c in moved)
 
 
-@dataclass(frozen=True)
-class DominanceResult:
+class DominanceResult(Record):
     """Outcome of dominantizing ``weight + rho``.
 
     Singular: the shifted weight lies on a wall.  Regular: ``dominant ==

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bottnull.rootsys import A_RANKS, B_RANKS, build_root_system
+from bottnull.rootsys import A_RANKS, B_RANKS, RootSystem, build_root_system
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -17,3 +17,9 @@ def cold_memos(monkeypatch):
         for rank in ranks:
             monkeypatch.setitem(vars(build_root_system(family, rank)),
                                 "expr_memo", {})
+
+
+def rebuilt(rs: RootSystem) -> RootSystem:
+    """A root system equal to ``rs``, made afresh from its fields, so its
+    memos (``dot_walk_memo``, ``expr_memo``, ...) start empty."""
+    return RootSystem(*(getattr(rs, f) for f in RootSystem._fields))

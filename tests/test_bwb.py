@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import rebuilt
 from bottnull import bundles, bwb, weyl
 from bottnull.bundles import WeightMultiset
 from bottnull.errors import CheckFailed, InvalidWeight, SizeCapExceeded
@@ -264,6 +264,26 @@ def test_distinct_roots_a5_walks_2932_sums(monkeypatch):
     assert seen == [2932]
 
 
+@pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 6)]
+                         + [("B", 2)])
+def test_distinct_roots_walks_each_subset_sum_once(monkeypatch, family, rank):
+    """The exhaustive check's sums, built by closure over the roots, are
+    exactly the sums of the subsets that ``itertools.combinations`` lists."""
+    rs = build_root_system(family, rank)
+    roots = [r.fund_coords for r in rs.positive_roots]
+    oracle = {_root_sum(rank, s) for k in range(len(roots) + 1)
+              for s in itertools.combinations(roots, k)}
+    batches = []
+    real = weyl.dot_dominantize_batch
+    monkeypatch.setattr(weyl, "dot_dominantize_batch",
+                        lambda rs, ws: batches.append(list(ws)) or real(rs, ws))
+    rep = bwb.distinct_roots_check(rs)
+    assert rep.exhaustive and rep.violations == ()
+    assert rep.subsets_checked == 2 ** len(roots)
+    [walked] = batches
+    assert [tuple(-c for c in w) for w in walked] == sorted(oracle)
+
+
 # ------------------------------------------------------------- answer memo
 
 SYSTEMS = [("A", r) for r in A_RANKS] + [("B", 2)]
@@ -289,7 +309,7 @@ def _system_and_pool_expr(draw):
 @given(_system_and_pool_expr())
 def test_memo_answers_match_the_unpacked_oracle(case):
     family, rank, text = case
-    cold = dataclasses.replace(build_root_system(family, rank))
+    cold = rebuilt(build_root_system(family, rank))
     first = bwb.psupp(cold, text)
     assert bwb.psupp(cold, text) is first
     warm = bwb.psupp(build_root_system(family, rank), text)
@@ -321,7 +341,7 @@ def test_memos_are_per_root_system(cold_memos):
     assert a2.expr_memo == {("psupp", bundles.parse("sym^2(q)")): a}
     assert b2.expr_memo == {("psupp", bundles.parse("sym^2(q)")): b}
     # A copy of a cached root system starts with an empty memo of its own.
-    copy = dataclasses.replace(a2)
+    copy = rebuilt(a2)
     assert copy.expr_memo == {} and bwb.psupp(copy, "sym^2(q)") == a
     assert copy.expr_memo is not a2.expr_memo
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from functools import lru_cache
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import rebuilt
 from bottnull import bundles, bwb, repthy, weyl
 from bottnull.errors import NotAGModule, NotDominant, SizeCapExceeded
 from bottnull.rootsys import A_RANKS, build_root_system
@@ -361,7 +361,7 @@ def _system_and_module_expr(draw):
 @given(_system_and_module_expr())
 def test_memo_decompositions_match_the_oracles(case):
     family, rank, text = case
-    cold = dataclasses.replace(build_root_system(family, rank))
+    cold = rebuilt(build_root_system(family, rank))
     first = repthy.decompose(cold, text)
     assert repthy.decompose(cold, text) is first
     warm = repthy.decompose(build_root_system(family, rank), text)

@@ -1,10 +1,10 @@
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import rebuilt
 from bottnull import weyl
 from bottnull._kernels import _pykernels
 from bottnull.errors import InputError, NotDominant
@@ -219,7 +219,7 @@ def test_dot_dominantize_batch_matches_scalar():
 
 def _cold(family, rank):
     """A root system equal to the cached one, with an empty walk memo."""
-    return dataclasses.replace(build_root_system(family, rank))
+    return rebuilt(build_root_system(family, rank))
 
 
 def _scalar(rs, lam):
