@@ -14,7 +14,7 @@ import random
 from fractions import Fraction as Q
 from operator import add, sub
 
-from . import weyl
+from . import _kernels, weyl
 from ._record import Record
 from .bundles import Expr, WeightMultiset, memoized, weights
 from .errors import CheckFailed
@@ -90,7 +90,7 @@ def psupp(rs: RootSystem, expr: Expr | str | WeightMultiset) -> PotentialSupport
 
 def _potential_support(rs: RootSystem, ws: WeightMultiset) -> PotentialSupport:
     items = ws.sorted_items()
-    walked = weyl.dot_dominantize_batch(rs, [w for w, _ in items])
+    walked = _kernels.dot_walk_batch([w for w, _ in items], rs.cartan)
     acc: dict[int, dict[Weight, int]] = {}
     for (_, mult), res in zip(items, walked):
         if res is None:
@@ -170,8 +170,8 @@ def distinct_roots_check(rs: RootSystem, *, seed: int = 0,
     else:
         sums = {total for _, total in with_sums(masks())}
     distinct = sorted(sums)
-    walked = weyl.dot_dominantize_batch(
-        rs, [tuple(-c for c in total) for total in distinct])
+    walked = _kernels.dot_walk_batch(
+        [tuple(-c for c in total) for total in distinct], rs.cartan)
     bad = {total for total, res in zip(distinct, walked)
            if res is not None and res[1] != zero}
     violations = tuple(

@@ -13,6 +13,7 @@ are independent of the unknown multiplicities.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from math import comb
 
 from . import _kernels, repthy
@@ -200,6 +201,14 @@ def builtin_tables() -> CohomologyTable:
     return t
 
 
+@lru_cache(maxsize=None)
+def _builtin() -> CohomologyTable:
+    """The built-in table that ``e_page`` and ``verdict`` read when given no
+    table: built once per process and never handed to a caller, who could
+    mutate it (``builtin_tables()`` returns a fresh one)."""
+    return builtin_tables()
+
+
 class ValidationReport(Record):
     passed: bool
     checked: int
@@ -327,7 +336,7 @@ def e_page(family: str, rank: int, r: int,
     Raises LedgerGap when a needed tensor power lacks table coverage.
     """
     if table is None:
-        table = builtin_tables()
+        table = _builtin()
     build_root_system(family, rank)  # raises UnsupportedFamilyRank
     cells: dict[tuple[int, int], PageCell] = {}
     for q in range(0, r + 1):
@@ -421,7 +430,7 @@ def verdict(family: str, rank: int, r: int,
     the normalization.
     """
     if table is None:
-        table = builtin_tables()
+        table = _builtin()
     if r < 1:
         raise ValueError("r must be >= 1")
     if _vanishing_criterion(table, family, rank):

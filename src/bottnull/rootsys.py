@@ -108,12 +108,6 @@ class RootSystem(Record):
                      for col in self.simple_fund_columns)
 
     @cached_property
-    def dot_walk_memo(self) -> dict[Weight, tuple[int, Weight] | None]:
-        """``weyl.dot_dominantize_batch``'s results on this root system:
-        weight -> None (singular) or (length, dominant)."""
-        return {}
-
-    @cached_property
     def expr_memo(self) -> dict[tuple[str, object], object]:
         """``bundles.memoized``'s answers on this root system: (kind, parsed
         expression) -> the ``bwb.PotentialSupport`` of kind ``"psupp"`` or

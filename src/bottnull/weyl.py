@@ -10,9 +10,8 @@ come from one layered breadth-first search and build no words.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from . import _kernels
 from ._kernels._pykernels import chamber_walk
 from ._record import Record
 from .errors import InputError, NotDominant
@@ -170,28 +169,6 @@ def poincare_counts(rs: RootSystem) -> dict[int, int]:
 
 def order(rs: RootSystem) -> int:
     return sum(poincare_counts(rs).values())
-
-
-def dot_dominantize_batch(
-    rs: RootSystem, weights: Iterable[Weight]
-) -> list[tuple[int, Weight] | None]:
-    """Batch form of to_dominant without words: None (singular) or (length,
-    dominant), one entry per input weight (a tuple), in input order.
-
-    Results are memoized in ``rs.dot_walk_memo``, which lives as long as
-    ``rs`` (one per family and rank per process: ``build_root_system`` is
-    cached) and holds one entry per distinct weight ever walked on it
-    (about 180 bytes each), with no size cap.  Only the distinct weights
-    missing from the memo are walked, in one ``_kernels.dot_walk_batch``
-    call.
-    """
-    memo = rs.dot_walk_memo
-    weights = list(weights)
-    misses = [w for w in weights if w not in memo]
-    if misses:
-        misses = list(dict.fromkeys(misses))
-        memo.update(zip(misses, _kernels.dot_walk_batch(misses, rs.cartan)))
-    return [memo[w] for w in weights]
 
 
 def linear_dominant(rs: RootSystem, weight: Sequence[int]) -> Weight:

@@ -21,5 +21,5 @@ def cold_memos(monkeypatch):
 
 def rebuilt(rs: RootSystem) -> RootSystem:
     """A root system equal to ``rs``, made afresh from its fields, so its
-    memos (``dot_walk_memo``, ``expr_memo``, ...) start empty."""
+    memo (``expr_memo``) starts empty."""
     return RootSystem(*(getattr(rs, f) for f in RootSystem._fields))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import rebuilt
-from bottnull import bundles, bwb, weyl
+from bottnull import _kernels, bundles, bwb, weyl
 from bottnull.bundles import WeightMultiset
 from bottnull.errors import CheckFailed, InvalidWeight, SizeCapExceeded
 from bottnull.rootsys import A_RANKS, build_root_system, coroot_pairing
@@ -202,18 +202,17 @@ def _flag_one_sum(monkeypatch, target):
 
     Its tests take ``cold_memos``: ``psupp`` reaches the patched walk only
     for an expression that no earlier test left in the answer memo."""
-    real = weyl.dot_dominantize_batch
+    real = _kernels.dot_walk_batch
     seen = []
 
-    def patched(rs, weights):
-        weights = list(weights)
+    def patched(weights, cartan):
         seen.append(len(weights))
-        out = real(rs, weights)
+        out = real(weights, cartan)
         bad = tuple(-c for c in target)
-        return [(1, (1,) + (0,) * (rs.rank - 1)) if w == bad else res
+        return [(1, (1,) + (0,) * (len(cartan) - 1)) if w == bad else res
                 for w, res in zip(weights, out)]
 
-    monkeypatch.setattr(weyl, "dot_dominantize_batch", patched)
+    monkeypatch.setattr(_kernels, "dot_walk_batch", patched)
     return seen
 
 
@@ -274,9 +273,9 @@ def test_distinct_roots_walks_each_subset_sum_once(monkeypatch, family, rank):
     oracle = {_root_sum(rank, s) for k in range(len(roots) + 1)
               for s in itertools.combinations(roots, k)}
     batches = []
-    real = weyl.dot_dominantize_batch
-    monkeypatch.setattr(weyl, "dot_dominantize_batch",
-                        lambda rs, ws: batches.append(list(ws)) or real(rs, ws))
+    real = _kernels.dot_walk_batch
+    monkeypatch.setattr(_kernels, "dot_walk_batch",
+                        lambda ws, cartan: batches.append(ws) or real(ws, cartan))
     rep = bwb.distinct_roots_check(rs)
     assert rep.exhaustive and rep.violations == ()
     assert rep.subsets_checked == 2 ** len(roots)
@@ -349,9 +348,9 @@ def test_memos_are_per_root_system(cold_memos):
 def test_weight_multiset_bypasses_the_memo(cold_memos, monkeypatch):
     rs = build_root_system("A", 2)
     walks = []
-    real = weyl.dot_dominantize_batch
-    monkeypatch.setattr(weyl, "dot_dominantize_batch",
-                        lambda rs, ws: walks.append(1) or real(rs, ws))
+    real = _kernels.dot_walk_batch
+    monkeypatch.setattr(_kernels, "dot_walk_batch",
+                        lambda ws, cartan: walks.append(1) or real(ws, cartan))
     ws = bundles.weights(rs, "b^2")
     assert bwb.psupp(rs, ws) == bwb.psupp(rs, ws) == bwb.psupp(rs, "b^2")
     assert len(walks) == 3 and len(rs.expr_memo) == 1

@@ -96,12 +96,14 @@ def test_packed_keys_add_and_round_trip(ws):
 
 def test_dot_walk_agrees_with_scalar_walk():
     rng = random.Random(99)
-    for family, rank in (("A", 2), ("A", 3), ("B", 2)):
+    systems = [("A", rank) for rank in rootsys.A_RANKS] + [("B", 2)]
+    for family, rank in systems:
         rs = rootsys.build_root_system(family, rank)
         weights = [
-            tuple(rng.randint(-9, 9) for _ in range(rank)) for _ in range(200)
+            tuple(rng.randint(-9, 9) for _ in range(rank)) for _ in range(300)
         ]
         batch = kern.dot_walk_batch(weights, rs.cartan)
+        assert None in batch and any(batch)
         for w, res in zip(weights, batch):
             ref = weyl.to_dominant(rs, w)
             if ref.singular:

@@ -348,6 +348,25 @@ def test_verdict_decomposes_only_its_witnesses(monkeypatch):
     assert [(w.a, w.b) for w in v.witnesses] == [(-4, 5)]
 
 
+def test_default_table_is_built_once_and_never_shared(monkeypatch):
+    builds = _spy(monkeypatch, "builtin_tables")
+    ledger._builtin.cache_clear()
+    for _ in range(3):
+        assert verdict("A", 3, 3).normal == ledger.NORMAL_NO
+        assert e_page("A", 5, 4).cell(-4, 5) is not None
+    assert len(builds) == 1
+    # A table from builtin_tables() is the caller's own: its edits (a claimed
+    # H^2(b^2) on A2, a coverage mark for A3 q=4) reach no default call.
+    mine = builtin_tables()
+    mine.add("A", 2, 2, 2, module=repthy.FormalGModule({(0, 0): 1}))
+    mine.mark_complete("A", 3, 4)
+    assert verdict("A", 2, 3, mine).path == "page-scan"
+    assert verdict("A", 2, 3).path == "vanishing-criterion"
+    with pytest.raises(LedgerGap):
+        e_page("A", 3, 4)
+    assert len(builds) == 1
+
+
 def test_block_past_the_cost_cap_is_a_named_failure():
     table = builtin_tables()
     table.mark_complete("A", 1, 3000000)

@@ -199,10 +199,10 @@ def test_root_system_keeps_a_dict_for_its_memos():
     a2 = rootsys.build_root_system("A", 2)
     copy = rebuilt(a2)
     assert copy == a2 and hash(copy) == hash(a2) and copy is not a2
-    assert "dot_walk_memo" not in vars(copy)
-    memo = copy.dot_walk_memo  # a cached_property writes to the instance dict
-    assert vars(copy)["dot_walk_memo"] is memo is copy.dot_walk_memo
-    assert copy.expr_memo is not a2.expr_memo
+    assert "expr_memo" not in vars(copy)
+    memo = copy.expr_memo  # a cached_property writes to the instance dict
+    assert vars(copy)["expr_memo"] is memo is copy.expr_memo
+    assert memo is not a2.expr_memo
     with pytest.raises(FrozenInstanceError):
         copy.rank = 3
 

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import rebuilt
-from bottnull import weyl
-from bottnull._kernels import _pykernels
+from bottnull import _kernels, weyl
 from bottnull.errors import InputError, NotDominant
 from bottnull.rootsys import build_root_system, coroot_pairing, invariant_form
 
@@ -202,79 +200,6 @@ def test_poincare_counts():
         {0: 1, 1: 2, 2: 2, 3: 2, 4: 1}
 
 
-def test_dot_dominantize_batch_matches_scalar():
-    rng = random.Random(5)
-    for family, rank in [("A", 4), ("B", 2)]:
-        rs = build_root_system(family, rank)
-        weights = [tuple(rng.randint(-9, 9) for _ in range(rank))
-                   for _ in range(300)]
-        batch = weyl.dot_dominantize_batch(rs, weights)
-        for lam, out in zip(weights, batch):
-            res = weyl.to_dominant(rs, lam)
-            if res.singular:
-                assert out is None
-            else:
-                assert out == (res.length, res.dominant)
-
-
-def _cold(family, rank):
-    """A root system equal to the cached one, with an empty walk memo."""
-    return rebuilt(build_root_system(family, rank))
-
-
-def _scalar(rs, lam):
-    res = weyl.to_dominant(rs, lam)
-    return None if res.singular else (res.length, res.dominant)
-
-
-@pytest.mark.parametrize("family,rank", SUPPORTED)
-def test_dot_dominantize_batch_cold_warm_and_scalar_agree(family, rank):
-    rs = _cold(family, rank)
-    rng = random.Random(rank)
-    weights = [tuple(rng.randint(-6, 6) for _ in range(rank))
-               for _ in range(200)]
-    cold = weyl.dot_dominantize_batch(rs, weights)
-    assert len(rs.dot_walk_memo) == len(set(weights))
-    warm = weyl.dot_dominantize_batch(rs, reversed(weights))
-    assert cold == warm[::-1] == [_scalar(rs, lam) for lam in weights]
-    assert None in cold and any(cold)
-
-
-def test_dot_dominantize_batch_walks_each_distinct_miss_once(monkeypatch):
-    rs = _cold("A", 3)
-    a, b, c = (-2, 1, 0), (0, -1, 3), (1, 1, -4)
-    walked = []
-
-    def recording(weights, cartan):
-        walked.append(list(weights))
-        return _pykernels.dot_walk_batch(weights, cartan)
-
-    monkeypatch.setattr(weyl._kernels, "dot_walk_batch", recording)
-    batch = [a, b, a, c, b, a]
-    assert weyl.dot_dominantize_batch(rs, batch) == \
-        [_scalar(rs, lam) for lam in batch]
-    assert walked == [[a, b, c]]
-    assert weyl.dot_dominantize_batch(rs, [c, a, c]) == \
-        [_scalar(rs, lam) for lam in (c, a, c)]
-    assert weyl.dot_dominantize_batch(rs, []) == []
-    assert walked == [[a, b, c]]
-
-
-def test_dot_walk_memo_is_per_root_system():
-    a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
-    assert a2.dot_walk_memo is not b2.dot_walk_memo
-    grid = [(x, y) for x in range(-4, 4) for y in range(-4, 4)]
-    # Either order of first use: A2 then B2, then B2 then A2 on cold copies.
-    for first, second in [(a2, b2), (_cold("B", 2), _cold("A", 2))]:
-        for rs in (first, second):
-            assert weyl.dot_dominantize_batch(rs, grid) == \
-                [_scalar(rs, lam) for lam in grid]
-    differ = [lam for lam in grid if _scalar(a2, lam) != _scalar(b2, lam)]
-    assert differ
-    for lam in differ:
-        assert a2.dot_walk_memo[lam] != b2.dot_walk_memo[lam]
-
-
 @st.composite
 def _system_and_weight(draw):
     family, rank = draw(st.sampled_from(SUPPORTED))
@@ -291,7 +216,7 @@ def test_chamber_walk_against_coroot_pairings(case):
     shifted = tuple(c + 1 for c in lam)
     pairings = [coroot_pairing(rs, shifted, root) for root in rs.positive_roots]
     res = weyl.to_dominant(rs, lam)
-    (batch,) = weyl.dot_dominantize_batch(rs, [lam])
+    (batch,) = _kernels.dot_walk_batch([lam], rs.cartan)
     if 0 in pairings:
         assert res.singular and batch is None
     else:
