@@ -200,6 +200,21 @@ def test_poincare_counts():
         {0: 1, 1: 2, 2: 2, 3: 2, 4: 1}
 
 
+def test_dot_dominantize_batch_matches_scalar():
+    rng = random.Random(5)
+    for family, rank in [("A", 4), ("B", 2)]:
+        rs = build_root_system(family, rank)
+        weights = [tuple(rng.randint(-9, 9) for _ in range(rank))
+                   for _ in range(300)]
+        batch = _kernels.dot_walk_batch(weights, rs.cartan)
+        for lam, out in zip(weights, batch):
+            res = weyl.to_dominant(rs, lam)
+            if res.singular:
+                assert out is None
+            else:
+                assert out == (res.length, res.dominant)
+
+
 @st.composite
 def _system_and_weight(draw):
     family, rank = draw(st.sampled_from(SUPPORTED))
