@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Union
 from ._kernels._pykernels import _convolve_packed, _packer
 from ._record import Record
 from .errors import ExprSyntaxError, InvalidWeight, SizeCapExceeded, UnknownAtom
-from .rootsys import RootSystem, Weight
+from .rootsys import MAX_COORD_DIGITS, RootSystem, Weight
 
 ATOMS = ("n", "h", "b", "g", "q")
 
@@ -186,6 +186,9 @@ class _Parser:
         kind, text, pos = self.next()
         if kind != "int":
             raise ExprSyntaxError("expected an integer", pos)
+        if len(text.lstrip("-")) > MAX_COORD_DIGITS:
+            raise ExprSyntaxError(
+                f"line coordinate has more than {MAX_COORD_DIGITS} digits", pos)
         return _literal(text, pos)
 
 

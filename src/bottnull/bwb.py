@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from operator import add, sub
+from operator import add
 
 from . import _kernels, weyl
 from ._record import Record
@@ -126,60 +126,52 @@ class DistinctRootsReport(Record):
     violations: tuple[tuple[Weight, ...], ...]
 
 
-def distinct_roots_check(rs: RootSystem, *, seed: int = 0,
-                         samples: int = 2048) -> DistinctRootsReport:
+# Subsets drawn by the seeded sample of ``distinct_roots_check``.
+SAMPLE_SIZE = 1024
+
+
+def distinct_roots_check(rs: RootSystem, *, seed: int = 0) -> DistinctRootsReport:
     """Sums of distinct positive roots: -sum(S) never has nontrivial cohomology.
 
     For every subset S of the positive roots, the line bundle of -sum(S)
     either vanishes in all degrees or contributes the trivial module (its
     dominantization is 0).  Exhaustive when 2^{#roots} is small; otherwise
-    a seeded sample of subsets.  Each distinct sum is dominantized once.
-    The exhaustive check builds the distinct sums by adding each root to
-    every sum so far (A5: 2,932 sums for 32,768 subsets); subsets are bit
-    masks over the positive roots, walked only to list the subsets of a
-    flagged sum, or to draw the sample.
+    ``SAMPLE_SIZE`` subsets drawn with ``random.Random(seed)``.  Subsets are
+    bit masks over the positive roots, drawn once, and each distinct sum is
+    dominantized once.  The exhaustive check builds the distinct sums by
+    adding each root to every sum so far (A5: 2,932 sums for 32,768
+    subsets); a subset's own sum is taken only for a sampled subset or to
+    list the subsets of a flagged sum.
     """
     n_roots = len(rs.positive_roots)
     roots = [r.fund_coords for r in rs.positive_roots]
     zero = (0,) * rs.rank
     exhaustive = n_roots <= 15
 
-    def masks():
-        if exhaustive:
-            # Gray code: each subset differs from the previous one by one root.
-            return (i ^ (i >> 1) for i in range(1 << n_roots))
-        rng = random.Random(seed)
-        return (rng.getrandbits(n_roots) for _ in range(samples))
+    def subset(mask):
+        return tuple(roots[i] for i in range(n_roots) if mask >> i & 1)
 
-    def with_sums(stream):
-        prev, total = 0, zero
-        for mask in stream:
-            diff = mask ^ prev
-            while diff:
-                low = diff & -diff
-                step = add if mask & low else sub
-                total = tuple(map(step, total, roots[low.bit_length() - 1]))
-                diff ^= low
-            prev = mask
-            yield mask, total
+    def root_sum(chosen):
+        return tuple(map(sum, zip(zero, *chosen)))
 
     if exhaustive:
+        masks = range(1 << n_roots)
         sums = {zero}
         for root in roots:
             sums |= {tuple(map(add, total, root)) for total in sums}
     else:
-        sums = {total for _, total in with_sums(masks())}
+        rng = random.Random(seed)
+        masks = [rng.getrandbits(n_roots) for _ in range(SAMPLE_SIZE)]
+        sums = {root_sum(subset(mask)) for mask in masks}
     distinct = sorted(sums)
     walked = _kernels.dot_walk_batch(
         [tuple(-c for c in total) for total in distinct], rs.cartan)
     bad = {total for total, res in zip(distinct, walked)
            if res is not None and res[1] != zero}
-    violations = tuple(
-        tuple(roots[i] for i in range(n_roots) if mask >> i & 1)
-        for mask, total in with_sums(masks()) if total in bad) if bad else ()
-    return DistinctRootsReport(
-        subsets_checked=(1 << n_roots) if exhaustive else samples,
-        exhaustive=exhaustive, violations=violations)
+    violations = tuple(s for s in map(subset, masks)
+                       if root_sum(s) in bad) if bad else ()
+    return DistinctRootsReport(subsets_checked=len(masks),
+                               exhaustive=exhaustive, violations=violations)
 
 
 def euler_line(rs: RootSystem, lam: Weight) -> int:

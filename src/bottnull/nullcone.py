@@ -199,8 +199,6 @@ def _subspace_chain(t: MatrixTuple) -> list[Sequence[Sequence[int]]]:
         chain.append(nxt)
         if len(nxt) == len(current):
             break  # stabilized at nonzero dimension
-        if len(chain) > t.n + 1:
-            break
     return chain
 
 

@@ -16,13 +16,18 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import NonIntegralWeight, UnsupportedFamilyRank
-from .nullcone import mat_inverse
+from .nullcone import _ENTRY, mat_inverse
 
 Weight = tuple[int, ...]
 RootCoords = tuple[Q, ...]
 
 A_RANKS = range(1, 8)
 B_RANKS = (2,)
+
+# Most digits in one coordinate of a weight given as text.  With 100-digit
+# coordinates, A7's Weyl product over 28 roots stays under about 2,900
+# digits, inside Python's default int-to-text limit of 4,300.
+MAX_COORD_DIGITS = 100
 
 
 class Root(Record):
@@ -231,25 +236,28 @@ def format_root_coords(coords: Sequence[Q]) -> str:
 
 
 def parse_weight(rs: RootSystem, text: str) -> Weight:
-    """Parse ``f:c1,...`` (fundamental, integers) or ``r:p/q,...`` (root coords)."""
+    """Parse ``f:c1,...`` (fundamental, integers) or ``r:p/q,...`` (root
+    coords, each ``[+-]digits(/digits)?``); a coordinate has at most
+    ``MAX_COORD_DIGITS`` digits."""
     from .errors import InvalidWeight
 
-    if text.startswith("f:"):
-        try:
-            coords = tuple(int(p) for p in text[2:].split(","))
-        except ValueError:
-            raise InvalidWeight(f"bad fundamental coordinates: {text!r}") from None
-        if len(coords) != rs.rank:
-            raise InvalidWeight(
-                f"expected {rs.rank} coordinates, got {len(coords)}: {text!r}")
-        return coords
-    if text.startswith("r:"):
-        try:
-            coords = tuple(Q(p) for p in text[2:].split(","))
-        except (ValueError, ZeroDivisionError):
-            raise InvalidWeight(f"bad root coordinates: {text!r}") from None
-        if len(coords) != rs.rank:
-            raise InvalidWeight(
-                f"expected {rs.rank} coordinates, got {len(coords)}: {text!r}")
-        return root_to_weight(rs, coords)
-    raise InvalidWeight(f"weight must start with 'f:' or 'r:': {text!r}")
+    kind, parts = text[:2], text[2:].split(",")
+    if kind not in ("f:", "r:"):
+        raise InvalidWeight(f"weight must start with 'f:' or 'r:': {text!r}")
+    if any(sum(map(str.isdigit, p)) > MAX_COORD_DIGITS for p in parts):
+        raise InvalidWeight(
+            f"a weight coordinate has more than {MAX_COORD_DIGITS} digits")
+    try:
+        if kind == "f:":
+            coords = tuple(map(int, parts))
+        elif all(map(_ENTRY.fullmatch, parts)):
+            coords = tuple(map(Q, parts))
+        else:
+            raise ValueError
+    except (ValueError, ZeroDivisionError):
+        name = "fundamental" if kind == "f:" else "root"
+        raise InvalidWeight(f"bad {name} coordinates: {text!r}") from None
+    if len(coords) != rs.rank:
+        raise InvalidWeight(
+            f"expected {rs.rank} coordinates, got {len(coords)}: {text!r}")
+    return coords if kind == "f:" else root_to_weight(rs, coords)

@@ -11,7 +11,7 @@ from bottnull import bundles
 from bottnull.bundles import Atom, Line, Power, Sum, Sym, Tensor, Wedge
 from bottnull.errors import (ExprSyntaxError, InvalidWeight, SizeCapExceeded,
                              UnknownAtom)
-from bottnull.rootsys import build_root_system
+from bottnull.rootsys import MAX_COORD_DIGITS, build_root_system
 
 
 def test_parse_atoms_and_precedence():
@@ -56,6 +56,17 @@ def test_parse_errors_carry_position():
     with pytest.raises(UnknownAtom) as err:
         bundles.parse("b * zz")
     assert err.value.name == "zz"
+
+
+def test_line_coordinates_are_bounded_in_digits():
+    widest = "-" + "9" * MAX_COORD_DIGITS
+    assert bundles.parse(f"L[{widest},0]") == Line((int(widest), 0))
+    with pytest.raises(ExprSyntaxError,
+                       match="line coordinate has more than 100 digits "
+                             r"\(at position 4\)"):
+        bundles.parse("b*L[1" + "0" * MAX_COORD_DIGITS + ",0]")
+    # The bound is for line coordinates only, not for exponents.
+    assert bundles.parse("b^1" + "0" * 200) == Power(Atom("b"), 10 ** 200)
 
 
 def test_unparse_round_trip():

@@ -140,9 +140,9 @@ def test_distinct_roots_exhaustive():
 
 def test_distinct_roots_sampled():
     rs = build_root_system("A", 6)  # 21 positive roots: sampled path
-    rep = bwb.distinct_roots_check(rs, seed=1, samples=200)
+    rep = bwb.distinct_roots_check(rs, seed=1)
     assert not rep.exhaustive
-    assert rep.subsets_checked == 200
+    assert rep.subsets_checked == bwb.SAMPLE_SIZE
     assert rep.violations == ()
 
 
@@ -245,12 +245,12 @@ def test_distinct_roots_sampled_maps_a_flagged_sum(monkeypatch):
     n = len(rs.positive_roots)
     roots = [r.fund_coords for r in rs.positive_roots]
     rng = random.Random(9)  # the same draws as the check's seeded sample
-    masks = [rng.getrandbits(n) for _ in range(300)]
+    masks = [rng.getrandbits(n) for _ in range(bwb.SAMPLE_SIZE)]
     subsets = [tuple(roots[i] for i in range(n) if m >> i & 1) for m in masks]
     target = _root_sum(6, subsets[0])
     _flag_one_sum(monkeypatch, target)
-    rep = bwb.distinct_roots_check(rs, seed=9, samples=300)
-    assert not rep.exhaustive and rep.subsets_checked == 300
+    rep = bwb.distinct_roots_check(rs, seed=9)
+    assert not rep.exhaustive and rep.subsets_checked == bwb.SAMPLE_SIZE
     assert list(rep.violations) == [s for s in subsets
                                    if _root_sum(6, s) == target]
 

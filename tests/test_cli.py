@@ -416,6 +416,8 @@ def _nullcone_doc(tmp, doc, op="member"):
             "--input", _write(tmp, "t.json", json.dumps(doc))]
 
 
+_NINES = "f:" + "9" * 4300
+
 MALFORMED_INPUTS = {
     "verdict-r-0": lambda tmp: ["verdict", "--family", "A", "--rank", "2",
                                 "-r", "0"],
@@ -514,6 +516,23 @@ MALFORMED_INPUTS = {
     "expr-nested-250-wedges": lambda tmp: [
         "psupp", "--family", "A", "--rank", "2",
         "--expr", "wedge^1(" * 250 + "b" + ")" * 250],
+    # Each once a traceback past Python's 4,300-digit int-to-text limit:
+    # a Weyl dimension of more than 4,300 digits, ...
+    "bwb-weight-161-digits-a7": lambda tmp: [
+        "bwb", "--family", "A", "--rank", "7",
+        "--weight", "f:" + ",".join([str(10 ** 160)] * 7)],
+    # ... or a coordinate pushed past the limit by one reflection.
+    "bwb-weight-4300-digits": lambda tmp: [
+        "bwb", "--family", "A", "--rank", "2", "--weight", _NINES + ",0"],
+    "weyl-word-weight-4300-digits": lambda tmp: [
+        "weyl", "--family", "A", "--rank", "2", "--word", "1",
+        "--weight", _NINES + ",0"],
+    "weights-line-4300-digits": lambda tmp: [
+        "weights", "--family", "A", "--rank", "2",
+        "--expr", f"L[{_NINES[2:]},0]*b"],
+    # Once 2.3 s inside Fraction building 10^3000000.
+    "bwb-root-coords-exponent": lambda tmp: [
+        "bwb", "--family", "A", "--rank", "2", "--weight", "r:1e3000000,0"],
 }
 
 
@@ -526,6 +545,28 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("bottnull: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bwb", "--family", "A", "--rank", "7",
+     "--weight", "f:" + ",".join(["9" * 100] * 7)],
+    ["weights", "--family", "A", "--rank", "2",
+     "--expr", "L[-" + "9" * 100 + ",0]*b"],
+])
+def test_coordinates_of_100_digits_run(capsys, argv):
+    # The widest accepted coordinates keep every number printable.
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["payload"]
+
+
+def test_resolve_refuses_a_non_square_g(capsys, tmp_path):
+    code, out, err = run_cli(capsys, _nullcone_doc(
+        tmp_path, {"g": [[1, 0], [0]], "matrices": [[[0, 1], [0, 0]]]},
+        op="resolve"))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "bottnull: error: bad resolve document: g must be a square matrix"]
 
 
 def _nested(levels):

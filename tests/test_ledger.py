@@ -234,6 +234,18 @@ def test_validation_reports_non_positive_multiplicity():
         ensure_valid(table)
 
 
+def test_placeholder_outside_potential_support_is_refused():
+    # A2 has no degree 4: psupp(b^2) lacks the zero weight there.
+    doc = {"version": ledger.TABLE_FORMAT, "complete": [],
+           "entries": [{"key": "A/2/2/4", "module": "trivial-unresolved"}]}
+    table = load_table(json.dumps(doc))
+    assert validate_table(table).failures == (
+        "A/2/2/4: trivial-isotypic placeholder but the zero weight is "
+        "outside potential support at degree 4",)
+    with pytest.raises(ValidationFailure):
+        ensure_valid(table)
+
+
 def test_unresolved_is_derived_from_the_module():
     table = CohomologyTable()
     module = repthy.FormalGModule({(0, 0): 1})

@@ -210,6 +210,14 @@ def test_matrix_entries_must_be_exact(entry):
         nullcone.matrix_from_rows([[entry]])
 
 
+def test_long_bad_entry_is_shown_truncated():
+    with pytest.raises(ValueError) as err:
+        nullcone.matrix_from_rows([["1.5" + "0" * 100]])
+    assert str(err.value) == ("bad matrix entry '1.500000000000000000000000000"
+                              "0000000...: expected an integer or a \"p/q\" "
+                              "string with q > 0")
+
+
 def test_matrix_entries_read_exactly():
     assert nullcone.matrix_from_rows([[3, Q(1, 3), "-7", "+4/6"]]) == (
         (Q(3), Q(1, 3), Q(-7), Q(2, 3)),)

@@ -65,6 +65,11 @@ def test_irrep_character_adjoint():
     assert char.get((0, 0)) == 2
 
 
+def test_irrep_character_rejects_non_dominant():
+    with pytest.raises(NotDominant, match=r"\(0, -1\) is not dominant"):
+        repthy.irrep_character(build_root_system("A", 2), (0, -1))
+
+
 def test_mult_in_adjoint_square():
     rs = build_root_system("A", 2)
     assert repthy.mult_in(rs, "g*g", (1, 1)) == 2

@@ -7,8 +7,9 @@ import oracles
 from bottnull import rootsys, weyl
 from bottnull.errors import (InvalidWeight, NonIntegralWeight,
                              UnsupportedFamilyRank)
-from bottnull.rootsys import (build_root_system, coroot_pairing, format_weight,
-                              invariant_form, parse_weight, root_to_weight,
+from bottnull.rootsys import (MAX_COORD_DIGITS, build_root_system,
+                              coroot_pairing, format_weight, invariant_form,
+                              parse_weight, root_to_weight,
                               weight_to_root_coords)
 
 
@@ -172,6 +173,28 @@ def test_parse_and_format_weights():
         parse_weight(rs, "f:1,a")        # not an integer
     with pytest.raises(NonIntegralWeight):
         parse_weight(rs, "r:1/3,0")      # not in the weight lattice
+    with pytest.raises(InvalidWeight, match="expected 2 coordinates, got 3"):
+        parse_weight(rs, "r:1,1,0")      # wrong length
+
+
+@pytest.mark.parametrize("text", ["r:1e3000000,0", "r:1.5,0", "r: 1,0",
+                                  "r:1_0,0", "r:1/-2,0", "r:\u0661,0", "r:,0",
+                                  "r:1/0,0"])
+def test_root_coordinates_are_signed_integers_or_fractions(text):
+    with pytest.raises(InvalidWeight, match="bad root coordinates"):
+        parse_weight(build_root_system("A", 2), text)
+
+
+def test_weight_coordinates_are_bounded_in_digits():
+    rs = build_root_system("A", 2)
+    widest = "-" + "9" * MAX_COORD_DIGITS
+    assert parse_weight(rs, f"f:{widest},0") == (int(widest), 0)
+    assert parse_weight(rs, f"r:{widest},0") == (2 * int(widest), -int(widest))
+    for text in ("f:1" + "0" * MAX_COORD_DIGITS + ",0",
+                 "r:1/1" + "0" * MAX_COORD_DIGITS + ",0",
+                 "f:" + "9" * 5000 + ",0"):
+        with pytest.raises(InvalidWeight, match="more than 100 digits"):
+            parse_weight(rs, text)
 
 
 def test_describe():
