@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from itertools import product
+from math import lcm
 
 from . import bwb, weyl
 from .bundles import Expr, WeightMultiset, _WeightMap, memoized, weights
@@ -61,19 +62,42 @@ def _check_invariant(rs: RootSystem, ws: WeightMultiset) -> None:
                         f"weight multiset is not Weyl-invariant at {w} (s_{i + 1})")
 
 
+def _orbit_cap(rs: RootSystem, ws: WeightMultiset, mu: Weight) -> tuple[int, ...]:
+    """How far each root coordinate of an image w(mu + rho) may lie below
+    that of mu + rho while w(mu + rho) - rho is still in the support of ws:
+    rc_i(mu) - min_nu rc_i(nu), floored.  The support is Weyl-invariant, so
+    the minimum is -rc_i(-w0 lam) for a dominant lam in it.  Exact, in
+    integers: root coordinates times the common denominator of the inverse
+    Cartan matrix."""
+    inv = rs._cartan_inverse
+    den = lcm(*(q.denominator for row in inv for q in row))
+    scaled = [[int(q * den) for q in row] for row in inv]
+
+    def rc(weight):
+        return [sum(a * c for a, c in zip(row, weight)) for row in scaled]
+
+    deepest = [0] * rs.rank
+    for lam in ws._data:
+        if min(lam) >= 0:
+            low = rc(weyl.linear_dominant(rs, [-c for c in lam]))
+            deepest = list(map(max, deepest, low))
+    return tuple((m + d) // den for m, d in zip(rc(mu), deepest))
+
+
 def mult_in(rs: RootSystem, expr: Expr | str | WeightMultiset, mu: Weight) -> int:
-    """Multiplicity of the irreducible with highest weight mu, by the literal
+    """Multiplicity of the irreducible with highest weight mu, by the
     alternating Weyl-group sum: sum of sign(w) * m(w(mu + rho) - rho) over
-    the signed orbit of mu + rho."""
+    the signed orbit of mu + rho, cut at the support's root-coordinate floor
+    (``_orbit_cap``), below which every term is zero."""
     if any(c < 0 for c in mu):
         raise NotDominant(f"{mu} is not dominant")
     ws = expr if isinstance(expr, WeightMultiset) else weights(rs, expr)
     _check_invariant(rs, ws)
-    # Key the multiplicities by weight + rho, so orbit images look up directly.
-    shifted = {tuple(c + 1 for c in w): m for w, m in ws.counts.items()}
-    get = shifted.get
+    get = ws._data.get
     top = tuple(c + 1 for c in mu)
-    return sum(sign * get(img, 0) for img, sign in weyl.signed_orbit(rs, top))
+    cap = _orbit_cap(rs, ws, mu)
+    return sum(sign * get(tuple(c - 1 for c in img), 0)
+               for img, sign in weyl.signed_orbit(rs, top, cap))
 
 
 def invariant_dim(rs: RootSystem, expr: Expr | str | WeightMultiset) -> int:

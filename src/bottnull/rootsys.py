@@ -9,6 +9,7 @@ coordinates of the simple root alpha_j.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import prod
@@ -28,6 +29,9 @@ B_RANKS = (2,)
 # coordinates, A7's Weyl product over 28 roots stays under about 2,900
 # digits, inside Python's default int-to-text limit of 4,300.
 MAX_COORD_DIGITS = 100
+
+# One fundamental coordinate; a root coordinate is a ``nullcone._ENTRY``.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class Root(Record):
@@ -236,9 +240,9 @@ def format_root_coords(coords: Sequence[Q]) -> str:
 
 
 def parse_weight(rs: RootSystem, text: str) -> Weight:
-    """Parse ``f:c1,...`` (fundamental, integers) or ``r:p/q,...`` (root
-    coords, each ``[+-]digits(/digits)?``); a coordinate has at most
-    ``MAX_COORD_DIGITS`` digits."""
+    """Parse ``f:c1,...`` (fundamental, each ``[+-]digits``) or
+    ``r:p/q,...`` (root coords, each ``[+-]digits(/digits)?``); a coordinate
+    has at most ``MAX_COORD_DIGITS`` digits."""
     from .errors import InvalidWeight
 
     kind, parts = text[:2], text[2:].split(",")
@@ -247,13 +251,11 @@ def parse_weight(rs: RootSystem, text: str) -> Weight:
     if any(sum(map(str.isdigit, p)) > MAX_COORD_DIGITS for p in parts):
         raise InvalidWeight(
             f"a weight coordinate has more than {MAX_COORD_DIGITS} digits")
+    pattern = _INTEGER if kind == "f:" else _ENTRY
     try:
-        if kind == "f:":
-            coords = tuple(map(int, parts))
-        elif all(map(_ENTRY.fullmatch, parts)):
-            coords = tuple(map(Q, parts))
-        else:
+        if not all(map(pattern.fullmatch, parts)):
             raise ValueError
+        coords = tuple(map(int if kind == "f:" else Q, parts))
     except (ValueError, ZeroDivisionError):
         name = "fundamental" if kind == "f:" else "root"
         raise InvalidWeight(f"bad {name} coordinates: {text!r}") from None

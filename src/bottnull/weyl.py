@@ -109,7 +109,8 @@ def inversion_set(rs: RootSystem, word: Sequence[int]) -> frozenset[Weight]:
     return frozenset(out)
 
 
-def _orbit_layers(rs: RootSystem, top: Weight) -> Iterator[list[Weight]]:
+def _orbit_layers(rs: RootSystem, top: Weight, cap: Sequence[int] | None = None
+                  ) -> Iterator[dict[Weight, tuple[int, ...] | None]]:
     """Layers of the linear Weyl orbit of a dominant weight, by depth.
 
     Breadth-first from ``top``, reflecting only where a coordinate is
@@ -118,21 +119,34 @@ def _orbit_layers(rs: RootSystem, top: Weight) -> Iterator[list[Weight]]:
     downward step lengthens the (minimal) element by one, so all paths to
     an image have the same length and every image lies in exactly one layer:
     its depth is the length of the minimal element sending ``top`` to it.
+    A layer maps each of its images to the room left under ``cap``.
+
+    With ``cap``, only images whose root coordinate i lies at most
+    ``cap[i]`` below that of ``top`` are kept.  A step by s_i with
+    c = x_i > 0 lowers root coordinate i by c and leaves the others, so the
+    drops only grow along a path: an image past the cap has no descendant
+    within it, and every image within it is still reached, at its depth,
+    through ancestors within it.  Without a cap the room is None.
     """
-    support = rs.simple_root_support
-    layer = [top]
+    steps = tuple(enumerate(rs.simple_root_support))
+    layer = {top: None if cap is None else tuple(cap)}
     while layer:
         yield layer
-        nxt: dict[Weight, None] = {}
-        for mu in layer:
-            for i, col in enumerate(support):
+        nxt: dict[Weight, tuple[int, ...] | None] = {}
+        for mu, room in layer.items():
+            for i, col in steps:
                 c = mu[i]
                 if c > 0:
+                    left = room
+                    if room is not None:
+                        if room[i] < c:
+                            continue
+                        left = room[:i] + (room[i] - c,) + room[i + 1:]
                     img = list(mu)
                     for j, a in col:
                         img[j] -= c * a
-                    nxt[tuple(img)] = None
-        layer = list(nxt)
+                    nxt[tuple(img)] = left
+        layer = nxt
 
 
 def orbit(rs: RootSystem, dominant: Weight) -> set[Weight]:
@@ -140,8 +154,11 @@ def orbit(rs: RootSystem, dominant: Weight) -> set[Weight]:
     return {mu for layer in _orbit_layers(rs, dominant) for mu in layer}
 
 
-def signed_orbit(rs: RootSystem, top: Weight) -> Iterator[tuple[Weight, int]]:
-    """Each image w(top) of a regular dominant weight with sign (-1)^l(w).
+def signed_orbit(rs: RootSystem, top: Weight,
+                 cap: Sequence[int]) -> Iterator[tuple[Weight, int]]:
+    """Each image w(top) of a regular dominant weight with sign (-1)^l(w),
+    for the images whose root coordinate i lies at most ``cap[i]`` below
+    that of ``top`` (the whole orbit when ``cap`` is rc(top) - rc(w0 top)).
 
     No words are built: for regular ``top`` the elements and the images
     correspond one to one, and the BFS depth of an image is its length.
@@ -149,7 +166,7 @@ def signed_orbit(rs: RootSystem, top: Weight) -> Iterator[tuple[Weight, int]]:
     if any(c <= 0 for c in top):
         raise NotDominant(f"{top} is not regular dominant")
     sign = 1
-    for layer in _orbit_layers(rs, tuple(top)):
+    for layer in _orbit_layers(rs, tuple(top), cap):
         for mu in layer:
             yield mu, sign
         sign = -sign

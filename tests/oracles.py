@@ -118,6 +118,18 @@ def word_mult(rs: RootSystem, counts: dict[Weight, int], mu: Weight) -> int:
     return total
 
 
+def orbit_mult(rs: RootSystem, counts: dict[Weight, int], mu: Weight) -> int:
+    """Multiplicity of L(mu) in a Weyl-invariant multiset: the literal
+    alternating sum of counts[w(mu + rho) - rho] over the whole signed orbit
+    of mu + rho, one BFS layer per length, with no cut."""
+    shifted = {tuple(c + 1 for c in w): m for w, m in counts.items()}
+    total, sign = 0, 1
+    for layer in weyl._orbit_layers(rs, tuple(c + 1 for c in mu)):
+        total += sign * sum(shifted.get(img, 0) for img in layer)
+        sign = -sign
+    return total
+
+
 def wcf_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """Character of the irreducible with highest weight lam, computed by
     dividing alternating orbit sums term by term (Weyl character formula)."""

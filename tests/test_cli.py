@@ -419,6 +419,11 @@ def _nullcone_doc(tmp, doc, op="member"):
 _NINES = "f:" + "9" * 4300
 
 MALFORMED_INPUTS = {
+    # Once read by int(): an answer for (10, 0).
+    "weight-f-underscore": lambda tmp: ["bwb", "--family", "A", "--rank", "2",
+                                        "--weight", "f: 1_0,0"],
+    "weight-f-space": lambda tmp: ["bwb", "--family", "A", "--rank", "2",
+                                   "--weight", "f: 1,0"],
     "verdict-r-0": lambda tmp: ["verdict", "--family", "A", "--rank", "2",
                                 "-r", "0"],
     "table-not-json": lambda tmp: [
@@ -647,8 +652,9 @@ def test_power_refused_after_its_steps_exits_2_with_one_line(capsys):
 
 # -------------------------------------------------------------------- report
 
-# Stored report outputs, byte for byte.  A7 runs the signed-orbit mult_in
-# at full size and the sampled distinct-roots check.
+# Stored report outputs, byte for byte.  A7 runs mult_in's signed orbit,
+# cut at the support's root-coordinate floor, and the sampled
+# distinct-roots check.
 REPORT_SYSTEMS = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
                   ("B", 2)]
 

@@ -346,6 +346,48 @@ def test_mult_in_builds_no_words(monkeypatch):
     assert repthy.mult_in(rs, ws, adjoint) == repthy.decompose(rs, "g^3").get(adjoint)
 
 
+@st.composite
+def _system_and_invariant_multiset(draw):
+    family, rank = draw(st.sampled_from([("A", r) for r in A_RANKS] + [("B", 2)]))
+    rs = build_root_system(family, rank)
+    text = draw(st.sampled_from(("g*g", "g^3", "wedge^2(g)", None)))
+    if text is None:
+        # g tensor L(lam), lam a sum of at most two fundamental weights, so
+        # Freudenthal stays cheap on A7.
+        picks = draw(st.lists(st.integers(0, rank - 1), max_size=2))
+        lam = tuple(picks.count(i) for i in range(rank))
+        return rs, None, _g_times_irrep(rs, lam)
+    return rs, text, bundles.weights(rs, text)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_system_and_invariant_multiset(), st.data())
+def test_mult_in_matches_the_unbounded_orbit_sum(case, data):
+    # The cut sum against the whole signed orbit (tests/oracles.py) and the
+    # dominantization pass of decompose, at a weight of the multiset and
+    # at a dominant weight outside it.
+    rs, text, ws = case
+    dec = repthy.decompose(rs, text or ws)
+    inside = data.draw(st.sampled_from(
+        sorted(w for w in ws.counts if min(w) >= 0)))
+    outside = data.draw(st.tuples(*[st.integers(0, 4)] * rs.rank).filter(
+        lambda mu: mu not in ws.counts))
+    for mu in (inside, outside):
+        got = repthy.mult_in(rs, ws, mu)
+        assert got == oracles.orbit_mult(rs, ws.counts, mu) == dec.get(mu)
+
+
+def test_mult_in_walks_a_tenth_of_the_a7_orbit():
+    # Invariants of g*g on A7: the cut keeps 268 of the 40,320 images.
+    rs = build_root_system("A", 7)
+    ws = bundles.weights(rs, "g*g")
+    zero = (0,) * rs.rank
+    cap = repthy._orbit_cap(rs, ws, zero)
+    images = list(weyl.signed_orbit(rs, rs.rho, cap))
+    assert len(images) < weyl.order(rs) // 10
+    assert repthy.mult_in(rs, ws, zero) == oracles.orbit_mult(rs, ws.counts, zero) == 1
+
+
 # ------------------------------------------------------------- answer memo
 
 SYSTEMS = [("A", r) for r in A_RANKS] + [("B", 2)]

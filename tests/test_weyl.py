@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from bottnull import _kernels, weyl
 from bottnull.errors import InputError, NotDominant
-from bottnull.rootsys import build_root_system, coroot_pairing, invariant_form
+from bottnull.rootsys import (build_root_system, coroot_pairing, invariant_form,
+                              weight_to_root_coords)
 
 SUPPORTED = [("A", rank) for rank in range(1, 8)] + [("B", 2)]
 
@@ -269,12 +270,21 @@ def _system_and_regular_top(draw):
     return build_root_system(family, rank), top
 
 
+def _full_cap(rs, top):
+    """rc(top) - rc(w0 top): the cap that keeps the whole orbit of top."""
+    w0_top = tuple(-c for c in weyl.linear_dominant(rs, [-c for c in top]))
+    drop = [a - b for a, b in zip(weight_to_root_coords(rs, top),
+                                   weight_to_root_coords(rs, w0_top))]
+    assert all(d.denominator == 1 for d in drop)
+    return tuple(int(d) for d in drop)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(_system_and_regular_top())
 def test_signed_orbit_matches_word_oracle(case):
     # The oracle builds every canonical word and applies it with ``act``.
     rs, top = case
-    signed = list(weyl.signed_orbit(rs, top))
+    signed = list(weyl.signed_orbit(rs, top, _full_cap(rs, top)))
     assert len(signed) == weyl.order(rs)
     assert dict(signed) == oracles._alternating_orbit(rs, top)
     assert {img for img, _ in signed} == weyl.orbit(rs, top)
@@ -283,9 +293,9 @@ def test_signed_orbit_matches_word_oracle(case):
 def test_signed_orbit_rejects_non_regular_top():
     rs = build_root_system("A", 2)
     with pytest.raises(NotDominant):
-        list(weyl.signed_orbit(rs, (1, 0)))
+        list(weyl.signed_orbit(rs, (1, 0), (1, 0)))
     with pytest.raises(NotDominant):
-        list(weyl.signed_orbit(rs, (2, -1)))
+        list(weyl.signed_orbit(rs, (2, -1), (1, 0)))
 
 
 @pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 7)] + [("B", 2)])
