@@ -680,12 +680,12 @@ def test_report_checks_all_pass(capsys):
 
 
 def test_report_a1_runs_only_covered_checks(capsys):
-    # The table covers A1 only at q = 1: no tensor-square or tensor-cube
-    # checks, and no made-up cohomology at q = 2.
+    # The table covers A1 only at q = 1: block checks for b^1 alone, and no
+    # made-up cohomology at q = 2.
     doc = run_json(capsys, ["report", "--family", "A", "--rank", "1"])
     assert doc["payload"]["passed"] is True
     assert [c["id"] for c in doc["payload"]["checks"]] == [
-        "vanishing-b", "highest-root-norm", "hodge-wedge-profile",
+        "psupp-b1", "table-b1", "highest-root-norm", "hodge-wedge-profile",
         "distinct-roots"]
 
 
@@ -698,7 +698,42 @@ def test_report_failure_exits_2(capsys, monkeypatch):
     doc = json.loads(out)
     failed = [c["id"] for c in doc["payload"]["checks"]
               if c["status"] == "fail"]
-    assert "tensor-square-a" in failed
+    assert "table-b2" in failed
+
+
+def _set_module(key, pairs):
+    def edit(doc):
+        for entry in doc["entries"]:
+            if entry["key"] == key:
+                entry["module"] = pairs
+    return edit
+
+
+def _drop_entry(key):
+    def edit(doc):
+        doc["entries"] = [e for e in doc["entries"] if e["key"] != key]
+    return edit
+
+
+@pytest.mark.parametrize("edit,failing", [
+    (_set_module("A/3/3/3", [[[2, 0, 0], 1]]), "table-b3"),  # wrong module
+    (_drop_entry("A/3/3/3"), "table-b3"),  # missing degree
+    (_set_module("A/3/3/2", [[[0, 0, 0], 3]]), "table-b3"),  # wrong multiplicity
+    (lambda doc: doc["complete"].append("A/3/4"), "table-b4"),  # false mark
+], ids=["wrong-module", "missing-degree", "wrong-multiplicity",
+        "false-completeness-mark"])
+def test_report_fails_on_a_mutated_table(capsys, monkeypatch, edit, failing):
+    # Every covered block of the table is checked, whatever its (rank, q).
+    doc = json.loads(ledger.save_table(ledger.builtin_tables()))
+    edit(doc)
+    text = json.dumps(doc)
+    monkeypatch.setattr(cli.ledger, "builtin_tables",
+                        lambda: ledger.load_table(text))
+    code, out, _ = run_cli(capsys, ["report", "--family", "A", "--rank", "3"])
+    assert code == 2
+    failed = [c["id"] for c in json.loads(out)["payload"]["checks"]
+              if c["status"] == "fail"]
+    assert failing in failed
 
 
 # ------------------------------------------------------------ installed script

@@ -29,6 +29,14 @@ def test_builtin_coverage():
     assert table.covers("A", 5, 4) and table.covers("A", 6, 4)
     assert not table.covers("A", 2, 4)
     assert not table.covers("B", 2, 3)
+    # The recorded degrees of every covered block: report checks each block
+    # against psupp and chi_G but no longer restates these tuples.
+    want = {("A", rank, 1): () for rank in range(1, 8)}
+    want.update({("A", rank, 2): (1,) for rank in range(2, 8)})
+    want.update({("A", rank, 3): (2,) for rank in (2, 4, 5, 6, 7)})
+    want.update({("A", 3, 3): (2, 3), ("A", 5, 4): (2, 3, 5),
+                 ("A", 6, 4): (2, 3), ("B", 2, 1): (), ("B", 2, 2): (1, 2)})
+    assert {block: table.degrees(*block) for block in table.coverage()} == want
 
 
 def test_builtin_entry_values():
