@@ -404,24 +404,26 @@ def _bound(rs: RootSystem, expr: Expr) -> int:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def weights(rs: RootSystem, expr: Expr | str) -> WeightMultiset:
+def weights(rs: RootSystem, expr: Expr | str,
+            budget: _Budget | None = None) -> WeightMultiset:
     """Weight multiset of the expression over the given root system.
 
     Raises SizeCapExceeded before any step that would take the evaluation
-    past ``COST_CAP`` weight terms.
+    past ``COST_CAP`` weight terms; evaluations given one ``budget`` share
+    one cap.
     """
     if isinstance(expr, str):
         expr = parse(expr)
     pack, unpack = _packer(rs.rank, _bound(rs, expr))
-    out = _eval(rs, expr, _Budget(), pack)
+    out = _eval(rs, expr, _Budget() if budget is None else budget, pack)
     return WeightMultiset(dict(zip(unpack(out), out.values())))
 
 
 def memoized(rs: RootSystem, kind: str, expr: Expr | str,
-             answer: Callable[[RootSystem, WeightMultiset], object]):
-    """``answer(rs, weights(rs, expr))``, kept in ``rs.expr_memo`` under
+             answer: Callable[[RootSystem, Expr], object]):
+    """``answer(rs, parse(expr))``, kept in ``rs.expr_memo`` under
     ``(kind, parse(expr))``: a text and its parsed tree share one entry, and
-    each is evaluated once per root system for the life of the process.
+    each is answered once per root system for the life of the process.
     An error (``SizeCapExceeded``, ``InvalidWeight``, ``NotAGModule``, ...)
     propagates and is not stored, so a repeat raises it again."""
     if isinstance(expr, str):
@@ -430,7 +432,7 @@ def memoized(rs: RootSystem, kind: str, expr: Expr | str,
     memo = rs.expr_memo
     out = memo.get(key)
     if out is None:
-        out = memo[key] = answer(rs, weights(rs, expr))
+        out = memo[key] = answer(rs, expr)
     return out
 
 

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction as Q
 from operator import add
 
-from . import _kernels, weyl
+from . import _kernels, bundles, weyl
 from ._record import Record
 from .bundles import Expr, WeightMultiset, memoized, weights
 from .errors import CheckFailed
@@ -85,7 +85,8 @@ def psupp(rs: RootSystem, expr: Expr | str | WeightMultiset) -> PotentialSupport
     """
     if isinstance(expr, WeightMultiset):
         return _potential_support(rs, expr)
-    return memoized(rs, "psupp", expr, _potential_support)
+    return memoized(rs, "psupp", expr, lambda rs, expr: _potential_support(
+        rs, bundles.weights(rs, expr)))
 
 
 def _potential_support(rs: RootSystem, ws: WeightMultiset) -> PotentialSupport:

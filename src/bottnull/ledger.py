@@ -16,9 +16,9 @@ import json
 from functools import lru_cache
 from math import comb
 
-from . import _kernels, repthy
+from . import repthy
 from ._record import Record
-from .bundles import WeightMultiset, weights
+from .bundles import weights
 from .bwb import PotentialSupport, psupp
 from .errors import LedgerGap, SizeCapExceeded, ValidationFailure
 from .repthy import FormalGModule
@@ -352,14 +352,12 @@ def e_page(family: str, rank: int, r: int,
 
 
 def cell_module(rs: RootSystem, cell: PageCell) -> FormalGModule:
-    """The decomposed content of a resolved cell, copies * g^tp (x) H^p."""
-    # Brauer-Klimyk: g^tp (x) L(mu) is the sum over the weights w of g^tp of
-    # the signed dot-dominant L(w + mu), so shifting g^tp by mu and
-    # decomposing gives the cell without L(mu)'s character.
-    base = weights(rs, f"g^{cell.tensor_power}").counts
-    shifts = {mu: cell.copies * mult for mu, mult in cell.coh.sorted_items()}
-    return repthy.decompose_multiset(
-        rs, WeightMultiset(_kernels.convolve(base, shifts)), check=False)
+    """The decomposed content of a resolved cell, copies * g^tp (x) H^p:
+    ``tensor_power`` Brauer-Klimyk steps over the weights of g, from
+    copies * H^p, so neither H^p's characters nor g^tp's weights are built."""
+    start = FormalGModule({mu: cell.copies * mult
+                           for mu, mult in cell.coh.sorted_items()})
+    return repthy.tensor_power(rs, start, weights(rs, "g"), cell.tensor_power)
 
 
 class Witness(Record):

@@ -1,9 +1,14 @@
 """Finite-dimensional representation combinatorics: dimensions, characters,
 multiplicities, decompositions.
 
-Two mechanisms with disjoint roles: multiplicities/decompositions use the
-alternating Weyl-group sum (dot-action dominantization with sign), while full
-irreducible characters use Freudenthal's recursion.  Both are exact.
+``decompose`` of an expression works in the representation ring.  Only the
+operands of the walk over the parsed tree are evaluated to weights and
+checked Weyl-invariant; a tensor factor or power step is one Brauer-Klimyk
+step (``_tensor_step``: the module's highest weights shifted by the
+operand's weights and dominantized with sign), and ``wedge^k`` follows
+Newton's identity.  ``mult_in`` takes the alternating Weyl-group sum over
+the evaluated weights, an independent route to the same multiplicities.
+Full irreducible characters use Freudenthal's recursion.  All are exact.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ from fractions import Fraction as Q
 from itertools import product
 from math import lcm
 
-from . import bwb, weyl
-from .bundles import Expr, WeightMultiset, _WeightMap, memoized, weights
-from .errors import NotAGModule, NotDominant
+from . import _kernels, bwb, weyl
+from .bundles import (Expr, Power, Sum, Tensor, Wedge, WeightMultiset,
+                      _Budget, _WeightMap, memoized, weights)
+from .errors import CheckFailed, NotAGModule, NotDominant
 from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
 
@@ -130,14 +136,114 @@ def decompose(rs: RootSystem, expr: Expr | str | WeightMultiset) -> FormalGModul
     """Decomposition into irreducibles of the G-module with the expression's
     weight multiset; sum of mult * weyl_dim equals the total dimension.
 
-    The answer for an expression (text or parsed tree) is memoized per root
-    system for the life of the process (``bundles.memoized``), so the
-    Weyl-invariance check runs once per expression; ``NotAGModule`` is not
-    stored.  A ``WeightMultiset`` is checked and decomposed on every call.
+    An expression is decomposed in the representation ring (``_ring``).
+    When one of its operands is not Weyl-invariant, the whole expression is
+    evaluated and checked instead, so an invariant sum of non-invariant
+    pieces (``n+q+h``) still decomposes, and ``NotAGModule`` names the first
+    failing weight of the whole multiset.  The answer for an expression
+    (text or parsed tree) is memoized per root system for the life of the
+    process (``bundles.memoized``); ``NotAGModule`` is not stored.  A
+    ``WeightMultiset`` is checked and decomposed on every call.
     """
     if isinstance(expr, WeightMultiset):
         return decompose_multiset(rs, expr)
-    return memoized(rs, "decompose", expr, decompose_multiset)
+    return memoized(rs, "decompose", expr, _decompose_expr)
+
+
+def _decompose_expr(rs: RootSystem, expr: Expr) -> FormalGModule:
+    try:
+        return _ring(rs, expr, _Budget())
+    except NotAGModule:
+        return decompose_multiset(rs, weights(rs, expr))
+
+
+def _tensor_step(rs: RootSystem, module: FormalGModule,
+                 ws: WeightMultiset) -> FormalGModule:
+    """Brauer-Klimyk: for a Weyl-invariant V with weights ``ws``,
+    L(lam) (x) V = sum over the weights mu of V of m_V(mu) times the
+    signed L(dot-dominant(lam + mu)).  L(0) (x) V is V: no convolution."""
+    if module != {(0,) * rs.rank: 1}:
+        ws = WeightMultiset(_kernels.convolve(module._data, ws._data))
+    return decompose_multiset(rs, ws, check=False)
+
+
+def tensor_power(rs: RootSystem, module: FormalGModule, ws: WeightMultiset,
+                 k: int, budget: _Budget | None = None) -> FormalGModule:
+    """module (x) V^{(x)k} in k ``_tensor_step``s, for a Weyl-invariant V
+    with weights ``ws``.  Charged as ``bundles.weights`` charges a power:
+    k up front, then each step's pairs, refused early when the later steps,
+    none smaller, would pass the cap."""
+    budget = _Budget() if budget is None else budget
+    budget.charge(k)
+    for step in range(k):
+        pairs = len(module) * len(ws)
+        budget.charge(pairs, ahead=pairs * (k - step - 1))
+        module = _tensor_step(rs, module, ws)
+    return module
+
+
+def _operand(rs: RootSystem, expr: Expr, budget: _Budget) -> WeightMultiset:
+    """The weights of an operand of the ring walk, checked Weyl-invariant."""
+    ws = weights(rs, expr, budget)
+    _check_invariant(rs, ws)
+    return ws
+
+
+def _ring(rs: RootSystem, expr: Expr, budget: _Budget) -> FormalGModule:
+    """Decomposition of ``expr`` in the representation ring.  The walk
+    enters a sum's terms and a product's first factor; every other node it
+    meets gives one operand (a power its base, a wedge its module), which
+    ``_operand`` evaluates and checks once."""
+    if isinstance(expr, Sum):
+        acc: dict[Weight, int] = {}
+        for t in expr.terms:
+            term = _ring(rs, t, budget)
+            budget.charge(len(term))
+            for w, m in term._data.items():
+                acc[w] = acc.get(w, 0) + m
+        return FormalGModule(acc)
+    if isinstance(expr, Wedge):
+        return _wedge(rs, expr, budget)
+    if isinstance(expr, Tensor):
+        module, factors = _ring(rs, expr.factors[0], budget), expr.factors[1:]
+    else:  # a power or an operand: one factor of the trivial module
+        module, factors = FormalGModule({(0,) * rs.rank: 1}), (expr,)
+    for f in factors:
+        base, k = (f.base, f.exponent) if isinstance(f, Power) else (f, 1)
+        module = tensor_power(rs, module, _operand(rs, base, budget), k, budget)
+    return module
+
+
+def _wedge(rs: RootSystem, expr: Wedge, budget: _Budget) -> FormalGModule:
+    """Lambda^k V by Newton's identity,
+    m Lambda^m V = sum_{j=1..m} (-1)^(j-1) psi^j(V) (x) Lambda^(m-j) V,
+    where psi^j(V) has the weights of V times j.  Lambda^m V is nonzero for
+    m <= dim V, so each of the k(k+1)/2 steps reads at least the distinct
+    weights of V: that is the look-ahead."""
+    ws = _operand(rs, expr.inner, budget)
+    k = expr.degree
+    budget.charge(k + 1)
+    if k > ws.total_dim:
+        return FormalGModule()
+    psi: list[WeightMultiset] = []
+    wedges = [FormalGModule({(0,) * rs.rank: 1})]
+    left = k * (k + 1) // 2
+    for m in range(1, k + 1):
+        psi.append(WeightMultiset({tuple(m * c for c in w): n
+                                   for w, n in ws._data.items()}))
+        acc: dict[Weight, int] = {}
+        for j in range(1, m + 1):
+            left -= 1
+            prev = wedges[m - j]
+            budget.charge(len(prev) * len(ws), ahead=len(ws) * left)
+            sign = 1 if j % 2 else -1
+            for w, c in _tensor_step(rs, prev, psi[j - 1])._data.items():
+                acc[w] = acc.get(w, 0) + sign * c
+        if any(c % m for c in acc.values()):
+            raise CheckFailed(
+                f"Newton's identity leaves a remainder mod {m} in wedge^{m}")
+        wedges.append(FormalGModule({w: c // m for w, c in acc.items()}))
+    return wedges[k]
 
 
 def _dominant_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:

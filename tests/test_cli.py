@@ -701,6 +701,36 @@ def test_report_failure_exits_2(capsys, monkeypatch):
     assert "table-b2" in failed
 
 
+def test_tangent_square_is_checked_without_tensor_square_coverage(
+        capsys, monkeypatch):
+    # The identity holds for type A with n >= 3, whatever the table covers.
+    # A4 states no verdict, so its report reads no tensor-square cell.
+    doc = json.loads(ledger.save_table(ledger.builtin_tables()))
+    doc["complete"].remove("A/4/2")
+    doc["entries"] = [e for e in doc["entries"]
+                      if not e["key"].startswith("A/4/2/")]
+    text = json.dumps(doc)
+    monkeypatch.setattr(cli.ledger, "builtin_tables",
+                        lambda: ledger.load_table(text))
+    doc = run_json(capsys, ["report", "--family", "A", "--rank", "4"])
+    checks = {c["id"]: c for c in doc["payload"]["checks"]}
+    assert "table-b2" not in checks
+    assert checks["tangent-square-a"] == {
+        "id": "tangent-square-a", "status": "pass",
+        "detail": "chi(X, (g/b)^2) = 575 = dim(g x g) - 1"}
+
+
+def test_decompose_a7_matches_golden(capsys):
+    # The stdout that CI compares the installed script with.
+    with open(os.path.join(GOLDEN_DIR, "decompose_a7_g3.json"), "r",
+              encoding="utf-8") as fh:
+        want = fh.read()
+    code, out, _ = run_cli(capsys, ["decompose", "--family", "A", "--rank",
+                                    "7", "--expr", "g^3"])
+    assert code == 0
+    assert out == want
+
+
 def _set_module(key, pairs):
     def edit(doc):
         for entry in doc["entries"]:

@@ -57,6 +57,15 @@ CORPUS = {
     "dim_a3_tsv": "dim --family A --rank 3 --expr b^2 --format tsv",
     "decompose_a2": "decompose --family A --rank 2 --expr 'g*g'",
     "decompose_a2_tsv": "decompose --family A --rank 2 --expr 'g*g' --format tsv",
+    # Products, powers, wedges and sums of G-modules, recorded while
+    # decompose still evaluated every weight of the expression.
+    "decompose_a6_wedge3": "decompose --family A --rank 6 --expr 'wedge^3(g)'",
+    "decompose_a5_sum": "decompose --family A --rank 5 --expr 'g+wedge^2(g)'",
+    "decompose_b2_wedge2": "decompose --family B --rank 2 --expr 'wedge^2(g)'",
+    "decompose_b2_wedge2_tsv": ("decompose --family B --rank 2 "
+                                "--expr 'wedge^2(g)' --format tsv"),
+    "decompose_a4_line_power": ("decompose --family A --rank 4 "
+                                "--expr 'L[0,0,0,0]*g^2'"),
     "nullcone_member": "nullcone --input tuple.json",
     "nullcone_flag": "nullcone --input tuple.json --op flag",
     "nullcone_nonmember_flag": "nullcone --input pair.json --op flag",

@@ -2,12 +2,14 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 import oracles
 from conftest import rebuilt
 from bottnull import bundles, bwb, repthy, weyl
-from bottnull.errors import NotAGModule, NotDominant, SizeCapExceeded
+from bottnull.errors import (CheckFailed, InvalidWeight, NotAGModule,
+                             NotDominant, SizeCapExceeded)
 from bottnull.rootsys import A_RANKS, build_root_system
 
 
@@ -461,3 +463,157 @@ def test_past_the_cap_is_refused_on_every_call(cold_memos):
         with pytest.raises(SizeCapExceeded):
             repthy.decompose(rs, "g^3000000")
     assert rs.expr_memo == {}
+
+
+# ------------------------------------------------------ representation ring
+
+def _leaves(rank, pure):
+    zero = "L[" + ",".join(["0"] * rank) + "]"
+    line = "L[" + ",".join(["1"] + ["0"] * (rank - 1)) + "]"
+    invariant = ["g", "h", zero]
+    # (n+q) is an invariant sum of two non-invariant atoms and a virtual
+    # module: L(theta) minus rank copies of the trivial one.
+    return invariant if pure else invariant + ["n", "q", "b", line, "(n+q)"]
+
+
+def _tree(leaves):
+    """Expression texts over ``*``, ``^``, ``+``, ``wedge^k`` and ``sym^k``."""
+    def grow(kids):
+        def join(op):
+            return st.lists(kids, min_size=2, max_size=3).map(
+                lambda ks: "(" + op.join(ks) + ")")
+        return st.one_of(
+            join("*"), join("+"),
+            st.tuples(kids, st.integers(0, 3)).map(
+                lambda a: f"({a[0]})^{a[1]}"),
+            st.tuples(st.sampled_from(("wedge", "sym")), st.integers(0, 3),
+                      kids).map(lambda a: f"{a[0]}^{a[1]}({a[2]})"))
+    return st.recursive(st.sampled_from(leaves), grow, max_leaves=4)
+
+
+@st.composite
+def _system_and_tree(draw):
+    family, rank = draw(st.sampled_from([("A", 1), ("A", 2), ("B", 2)]))
+    pure = draw(st.booleans())  # only invariant leaves
+    text = draw(_tree(_leaves(rank, pure)))
+    assume(bundles.dim(build_root_system(family, rank), text) <= 400)
+    return family, rank, text, pure
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(_system_and_tree())
+@example(("A", 2, "wedge^3(n+q)*g", False))  # virtual, ring route
+@example(("B", 2, "(n+q)^2+sym^2(n+q)", False))  # virtual, ring route
+@example(("A", 2, "n+q+h", False))  # invariant, evaluated after a fallback
+def test_ring_decompose_matches_the_oracles_on_random_trees(case):
+    # Products, powers and wedges are decomposed in the representation ring;
+    # the weights expanded one by one (no packing) and stripped character by
+    # character are an independent route.  A virtual module (wedge^2(n+q))
+    # has no stripping: its multiplicities come from the literal
+    # alternating orbit sum instead.
+    family, rank, text, pure = case
+    rs = rebuilt(build_root_system(family, rank))
+    expanded = oracles.expand_weights(rs, bundles.parse(text))
+    where = _first_non_invariant(rs, bundles.weights(rs, text).counts)
+    if where is not None:
+        assert not pure
+        with pytest.raises(NotAGModule) as err:
+            repthy.decompose(rs, text)
+        assert str(err.value) == f"weight multiset is not Weyl-invariant at {where}"
+        return
+    got = repthy.decompose(rs, text)
+    if pure:  # every operand is invariant: the ring route answered
+        assert repthy._ring(rs, bundles.parse(text), bundles._Budget()) == got
+    assert got.dimension(rs) == sum(expanded.values())
+    try:
+        want = oracles.stripping_decompose(rs, expanded)
+    except AssertionError:  # not a genuine module
+        assert not pure
+        dominant = {w for w in expanded if min(w) >= 0}
+        for mu in sorted(dominant | got.support()):
+            assert got.get(mu) == oracles.orbit_mult(rs, expanded, mu)
+        return
+    assert got == want
+
+
+@pytest.mark.parametrize("family,rank,text", [
+    ("A", 3, "b^2"),
+    ("A", 2, "L[1,0]*g"),
+    ("A", 2, "g*L[1,0]^2"),
+    ("B", 2, "wedge^2(b)+q"),
+    ("B", 2, "wedge^2(g)*n"),
+    ("A", 2, "g+wedge^2(g)+sym^2(b)"),
+])
+def test_fallback_names_the_weight_of_the_evaluated_path(cold_memos, family,
+                                                          rank, text):
+    rs = build_root_system(family, rank)
+    with pytest.raises(NotAGModule) as evaluated:
+        repthy.decompose_multiset(rs, bundles.weights(rs, text))
+    with pytest.raises(NotAGModule) as ring:
+        repthy.decompose(rs, text)
+    assert str(ring.value) == str(evaluated.value)
+
+
+def test_invariant_sums_of_non_invariant_operands_decompose(cold_memos):
+    a2 = build_root_system("A", 2)
+    assert repthy.decompose(a2, "n+q+h") == repthy.decompose(a2, "g") == {(1, 1): 1}
+    assert repthy.decompose(a2, "L[1,0]*L[-1,0]") == {(0, 0): 1}
+    assert repthy.decompose(a2, "(n+q+h)*g") == repthy.decompose(a2, "g^2")
+
+
+def test_a7_g_cubed_evaluates_only_g(cold_memos, monkeypatch):
+    rs = build_root_system("A", 7)
+    evaluated = []
+    real = repthy.weights
+    monkeypatch.setattr(repthy, "weights", lambda rs, expr, *budget: (
+        evaluated.append(expr) or real(rs, expr, *budget)))
+    module = repthy.decompose(rs, "g^3")
+    assert evaluated == [bundles.parse("g")]
+    assert module.dimension(rs) == bundles.dim(rs, "g^3") == 63 ** 3
+    assert module.get((0,) * 7) == repthy.invariant_dim(rs, "g^3") == 2
+
+
+@pytest.mark.parametrize("rank,text", [
+    (1, "g^3000000"),                # the look-ahead of the first step
+    (2, "wedge^100000000(L[0,0])"),  # the degree, charged up front
+    # One weight of multiplicity 7^20: 8,002,000 Newton steps ahead.
+    (7, "wedge^4000(h^20)"),
+])
+def test_ring_refuses_before_any_tensor_step(cold_memos, monkeypatch, rank,
+                                             text):
+    steps = []
+    real = repthy._tensor_step
+    monkeypatch.setattr(repthy, "_tensor_step",
+                        lambda *args: steps.append(1) or real(*args))
+    with pytest.raises(SizeCapExceeded):
+        repthy.decompose(build_root_system("A", rank), text)
+    assert steps == []
+
+
+def test_zero_exponent_and_degree_still_evaluate_the_operand(cold_memos):
+    rs = build_root_system("A", 2)
+    for text in ("L[1,2,3]^0", "wedge^0(L[1,2,3])", "g*L[1,2,3]^0"):
+        with pytest.raises(InvalidWeight):
+            repthy.decompose(rs, text)
+    assert repthy.decompose(rs, "g^0") == repthy.decompose(rs, "wedge^0(b)") \
+        == {(0, 0): 1}
+
+
+def test_wedge_past_the_dimension_is_zero_and_newton_checks_its_division(
+        cold_memos, monkeypatch):
+    rs = build_root_system("A", 2)
+    assert repthy.decompose(rs, "wedge^9(g)") == {}
+    assert repthy.decompose(rs, "wedge^8(g)") == {(0, 0): 1}
+    # A step off by one irreducible leaves a remainder in wedge^2 = (psi^1
+    # (x) wedge^1 - psi^2) / 2.
+    real = repthy._tensor_step
+
+    def off_by_one(rs, module, ws):
+        out = dict(real(rs, module, ws).mults)
+        out[(0, 0)] = out.get((0, 0), 0) + 1
+        return repthy.FormalGModule(out)
+    monkeypatch.setattr(repthy, "_tensor_step", off_by_one)
+    with pytest.raises(CheckFailed, match="remainder mod 2 in wedge"):
+        repthy.decompose(build_root_system("B", 2), "wedge^2(g)")
