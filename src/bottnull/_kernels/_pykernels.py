@@ -122,5 +122,5 @@ def dot_walk_batch(weights: list, cartan) -> list:
         if 0 in mu:
             out.append(None)
         else:
-            out.append((length, tuple(c - 1 for c in mu)))
+            out.append((length, tuple([c - 1 for c in mu])))
     return out

@@ -229,7 +229,12 @@ def _unparse(expr: Expr, level: int) -> str:
 
 
 class _WeightMap:
-    """Immutable, zero-free weight -> integer map with deterministic ordering.
+    """Immutable, zero-free weight -> integer map.
+
+    Iteration follows evaluation order: the order in which the computation
+    that built the map first met each weight, the same on every run for the
+    same input.  Nothing inside the pipeline depends on it; printers and
+    failure messages sort through ``sorted_items()``.
 
     Equal to a map of the same class or to a plain dict with the same
     entries; maps of different classes (weight multisets, G-modules keyed by
@@ -239,7 +244,12 @@ class _WeightMap:
     __slots__ = ("_data",)
 
     def __init__(self, data: dict[Weight, int] | None = None):
-        self._data = {w: c for w, c in (data or {}).items() if c != 0}
+        # ``dict(data)`` keeps the stored hashes of the keys; a comprehension
+        # would hash every tuple again.  Zeros (``Fraction(0)`` too) are rare.
+        data = dict(data) if data else {}
+        if 0 in data.values():
+            data = {w: c for w, c in data.items() if c != 0}
+        self._data = data
 
     def get(self, weight: Weight) -> int:
         return self._data.get(weight, 0)

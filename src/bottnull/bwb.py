@@ -64,7 +64,7 @@ class PotentialSupport:
         return {k: ms.support() for k, ms in self._by_degree.items()}
 
     def multiset_view(self) -> dict[int, dict[Weight, int]]:
-        return {k: ms.counts for k, ms in self._by_degree.items()}
+        return {k: dict(ms.sorted_items()) for k, ms in self._by_degree.items()}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PotentialSupport):
@@ -90,10 +90,10 @@ def psupp(rs: RootSystem, expr: Expr | str | WeightMultiset) -> PotentialSupport
 
 
 def _potential_support(rs: RootSystem, ws: WeightMultiset) -> PotentialSupport:
-    items = ws.sorted_items()
-    walked = _kernels.dot_walk_batch([w for w, _ in items], rs.cartan)
+    data = ws._data
+    walked = _kernels.dot_walk_batch(list(data), rs.cartan)
     acc: dict[int, dict[Weight, int]] = {}
-    for (_, mult), res in zip(items, walked):
+    for mult, res in zip(data.values(), walked):
         if res is None:
             continue
         k, dom = res
@@ -184,7 +184,7 @@ def euler_line(rs: RootSystem, lam: Weight) -> int:
 def euler_characteristic(rs: RootSystem, expr: Expr | str | WeightMultiset) -> int:
     """chi(X, E) = sum over weights of E of the line Euler characteristics."""
     ws = expr if isinstance(expr, WeightMultiset) else weights(rs, expr)
-    return sum(mult * euler_line(rs, w) for w, mult in ws.sorted_items())
+    return sum(mult * euler_line(rs, w) for w, mult in ws._data.items())
 
 
 def euler_from_psupp(rs: RootSystem, ps: PotentialSupport) -> int:

@@ -356,7 +356,7 @@ def cell_module(rs: RootSystem, cell: PageCell) -> FormalGModule:
     ``tensor_power`` Brauer-Klimyk steps over the weights of g, from
     copies * H^p, so neither H^p's characters nor g^tp's weights are built."""
     start = FormalGModule({mu: cell.copies * mult
-                           for mu, mult in cell.coh.sorted_items()})
+                           for mu, mult in cell.coh._data.items()})
     return repthy.tensor_power(rs, start, weights(rs, "g"), cell.tensor_power)
 
 

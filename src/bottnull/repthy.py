@@ -127,7 +127,7 @@ def alternating_module(ps: bwb.PotentialSupport) -> FormalGModule:
     acc: dict[Weight, int] = {}
     for k in ps.degrees():
         sign = -1 if k % 2 else 1
-        for w, m in ps.multiset(k).sorted_items():
+        for w, m in ps.multiset(k)._data.items():
             acc[w] = acc.get(w, 0) + sign * m
     return FormalGModule(acc)
 

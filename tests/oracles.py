@@ -2,7 +2,8 @@
 
 Everything here recomputes results by a different algorithm than the
 package: characters by division of alternating sums, decompositions by
-iterated highest-weight stripping, page cells by convolving full
+iterated highest-weight stripping, potential supports by searching the
+Weyl group for each weight's dominant chamber, page cells by convolving full
 characters, null-cone membership by brute-force word products, root data
 from sympy's ``liealgebras``, Weyl products from the invariant form.  Slow
 but simple; meant for small inputs only.
@@ -81,6 +82,24 @@ def _alternating_orbit(rs: RootSystem, shifted: Weight) -> dict[Weight, int]:
         sign = -1 if len(word) % 2 else 1
         acc[img] = acc.get(img, 0) + sign
     return {w: c for w, c in acc.items() if c}
+
+
+def psupp_by_enumeration(rs: RootSystem, counts: dict[Weight, int]
+                         ) -> dict[int, dict[Weight, int]]:
+    """Potential support of a weight multiset by search: for each weight,
+    the Weyl element among ``weyl.enumerate_elements`` whose ``weyl.dot``
+    image is dominant (there is none when the shifted weight is singular),
+    its length the degree.  No dominantizing walk is run."""
+    words = weyl.enumerate_elements(rs)
+    out: dict[int, dict[Weight, int]] = {}
+    for lam, m in counts.items():
+        for word in words:
+            img = weyl.dot(rs, word, lam)
+            if min(img) >= 0:
+                bucket = out.setdefault(len(word), {})
+                bucket[img] = bucket.get(img, 0) + m
+                break
+    return out
 
 
 def weyl_product_by_form(rs: RootSystem, lam: Weight) -> Q:

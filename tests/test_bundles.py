@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -294,6 +295,20 @@ def test_weight_multiset_api():
     assert ws.get((5, 5)) == 0
     empty = bundles.weights(rs, "wedge^9(n)")
     assert not empty and empty.total_dim == 0
+
+
+def test_weight_map_is_a_zero_free_copy():
+    from bottnull.repthy import FormalGModule
+    for cls in (bundles.WeightMultiset, FormalGModule):
+        zeros = {(1, 0): Fraction(0), (0, 0): 2, (0, 1): 0, (2, 0): -1}
+        assert cls(zeros) == {(0, 0): 2, (2, 0): -1}
+        data = {(0, 0): 2, (2, 0): -1}
+        m = cls(data)
+        data[(0, 0)] = 5
+        data[(3, 3)] = 1
+        del data[(2, 0)]
+        assert m == {(0, 0): 2, (2, 0): -1}
+        assert cls() == cls({}) == {}
 
 
 @pytest.mark.parametrize("family,rank,text", [

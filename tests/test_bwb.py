@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import rebuilt
-from bottnull import _kernels, bundles, bwb, weyl
+from bottnull import _kernels, bundles, bwb, repthy, weyl
 from bottnull.bundles import WeightMultiset
 from bottnull.errors import CheckFailed, InvalidWeight, SizeCapExceeded
 from bottnull.rootsys import A_RANKS, build_root_system, coroot_pairing
@@ -195,6 +195,60 @@ def test_potential_support_equality_and_views():
     assert ps.multiset_view() == {0: {(0, 0): 2}, 1: {(0, 0): 2}}
     assert ps.multiset(17) == {}
     assert ps.support(17) == frozenset()
+
+
+def test_psupp_views_sort_each_degree():
+    # The buckets fill in the order the weights are walked; the views and
+    # the repr (and so kostant_check's message) list them sorted.
+    rs = build_root_system("A", 2)
+    items = bundles.weights(rs, "g^2").sorted_items()
+    shuffled = items[:]
+    random.Random(5).shuffle(shuffled)
+    ps = bwb.psupp(rs, WeightMultiset(dict(items)))
+    mixed = bwb.psupp(rs, WeightMultiset(dict(shuffled)))
+    assert mixed == ps and repr(mixed) == repr(ps)
+    for k, counts in mixed.multiset_view().items():
+        assert list(counts) == sorted(counts) == sorted(mixed.multiset(k).support())
+
+
+@st.composite
+def _multiset_and_shuffle(draw):
+    """A root system of A1-A3 or B2, a random multiset of small weights
+    (made Weyl-invariant by taking whole orbits, or not), and the same
+    entries inserted in a shuffled order."""
+    family, rank = draw(st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("B", 2)]))
+    rs = build_root_system(family, rank)
+    weight = st.tuples(*[st.integers(-4, 4)] * rank)
+    drawn = draw(st.lists(st.tuples(weight, st.integers(1, 3)),
+                          min_size=1, max_size=8))
+    invariant = draw(st.booleans())
+    counts: dict = {}
+    for w, m in drawn:
+        for v in (weyl.orbit(rs, weyl.linear_dominant(rs, w)) if invariant
+                  else (w,)):
+            counts[v] = counts.get(v, 0) + m
+    items = sorted(counts.items())
+    return rs, invariant, items, draw(st.permutations(items))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_multiset_and_shuffle())
+def test_psupp_decompose_and_euler_agree_with_enumeration(case):
+    rs, invariant, items, shuffled = case
+    ws, mixed = WeightMultiset(dict(items)), WeightMultiset(dict(shuffled))
+    oracle = oracles.psupp_by_enumeration(rs, dict(items))
+    ps, ps_mixed = bwb.psupp(rs, ws), bwb.psupp(rs, mixed)
+    assert ps.multiset_view() == oracle
+    assert ps_mixed == ps and repr(ps_mixed) == repr(ps)
+    signed: dict = {}
+    for k, bucket in oracle.items():
+        for w, m in bucket.items():
+            signed[w] = signed.get(w, 0) + (-1) ** k * m
+    module = repthy.alternating_module(ps)
+    assert module == repthy.FormalGModule(signed)
+    for src in (ws, mixed):
+        assert repthy.decompose_multiset(rs, src, check=invariant) == module
+        assert bwb.euler_characteristic(rs, src) == module.dimension(rs)
 
 
 def _flag_one_sum(monkeypatch, target):

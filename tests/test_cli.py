@@ -731,6 +731,18 @@ def test_decompose_a7_matches_golden(capsys):
     assert out == want
 
 
+def test_psupp_a7_matches_golden(capsys):
+    # The stdout that CI compares the installed script with; its sha256 is
+    # perfbench/expected.json's psupp_A7_b4_sha256.
+    with open(os.path.join(GOLDEN_DIR, "psupp_a7_b4.json"), "r",
+              encoding="utf-8") as fh:
+        want = fh.read()
+    code, out, _ = run_cli(capsys, ["psupp", "--family", "A", "--rank", "7",
+                                    "--expr", "b^4"])
+    assert code == 0
+    assert out == want
+
+
 def _set_module(key, pairs):
     def edit(doc):
         for entry in doc["entries"]:

@@ -235,6 +235,18 @@ def test_virtual_decompose_without_check():
     assert mod.dimension(rs) == bwb.euler_characteristic(rs, "q") == 8
 
 
+def test_tensor_step_with_cancelling_virtual_entries_leaves_no_zero():
+    # (L(2) - L(0)) (x) g on A1: the convolved weights 2 and 0 cancel to
+    # zero and must leave the map, as must every cancelled module entry.
+    rs = build_root_system("A", 1)
+    g = bundles.weights(rs, "g")
+    step = repthy._tensor_step(rs, repthy.FormalGModule({(2,): 1, (0,): -1}), g)
+    assert step == {(4,): 1, (0,): 1}
+    # L(0) (x) (L[0] + L[-2]): degrees 0 and 1 both land on L(0) and cancel.
+    ws = bundles.WeightMultiset({(0,): 1, (-2,): 1})
+    assert repthy._tensor_step(rs, repthy.FormalGModule({(0,): 1}), ws)._data == {}
+
+
 def test_size_cap():
     # One cap: decompose is bounded by the evaluation cost (39,380 weight
     # terms here), not by the module dimension, so A4 g^5 decomposes.
