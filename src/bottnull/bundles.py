@@ -315,10 +315,10 @@ class _Budget:
                 "weight terms")
 
 
-def _graded_power(ws: dict, k: int, symmetric: bool, budget: _Budget) -> dict:
-    """Index-expansion wedge/sym of a packed weight multiset via layered DP:
-    layer d holds sums of d weights, taken in tuple order (``sorted`` on
-    packed keys gives it)."""
+def _graded_power(ws: dict, k: int, symmetric: bool, budget: _Budget) -> list:
+    """Index-expansion wedge/sym powers 0..k of a packed weight multiset via
+    layered DP: layer d holds sums of d weights, taken in tuple order
+    (``sorted`` on packed keys gives it)."""
     budget.charge(k + 1)
     layers: list[dict] = [{} for _ in range(k + 1)]
     layers[0][0] = 1
@@ -348,7 +348,7 @@ def _graded_power(ws: dict, k: int, symmetric: bool, budget: _Budget) -> dict:
                     key += off
                     tgt[key] = get(key, 0) + c * coeff
         layers = new
-    return layers[k]
+    return layers
 
 
 def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
@@ -391,7 +391,7 @@ def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
         return acc
     # Wedge or Sym: ``_bound`` has refused any other node.
     return _graded_power(_eval(rs, expr.inner, budget, pack), expr.degree,
-                         symmetric=isinstance(expr, Sym), budget=budget)
+                         isinstance(expr, Sym), budget)[expr.degree]
 
 
 def _bound(rs: RootSystem, expr: Expr) -> int:
@@ -427,6 +427,19 @@ def weights(rs: RootSystem, expr: Expr | str,
     pack, unpack = _packer(rs.rank, _bound(rs, expr))
     out = _eval(rs, expr, _Budget() if budget is None else budget, pack)
     return WeightMultiset(dict(zip(unpack(out), out.values())))
+
+
+def wedge_layers(rs: RootSystem, expr: Expr | str,
+                 k: int) -> list[WeightMultiset]:
+    """Weight multisets of wedge^0 .. wedge^k of the expression, from the
+    one graded pass that ``weights`` runs for ``wedge^k``."""
+    if isinstance(expr, str):
+        expr = parse(expr)
+    pack, unpack = _packer(rs.rank, _bound(rs, Wedge(k, expr)))
+    budget = _Budget()
+    layers = _graded_power(_eval(rs, expr, budget, pack), k, False, budget)
+    return [WeightMultiset(dict(zip(unpack(layer), layer.values())))
+            for layer in layers]
 
 
 def memoized(rs: RootSystem, kind: str, expr: Expr | str,

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from bottnull import _kernels
 from bottnull.rootsys import A_RANKS, B_RANKS, RootSystem, build_root_system
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -17,6 +18,26 @@ def cold_memos(monkeypatch):
         for rank in ranks:
             monkeypatch.setitem(vars(build_root_system(family, rank)),
                                 "expr_memo", {})
+
+
+def flag_one_sum(monkeypatch, target):
+    """Make the batch walk report -target as a nontrivial dominant weight;
+    returns the list of batch sizes walked, filled as the walk is called.
+
+    ``psupp`` reaches the patched walk only for an expression that no
+    earlier test left in the answer memo (see ``cold_memos``)."""
+    real = _kernels.dot_walk_batch
+    seen = []
+
+    def patched(weights, cartan):
+        seen.append(len(weights))
+        out = real(weights, cartan)
+        bad = tuple(-c for c in target)
+        return [(1, (1,) + (0,) * (len(cartan) - 1)) if w == bad else res
+                for w, res in zip(weights, out)]
+
+    monkeypatch.setattr(_kernels, "dot_walk_batch", patched)
+    return seen
 
 
 def rebuilt(rs: RootSystem) -> RootSystem:

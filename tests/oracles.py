@@ -3,10 +3,11 @@
 Everything here recomputes results by a different algorithm than the
 package: characters by division of alternating sums, decompositions by
 iterated highest-weight stripping, potential supports by searching the
-Weyl group for each weight's dominant chamber, page cells by convolving full
-characters, null-cone membership by brute-force word products, root data
-from sympy's ``liealgebras``, Weyl products from the invariant form.  Slow
-but simple; meant for small inputs only.
+Weyl group for each weight's dominant chamber, the weights of wedge powers
+of n by listing subsets of roots, page cells by convolving full characters,
+null-cone membership by brute-force word products, root data from sympy's
+``liealgebras``, Weyl products from the invariant form.  Slow but simple;
+meant for small inputs only.
 """
 
 from __future__ import annotations
@@ -100,6 +101,15 @@ def psupp_by_enumeration(rs: RootSystem, counts: dict[Weight, int]
                 bucket[img] = bucket.get(img, 0) + m
                 break
     return out
+
+
+def subset_sum_counts(rs: RootSystem, k: int) -> Counter:
+    """-sum(S) over the k-subsets S of the positive roots, with multiplicity
+    (the weights of wedge^k(n)), listed by ``itertools.combinations``."""
+    roots = [r.fund_coords for r in rs.positive_roots]
+    zero = (0,) * rs.rank
+    return Counter(tuple(-sum(c) for c in zip(zero, *subset))
+                   for subset in itertools.combinations(roots, k))
 
 
 def weyl_product_by_form(rs: RootSystem, lam: Weight) -> Q:

@@ -89,23 +89,29 @@ def test_criterion_02_wedge_profiles():
         for family, rank in (("A", 2), ("A", 3), ("B", 2)):
             rs = build_root_system(family, rank)
             counts = weyl.poincare_counts(rs)
-            profile = [bwb.kostant_check(rs, k)
-                       for k in range(len(rs.positive_roots) + 1)]
-            assert profile == [counts.get(k, 0)
-                               for k in range(len(rs.positive_roots) + 1)]
+            assert bwb.kostant_check(rs) == tuple(
+                counts.get(k, 0) for k in range(len(rs.positive_roots) + 1))
         a3 = build_root_system("A", 3)
-        assert [bwb.kostant_check(a3, k) for k in range(7)] == \
-            [1, 3, 5, 6, 5, 3, 1]
+        assert bwb.kostant_check(a3) == (1, 3, 5, 6, 5, 3, 1)
+        # The largest profiles that ``report`` asserts.
+        assert bwb.kostant_check(build_root_system("A", 4)) == (
+            1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1)
+        assert bwb.kostant_check(build_root_system("A", 5)) == (
+            1, 5, 14, 29, 49, 71, 90, 101, 101, 90, 71, 49, 29, 14, 5, 1)
 
 
 def test_criterion_03_distinct_roots_exhaustive():
     with criterion(3, "distinct-roots", 1):
         for family, rank, total in (("A", 2, 8), ("B", 2, 16), ("A", 3, 64)):
             rs = build_root_system(family, rank)
-            rep = bwb.distinct_roots_check(rs)
-            assert rep.exhaustive
-            assert rep.subsets_checked == total
-            assert not rep.violations
+            zero = (0,) * rank
+            subsets = 0
+            for k in range(len(rs.positive_roots) + 1):
+                for weight, count in oracles.subset_sum_counts(rs, k).items():
+                    res = weyl.to_dominant(rs, weight)
+                    assert res.singular or res.dominant == zero
+                    subsets += count
+            assert subsets == total
 
 
 def test_criterion_04_dot_identities():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import rebuilt
+from conftest import flag_one_sum, rebuilt
 from bottnull import _kernels, bundles, bwb, repthy, weyl
 from bottnull.bundles import WeightMultiset
 from bottnull.errors import CheckFailed, InvalidWeight, SizeCapExceeded
@@ -113,12 +113,10 @@ def test_psupp_of_line_bundle():
 
 
 def test_kostant_profiles():
-    assert [bwb.kostant_check(build_root_system("A", 2), k)
-            for k in range(4)] == [1, 2, 2, 1]
-    assert [bwb.kostant_check(build_root_system("A", 3), k)
-            for k in range(7)] == [1, 3, 5, 6, 5, 3, 1]
-    assert [bwb.kostant_check(build_root_system("B", 2), k)
-            for k in range(5)] == [1, 2, 2, 2, 1]
+    assert bwb.kostant_check(build_root_system("A", 2)) == (1, 2, 2, 1)
+    assert bwb.kostant_check(build_root_system("A", 3)) == \
+        (1, 3, 5, 6, 5, 3, 1)
+    assert bwb.kostant_check(build_root_system("B", 2)) == (1, 2, 2, 2, 1)
 
 
 def test_kostant_check_detects_mismatch(monkeypatch):
@@ -126,22 +124,28 @@ def test_kostant_check_detects_mismatch(monkeypatch):
     counts = weyl.poincare_counts(rs)
     monkeypatch.setitem(counts, 1, 99)
     monkeypatch.setattr(weyl, "poincare_counts", lambda _: counts)
-    with pytest.raises(CheckFailed):
-        bwb.kostant_check(rs, 1)
+    with pytest.raises(CheckFailed, match=r"^wedge\^1\(n\) potential support"):
+        bwb.kostant_check(rs)
 
 
-def test_distinct_roots_exhaustive():
-    for family, rank, subsets in [("A", 2, 8), ("B", 2, 16), ("A", 3, 64)]:
-        rep = bwb.distinct_roots_check(build_root_system(family, rank))
-        assert rep.exhaustive
-        assert rep.subsets_checked == subsets
-        assert rep.violations == ()
+@pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 5)]
+                         + [("B", 2)])
+def test_kostant_profile_matches_subset_sum_oracle(family, rank):
+    """Each k-subset sum pushed through a Weyl-group search, never through
+    the graded pass or the batch walk, gives the profile's count at weight
+    0 in degree k and nothing else."""
+    rs = build_root_system(family, rank)
+    profile = bwb.kostant_check(rs)
+    assert len(profile) == len(rs.positive_roots) + 1
+    zero = (0,) * rank
+    for k, count in enumerate(profile):
+        assert oracles.psupp_by_enumeration(
+            rs, oracles.subset_sum_counts(rs, k)) == {k: {zero: count}}
 
 
 def test_distinct_roots_sampled():
     rs = build_root_system("A", 6)  # 21 positive roots: sampled path
     rep = bwb.distinct_roots_check(rs, seed=1)
-    assert not rep.exhaustive
     assert rep.subsets_checked == bwb.SAMPLE_SIZE
     assert rep.violations == ()
 
@@ -251,46 +255,22 @@ def test_psupp_decompose_and_euler_agree_with_enumeration(case):
         assert bwb.euler_characteristic(rs, src) == module.dimension(rs)
 
 
-def _flag_one_sum(monkeypatch, target):
-    """Make the batch walk report -target as a nontrivial dominant weight.
-
-    Its tests take ``cold_memos``: ``psupp`` reaches the patched walk only
-    for an expression that no earlier test left in the answer memo."""
-    real = _kernels.dot_walk_batch
-    seen = []
-
-    def patched(weights, cartan):
-        seen.append(len(weights))
-        out = real(weights, cartan)
-        bad = tuple(-c for c in target)
-        return [(1, (1,) + (0,) * (len(cartan) - 1)) if w == bad else res
-                for w, res in zip(weights, out)]
-
-    monkeypatch.setattr(_kernels, "dot_walk_batch", patched)
-    return seen
-
-
 def _root_sum(rank, subset):
     return tuple(sum(r[j] for r in subset) for j in range(rank))
 
 
-@pytest.mark.usefixtures("cold_memos")
-def test_distinct_roots_maps_a_flagged_sum_to_its_subsets(monkeypatch):
-    rs = build_root_system("A", 3)
+@pytest.mark.parametrize("rank", [3, 5])
+def test_kostant_check_fails_on_a_flagged_sum(monkeypatch, rank):
+    rs = build_root_system("A", rank)
     roots = [r.fund_coords for r in rs.positive_roots]
-    target = _root_sum(3, roots[:2])  # also the sum of {alpha_1 + alpha_2}
-    seen = _flag_one_sum(monkeypatch, target)
-    rep = bwb.distinct_roots_check(rs)
-    brute = [s for k in range(len(roots) + 1)
-             for s in itertools.combinations(roots, k)
-             if _root_sum(3, s) == target]
-    assert len(brute) > 1
-    assert sorted(rep.violations) == sorted(brute)
-    assert rep.subsets_checked == 64 and rep.exhaustive
-    # Every distinct sum is walked once, in one batch.
-    distinct = {_root_sum(3, s) for k in range(len(roots) + 1)
-                for s in itertools.combinations(roots, k)}
-    assert seen == [len(distinct)]
+    target = _root_sum(rank, roots[:2])  # also a sum of other subsets
+    first = min(k for k in range(len(roots) + 1)
+                if tuple(-c for c in target) in oracles.subset_sum_counts(rs, k))
+    flag_one_sum(monkeypatch, target)
+    with pytest.raises(CheckFailed,
+                       match=rf"^wedge\^{first}\(n\) potential support .* "
+                             rf"for A{rank}$"):
+        bwb.kostant_check(rs)
 
 
 @pytest.mark.usefixtures("cold_memos")
@@ -302,26 +282,27 @@ def test_distinct_roots_sampled_maps_a_flagged_sum(monkeypatch):
     masks = [rng.getrandbits(n) for _ in range(bwb.SAMPLE_SIZE)]
     subsets = [tuple(roots[i] for i in range(n) if m >> i & 1) for m in masks]
     target = _root_sum(6, subsets[0])
-    _flag_one_sum(monkeypatch, target)
+    flag_one_sum(monkeypatch, target)
     rep = bwb.distinct_roots_check(rs, seed=9)
-    assert not rep.exhaustive and rep.subsets_checked == bwb.SAMPLE_SIZE
+    assert rep.subsets_checked == bwb.SAMPLE_SIZE
     assert list(rep.violations) == [s for s in subsets
                                    if _root_sum(6, s) == target]
 
 
-@pytest.mark.usefixtures("cold_memos")
 def test_distinct_roots_a5_walks_2932_sums(monkeypatch):
-    seen = _flag_one_sum(monkeypatch, (99,) * 5)
-    rep = bwb.distinct_roots_check(build_root_system("A", 5))
-    assert rep.subsets_checked == 2 ** 15 and rep.violations == ()
+    """The A5 wedge profile walks its 2,932 distinct subset sums (8,072
+    weights over its 16 layers) in one batch."""
+    seen = flag_one_sum(monkeypatch, (99,) * 5)
+    assert bwb.kostant_check(build_root_system("A", 5)) == (
+        1, 5, 14, 29, 49, 71, 90, 101, 101, 90, 71, 49, 29, 14, 5, 1)
     assert seen == [2932]
 
 
 @pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 6)]
                          + [("B", 2)])
 def test_distinct_roots_walks_each_subset_sum_once(monkeypatch, family, rank):
-    """The exhaustive check's sums, built by closure over the roots, are
-    exactly the sums of the subsets that ``itertools.combinations`` lists."""
+    """The wedge profile's one batch walk holds each sum of distinct positive
+    roots that ``itertools.combinations`` lists, negated, exactly once."""
     rs = build_root_system(family, rank)
     roots = [r.fund_coords for r in rs.positive_roots]
     oracle = {_root_sum(rank, s) for k in range(len(roots) + 1)
@@ -330,11 +311,9 @@ def test_distinct_roots_walks_each_subset_sum_once(monkeypatch, family, rank):
     real = _kernels.dot_walk_batch
     monkeypatch.setattr(_kernels, "dot_walk_batch",
                         lambda ws, cartan: batches.append(ws) or real(ws, cartan))
-    rep = bwb.distinct_roots_check(rs)
-    assert rep.exhaustive and rep.violations == ()
-    assert rep.subsets_checked == 2 ** len(roots)
+    bwb.kostant_check(rs)
     [walked] = batches
-    assert [tuple(-c for c in w) for w in walked] == sorted(oracle)
+    assert sorted(tuple(-c for c in w) for w in walked) == sorted(oracle)
 
 
 # ------------------------------------------------------------- answer memo

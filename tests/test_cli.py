@@ -13,7 +13,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import flag_one_sum
 from bottnull import cli, ledger, nullcone, repthy
+from bottnull.rootsys import build_root_system
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -369,7 +371,8 @@ def test_seed_is_rejected_outside_report(capsys, argv):
 
 
 def test_seed_picks_the_report_sample(capsys):
-    # A2's distinct-roots check is exhaustive: the seed leaves the golden.
+    # A2 checks every subset through the wedge profile: the seed leaves the
+    # golden.
     with open(os.path.join(GOLDEN_DIR, "report_a2.json"), encoding="utf-8") as fh:
         want = fh.read()
     code, out, _ = run_cli(capsys, ["report", "--family", "A", "--rank", "2",
@@ -685,8 +688,7 @@ def test_report_a1_runs_only_covered_checks(capsys):
     doc = run_json(capsys, ["report", "--family", "A", "--rank", "1"])
     assert doc["payload"]["passed"] is True
     assert [c["id"] for c in doc["payload"]["checks"]] == [
-        "psupp-b1", "table-b1", "highest-root-norm", "hodge-wedge-profile",
-        "distinct-roots"]
+        "psupp-b1", "table-b1", "highest-root-norm", "hodge-wedge-profile"]
 
 
 def test_report_failure_exits_2(capsys, monkeypatch):
@@ -699,6 +701,23 @@ def test_report_failure_exits_2(capsys, monkeypatch):
     failed = [c["id"] for c in doc["payload"]["checks"]
               if c["status"] == "fail"]
     assert "table-b2" in failed
+
+
+@pytest.mark.usefixtures("cold_memos")
+def test_report_fails_only_the_wedge_profile_on_a_flagged_sum(
+        capsys, monkeypatch):
+    # Every walk reports -2 rho, the top wedge power of n, as nontrivial;
+    # no other check of A4 meets that weight.
+    rs = build_root_system("A", 4)
+    flag_one_sum(monkeypatch, tuple(2 * c for c in rs.rho))
+    code, out, _ = run_cli(capsys, ["report", "--family", "A", "--rank", "4"])
+    assert code == 2
+    checks = json.loads(out)["payload"]["checks"]
+    assert [c["id"] for c in checks if c["status"] == "fail"] == [
+        "hodge-wedge-profile"]
+    assert "distinct-roots" not in {c["id"] for c in checks}
+    (profile,) = [c for c in checks if c["id"] == "hodge-wedge-profile"]
+    assert profile["detail"].startswith("wedge^10(n) potential support ")
 
 
 def test_tangent_square_is_checked_without_tensor_square_coverage(

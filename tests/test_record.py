@@ -46,7 +46,7 @@ SAMPLES = [
                               positive_roots=A1.positive_roots,
                               symmetrizer=A1.symmetrizer)),
     (bwb.LineCohomology, dict(vanishes=False, degree=0, weight=(1, 1))),
-    (bwb.DistinctRootsReport, dict(subsets_checked=8, exhaustive=True,
+    (bwb.DistinctRootsReport, dict(subsets_checked=8,
                                    violations=(((1, 1),),))),
     (nullcone.MatrixTuple, dict(n=2, matrices=(((Q(0), Q(1)), (Q(0), Q(0))),))),
     (nullcone.Flag, dict(basis=((1, 0), (0, 1)))),
@@ -71,7 +71,7 @@ REPRS = {
     'Root': 'Root(root_coords=(1, 1), fund_coords=(1, 1))',
     'RootSystem': "RootSystem(family='A', rank=1, cartan=((2,),), positive_roots=(Root(root_coords=(1,), fund_coords=(2,)),), symmetrizer=(1,))",
     'LineCohomology': 'LineCohomology(vanishes=False, degree=0, weight=(1, 1))',
-    'DistinctRootsReport': 'DistinctRootsReport(subsets_checked=8, exhaustive=True, violations=(((1, 1),),))',
+    'DistinctRootsReport': 'DistinctRootsReport(subsets_checked=8, violations=(((1, 1),),))',
     'MatrixTuple': 'MatrixTuple(n=2, matrices=(((Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(0, 1))),))',
     'Flag': 'Flag(basis=((1, 0), (0, 1)))',
     'DominanceResult': 'DominanceResult(singular=False, length=1, word=(1,), dominant=(0, 1))',
