@@ -5,8 +5,9 @@ package: characters by division of alternating sums, decompositions by
 iterated highest-weight stripping, potential supports by searching the
 Weyl group for each weight's dominant chamber, the weights of wedge powers
 of n by listing subsets of roots, page cells by convolving full characters,
-null-cone membership by brute-force word products, root data from sympy's
-``liealgebras``, Weyl products from the invariant form.  Slow but simple;
+certain survivors by total degree instead of lanes, null-cone membership by
+brute-force word products, root data from sympy's ``liealgebras``, Weyl
+products and coroot pairings from the invariant form.  Slow but simple;
 meant for small inputs only.
 """
 
@@ -220,6 +221,21 @@ def convolved_cell(rs: RootSystem, coh, copies: int, tensor_power: int):
         for w, c in _kernels.convolve(base, char).items():
             content[w] = content.get(w, 0) + copies * mult * c
     return repthy.decompose_multiset(rs, bundles.WeightMultiset(content))
+
+
+def survivors_by_total_degree(page) -> list[tuple[int, int]]:
+    """The cells (a, b) with a < 0 and a resolved nonzero module that no
+    possibly-nonzero cell (a', b') can hit or be hit by: none with
+    a' + b' = a + b + 1 and a' > a (a target), none with a' + b' = a + b - 1
+    and a' < a (a source).  Placeholders block but never survive.  Cells
+    are compared by total degree alone, with no lane and no lane bound."""
+    live = [(x, y) for (x, y), cell in page.cells.items()
+            if cell.possibly_nonzero]
+    return sorted(
+        (a, b) for (a, b), cell in page.cells.items()
+        if a < 0 and cell.coh
+        and not any(x + y == a + b + 1 and x > a or x + y == a + b - 1 and x < a
+                    for x, y in live))
 
 
 # ------------------------------------------------------------- bundles

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from bottnull import ledger, repthy
@@ -418,6 +420,43 @@ def test_negative_control_blocked_cell():
     assert certain_survivors(page) == ()
 
 
+@st.composite
+def _random_a1_table(draw):
+    """r <= 7 copies and an A1 table that covers q = 1..r: each (q, p) with
+    p <= 6 is absent, a placeholder, an empty module or L(k)^m."""
+    r = draw(st.integers(1, 7))
+    top = draw(st.integers(0, 6))
+    table = CohomologyTable()
+    for q in range(1, r + 1):
+        for p in range(top + 1):
+            kind = draw(st.sampled_from(("absent", "placeholder", "empty",
+                                         "module")))
+            if kind != "absent":
+                table.add("A", 1, q, p, module=(
+                    None if kind == "placeholder" else repthy.FormalGModule(
+                        {} if kind == "empty" else
+                        {(draw(st.integers(0, 3)),): draw(st.integers(1, 2))})))
+        table.mark_complete("A", 1, q)
+    return r, table
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_random_a1_table())
+def test_certain_survivors_match_the_total_degree_oracle(case):
+    r, table = case
+    page = e_page("A", 1, r, table)
+    want = oracles.survivors_by_total_degree(page)
+    assert [(w.a, w.b) for w in certain_survivors(page)] == want
+    v = verdict("A", 1, r, table)
+    if v.path == "page-scan":  # the criterion reads no page
+        assert [(w.a, w.b) for w in v.witnesses] == want
+        assert v.normal == (ledger.NORMAL_NO if any(a + b == 0 for a, b in want)
+                            else ledger.NORMAL_UNKNOWN)
+        assert v.rational == (ledger.RATIONAL_NO
+                              if any(a + b >= 1 for a, b in want)
+                              else ledger.RATIONAL_UNKNOWN)
+
+
 def test_verdicts():
     for r in range(1, 7):
         v = verdict("A", 2, r)
@@ -482,3 +521,54 @@ def test_table_format_version():
     import json
     doc = json.loads(save_table(builtin_tables()))
     assert doc["version"] == ledger.TABLE_FORMAT
+
+
+# ------------------------------------------------------------ verdict frontier
+
+FRONTIER = os.path.join(os.path.dirname(__file__), "golden",
+                        "verdict_frontier.tsv")
+FRONTIER_SYSTEMS = [("A", rank) for rank in range(1, 8)] + [("B", 2)]
+
+
+def frontier_tsv() -> str:
+    """``ledger.verdict`` on the built-in table for every supported system
+    and r = 1..6, one row each: the path, normal, rational and the witness
+    cells with their module dimensions, or the first tensor power q
+    without coverage as ``gap q``."""
+    rows = ["system\tr\tpath\tnormal\trational\twitnesses"]
+    for family, rank in FRONTIER_SYSTEMS:
+        rs = build_root_system(family, rank)
+        for r in range(1, 7):
+            try:
+                v = verdict(family, rank, r)
+            except LedgerGap as gap:
+                rows.append(f"{family}{rank}\t{r}\tgap {gap.q}\t-\t-\t-")
+                continue
+            wits = ", ".join(f"({w.a},{w.b}) dim {w.module.dimension(rs)}"
+                             for w in v.witnesses) or "-"
+            rows.append(f"{family}{rank}\t{r}\t{v.path}\t{v.normal}\t"
+                        f"{v.rational}\t{wits}")
+    return "\n".join(rows) + "\n"
+
+
+def test_verdict_frontier_matches_golden():
+    with open(FRONTIER, "r", encoding="utf-8") as fh:
+        want = fh.read()
+    text = frontier_tsv()
+    assert text == want
+    # 12 criterion rows (A1, A2), 3 decided scans (A3 r=3, A5 r=4, B2 r=2),
+    # 16 undecided scans and 17 gaps.
+    paths = [row.split("\t")[2:5] for row in text.splitlines()[1:]]
+    scans = [(n, q) for p, n, q in paths if p == "page-scan"]
+    assert len(paths) == 48
+    assert sum(p == "vanishing-criterion" for p, _, _ in paths) == 12
+    assert scans.count((ledger.NORMAL_UNKNOWN, ledger.RATIONAL_UNKNOWN)) == 16
+    assert len(scans) == 19
+    assert sum(p.startswith("gap ") for p, _, _ in paths) == 17
+
+
+if __name__ == "__main__":
+    # Record a deliberate change of the frontier.
+    with open(FRONTIER, "w", encoding="utf-8") as fh:
+        fh.write(frontier_tsv())
+    print(FRONTIER)
