@@ -20,7 +20,8 @@ from . import bundles, bwb, ledger, nullcone, repthy, weyl
 from .errors import (Error, InputError, UnsupportedFamilyRank,
                      ValidationFailure)
 from .rootsys import (RootSystem, build_root_system, format_root_coords,
-                      format_weight, parse_weight, weight_to_root_coords)
+                      format_weight, parse_weight, root_to_weight,
+                      weight_to_root_coords)
 
 FORMAT_VERSION = "bott-null/1"
 
@@ -271,9 +272,88 @@ _CITED_PSUPP: dict[tuple[str, int, int], dict[int, dict[tuple[int, ...], int]]] 
 }
 
 
+# What report checks for a system besides its blocks, one claim a row:
+# (family, rank, check id, claim, source), the source naming where the claim
+# comes from.  Rows of one check id make one check, in table order.
+# - dot-identities: (word, lam, image), w . lam = image in simple-root
+#   coordinates; for image -k alpha, L(lam) is in degree l(w) of psupp(b^k),
+#   so each identity derives a weight of the cited potential support above.
+# - verdict-*: (r, (normal, rational, path), cell, witness), ledger.verdict
+#   for r copies; off the criterion, a certain survivor at cell whose module
+#   is L(witness) or, for an int witness, has that dimension.
+# - tensor-square-page-control: (r, cell, s), for r copies the cell and its
+#   target on lane s are possibly nonzero, and no cell survives.
+_CITED_CLAIMS = (
+    ("A", 2, "dot-identities", ((1, 2), (3, 0), (-3, 0)), "cited psupp(b^3)"),
+    ("A", 2, "dot-identities", ((2, 1), (0, 3), (0, -3)), "cited psupp(b^3)"),
+    ("A", 2, "dot-identities", ((1, 2, 1), (1, 1), (-3, -3)), "cited psupp(b^3)"),
+    ("A", 2, "dot-identities", ((1, 2), (1, 1), (-3, -1)), "cited psupp(b^3)"),
+    ("A", 2, "dot-identities", ((2, 1), (1, 1), (-1, -3)), "cited psupp(b^3)"),
+    ("A", 3, "dot-identities", ((2, 1, 3), (0, 2, 0), (0, -3, 0)),
+     "cited psupp(b^3)"),
+    # Letters 5,1,4,2,3 applied in that order; as a composition (rightmost
+    # letter acting first) the word is (3,2,4,1,5).
+    ("A", 5, "dot-identities",
+     ((3, 2, 4, 1, 5), (0, 0, 2, 0, 0), (0, 0, -4, 0, 0)), "cited psupp(b^4)"),
+    *(("A", 2, "verdict-criterion",
+       (r, ("yes", "yes", "vanishing-criterion"), None, None),
+       "paper: sl_3 null cones have rational singularities") for r in range(1, 7)),
+    ("A", 2, "tensor-square-page-control", (2, (-2, 1), 2),
+     "negative control: the (0,0) cell blocks the trivial H^1(b^2)"),
+    ("A", 3, "verdict-not-normal",
+     (3, ("no", "unknown", "page-scan"), (-3, 3), (0, 2, 0)),
+     "page scan of the established sl_4 cube H^3(b^3) = L(0,2,0)"),
+    ("A", 5, "verdict-normalization-not-rational",
+     (4, ("unknown", "normalization-not-rational", "page-scan"), (-4, 5), 175),
+     "paper: the A5 normalization has no rational singularities"),
+    ("B", 2, "verdict-not-normal",
+     (2, ("no", "unknown", "page-scan"), (-2, 2), (0, 1)),
+     "paper: the B2 null cone is not normal"),
+)
+
+
 def _check(checks: list, check_id: str, ok: bool, detail: str) -> None:
     checks.append({"id": check_id, "status": "pass" if ok else "fail",
                    "detail": detail})
+
+
+def _claim_holds(rs: RootSystem, table: ledger.CohomologyTable, check_id: str,
+                 claim: tuple) -> bool:
+    """Whether one claim of ``_CITED_CLAIMS`` holds for ``rs``."""
+    if check_id == "dot-identities":
+        word, lam, image = claim
+        return weyl.dot(rs, word, lam) == root_to_weight(rs, image)
+    if check_id == "tensor-square-page-control":
+        r, (a, b), s = claim
+        page = ledger.e_page(rs.family, rs.rank, r, table)
+        return (not ledger.certain_survivors(page) and page.possibly_nonzero(a, b)
+                and page.possibly_nonzero(a + s, b - s + 1))
+    r, want, cell, witness = claim
+    v = ledger.verdict(rs.family, rs.rank, r, table)
+    return (v.normal, v.rational, v.path) == want and (cell is None or any(
+        (w.a, w.b) == cell
+        and (w.module.dimension(rs) == witness if isinstance(witness, int)
+             else w.module == {witness: 1})
+        for w in v.witnesses))
+
+
+def _claims_detail(check_id: str, claims: list[tuple]) -> str:
+    """The detail of the check that the claims of one check id make."""
+    if check_id == "dot-identities":
+        return f"{len(claims)} dot-action identities hold"
+    if check_id == "verdict-criterion":
+        return (f"normal and rational singularities for r = {claims[0][0]}.."
+                f"{claims[-1][0]} via the vanishing criterion")
+    if check_id == "tensor-square-page-control":
+        return "; ".join(f"cell ({a},{b}) present but not isolated: the "
+                         f"({a + s},{b - s + 1}) cell blocks lane s={s}"
+                         for _, (a, b), s in claims)
+    return "; ".join(
+        f"r = {r}: certain survivor at ({a},{b}) in total degree {a + b}"
+        + (f"; witness module has dimension {witness}"
+           if isinstance(witness, int)
+           else f" with module L({','.join(map(str, witness))})")
+        for r, _, (a, b), witness in claims)
 
 
 def _block_checks(checks: list, rs: RootSystem, table: ledger.CohomologyTable,
@@ -331,32 +411,18 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
         _check(checks, "tangent-square-a", euler_qq == want,
                f"chi(X, (g/b)^2) = {euler_qq} = dim(g x g) - 1")
 
-    # Dot-action identities feeding the singular/shift analysis.
-    if is_a and rank in (2, 3, 5):
-        idents: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-        if rank == 2:
-            a1 = rs.positive_roots[0].fund_coords
-            a2 = rs.positive_roots[1].fund_coords
-            a12 = rs.positive_roots[2].fund_coords
-            idents = [
-                ((1, 2), (3, 0), tuple(-3 * c for c in a1)),
-                ((2, 1), (0, 3), tuple(-3 * c for c in a2)),
-                ((1, 2, 1), (1, 1), tuple(-3 * c for c in a12)),
-                ((1, 2), (1, 1), tuple(-2 * x - y for x, y in zip(a1, a12))),
-                ((2, 1), (1, 1), tuple(-2 * x - y for x, y in zip(a2, a12))),
-            ]
-        elif rank == 3:
-            a2 = rs.positive_roots[1].fund_coords
-            idents = [((2, 1, 3), (0, 2, 0), tuple(-3 * c for c in a2))]
-        else:
-            # Letters 5,1,4,2,3 applied in that order; as a composition
-            # (rightmost letter acting first) the word is (3,2,4,1,5).
-            a3 = rs.positive_roots[2].fund_coords
-            idents = [((3, 2, 4, 1, 5), (0, 0, 2, 0, 0),
-                       tuple(-4 * c for c in a3))]
-        bad = [w for (w, lam, want) in idents if weyl.dot(rs, w, lam) != want]
-        _check(checks, "dot-identities", not bad,
-               f"{len(idents)} dot-action identities hold")
+    # The cited claims of this system, one check per check id in table
+    # order: dot identities before the subset-sum check, the rest after it.
+    claims: dict[str, list[tuple]] = {}
+    for f, r, check_id, claim, _ in _CITED_CLAIMS:
+        if (f, r) == (family, rank):
+            claims.setdefault(check_id, []).append(claim)
+    cited: list[dict] = []
+    for check_id, group in claims.items():
+        _check(cited, check_id,
+               all([_claim_holds(rs, table, check_id, c) for c in group]),
+               _claims_detail(check_id, group))
+    checks += [c for c in cited if c["id"] == "dot-identities"]
 
     # One check of the sums of distinct positive roots: every subset through
     # the wedge profile where that is cheap, a seeded sample otherwise.
@@ -373,49 +439,7 @@ def _report_checks(rs: RootSystem, *, seed: int) -> list[dict]:
                f"{dr.subsets_checked} subsets (sampled, seed {seed}), "
                f"{len(dr.violations)} violations")
 
-    # Verdicts stated for this family/rank.
-    if is_a and rank == 2:
-        fine = []
-        for r in range(1, 7):
-            v = ledger.verdict(family, rank, r, table)
-            fine.append(v.normal == ledger.NORMAL_YES
-                        and v.rational == ledger.RATIONAL_YES
-                        and v.path == "vanishing-criterion")
-        _check(checks, "verdict-criterion", all(fine),
-               "normal and rational singularities for r = 1..6 via the "
-               "vanishing criterion")
-        page = ledger.e_page(family, rank, 2, table)
-        survivors = ledger.certain_survivors(page)
-        cell = page.cell(-2, 1)
-        _check(checks, "tensor-square-page-control",
-               not survivors and cell is not None and cell.possibly_nonzero,
-               "cell (-2,1) present but not isolated: the (0,0) cell blocks "
-               "lane s=2")
-    elif is_a and rank == 3:
-        v = ledger.verdict(family, rank, 3, table)
-        ok = (v.normal == ledger.NORMAL_NO
-              and any(w.a == -3 and w.b == 3 and w.module == {(0, 2, 0): 1}
-                      for w in v.witnesses))
-        _check(checks, "verdict-not-normal", ok,
-               "r = 3: certain survivor at (-3,3) in total degree 0 "
-               "with module L(0,2,0)")
-    elif is_a and rank == 5:
-        v = ledger.verdict(family, rank, 4, table)
-        wit = [w for w in v.witnesses if w.a == -4 and w.b == 5]
-        dim_ok = wit and wit[0].module.dimension(rs) == 175
-        ok = (v.rational == ledger.RATIONAL_NO
-              and v.normal == ledger.NORMAL_UNKNOWN and bool(dim_ok))
-        _check(checks, "verdict-normalization-not-rational", ok,
-               "r = 4: certain survivor at (-4,5) in total degree 1; "
-               "witness module has dimension 175")
-    elif family == "B":
-        v = ledger.verdict(family, rank, 2, table)
-        ok = (v.normal == ledger.NORMAL_NO
-              and any(w.a == -2 and w.b == 2 and w.module == {(0, 1): 1}
-                      for w in v.witnesses))
-        _check(checks, "verdict-not-normal", ok,
-               "r = 2: certain survivor at (-2,2) in total degree 0 "
-               "with module L(0,1)")
+    checks += [c for c in cited if c["id"] != "dot-identities"]
     return checks
 
 

@@ -223,14 +223,6 @@ def weyl_product(rs: RootSystem, lam: Sequence[int]) -> int:
     return val
 
 
-def coroot_pairing(rs: RootSystem, weight: Sequence[int], root: Root) -> Q:
-    """<weight, beta^vee> = 2 (weight, beta) / (beta, beta) for a positive root beta."""
-    beta = root.fund_coords
-    num = invariant_form(rs, tuple(weight), beta)
-    den = invariant_form(rs, beta, beta)
-    return 2 * num / den
-
-
 def format_weight(weight: Sequence[int]) -> str:
     return "f:" + ",".join(str(c) for c in weight)
 

@@ -20,7 +20,8 @@ from collections import Counter
 from fractions import Fraction as Q
 
 from bottnull import _kernels, bundles, repthy, weyl
-from bottnull.rootsys import RootSystem, invariant_form, weight_to_root_coords
+from bottnull.rootsys import (Root, RootSystem, invariant_form,
+                              weight_to_root_coords)
 
 Weight = tuple[int, ...]
 
@@ -123,6 +124,14 @@ def weyl_product_by_form(rs: RootSystem, lam: Weight) -> Q:
         val *= (invariant_form(rs, shifted, root.fund_coords)
                 / invariant_form(rs, rs.rho, root.fund_coords))
     return val
+
+
+def coroot_pairing(rs: RootSystem, weight: Weight, root: Root) -> Q:
+    """<weight, beta^vee> = 2 (weight, beta) / (beta, beta) for a positive
+    root beta, both products from ``invariant_form``."""
+    beta = root.fund_coords
+    return (2 * invariant_form(rs, tuple(weight), beta)
+            / invariant_form(rs, beta, beta))
 
 
 def weyl_numerator(rs: RootSystem, counts: dict[Weight, int]) -> dict[Weight, int]:

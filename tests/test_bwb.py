@@ -9,7 +9,7 @@ from conftest import flag_one_sum, rebuilt
 from bottnull import _kernels, bundles, bwb, repthy, weyl
 from bottnull.bundles import WeightMultiset
 from bottnull.errors import CheckFailed, InvalidWeight, SizeCapExceeded
-from bottnull.rootsys import A_RANKS, build_root_system, coroot_pairing
+from bottnull.rootsys import A_RANKS, build_root_system
 
 
 def test_line_cohomology_dominant():
@@ -69,7 +69,7 @@ def test_singular_shift_certificates_type_a():
                                       if rc in roots_by_rc else
                                       roots_by_rc[rc])
             assert neighbours
-            assert any(coroot_pairing(rs, shifted, beta) == 0
+            assert any(oracles.coroot_pairing(rs, shifted, beta) == 0
                        for beta in neighbours)
 
 

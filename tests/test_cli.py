@@ -658,8 +658,8 @@ def test_power_refused_after_its_steps_exits_2_with_one_line(capsys):
 # Stored report outputs, byte for byte.  A7 runs mult_in's signed orbit,
 # cut at the support's root-coordinate floor, and the sampled
 # distinct-roots check.
-REPORT_SYSTEMS = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
-                  ("B", 2)]
+REPORT_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+                  ("A", 7), ("B", 2)]
 
 
 @pytest.mark.parametrize("family,rank", REPORT_SYSTEMS)
@@ -795,6 +795,43 @@ def test_report_fails_on_a_mutated_table(capsys, monkeypatch, edit, failing):
     failed = [c["id"] for c in json.loads(out)["payload"]["checks"]
               if c["status"] == "fail"]
     assert failing in failed
+
+
+def _claim(family, rank, check_id, claim):
+    """``cli._CITED_CLAIMS`` with the claim of the last row of (family, rank,
+    check_id) replaced."""
+    rows = list(cli._CITED_CLAIMS)
+    i = max(i for i, row in enumerate(rows)
+            if row[:3] == (family, rank, check_id))
+    rows[i] = (family, rank, check_id, claim, rows[i][4])
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("family,rank,check_id,claim", [
+    # Letters 2 and 3 swapped.  Swapping 5 and 1 would not do: s_1 and s_5
+    # commute, so (3,2,4,5,1) is the same element as (3,2,4,1,5).
+    ("A", 5, "dot-identities",
+     ((2, 3, 4, 1, 5), (0, 0, 2, 0, 0), (0, 0, -4, 0, 0))),
+    ("B", 2, "verdict-not-normal",  # L(1,0) for L(0,1)
+     (2, ("no", "unknown", "page-scan"), (-2, 2), (1, 0))),
+    ("A", 5, "verdict-normalization-not-rational",  # a wrong dimension
+     (4, ("unknown", "normalization-not-rational", "page-scan"), (-4, 5), 174)),
+    ("A", 2, "verdict-criterion",  # r = 6 off the criterion
+     (6, ("no", "unknown", "page-scan"), None, None)),
+    ("A", 2, "tensor-square-page-control",  # (-1,1) is zero on the page
+     (2, (-1, 1), 1)),
+], ids=["dot-word", "witness-module", "witness-dimension", "criterion-path",
+        "page-control-cell"])
+def test_report_fails_on_a_mutated_claim(capsys, monkeypatch, family, rank,
+                                         check_id, claim):
+    monkeypatch.setattr(cli, "_CITED_CLAIMS",
+                        _claim(family, rank, check_id, claim))
+    code, out, _ = run_cli(capsys, ["report", "--family", family,
+                                    "--rank", str(rank)])
+    assert code == 2
+    failed = [c["id"] for c in json.loads(out)["payload"]["checks"]
+              if c["status"] == "fail"]
+    assert failed == [check_id]
 
 
 # ------------------------------------------------------------ installed script

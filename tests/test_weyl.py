@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from bottnull import _kernels, weyl
 from bottnull.errors import InputError, NotDominant
-from bottnull.rootsys import (build_root_system, coroot_pairing, invariant_form,
+from bottnull.rootsys import (build_root_system, invariant_form,
                               weight_to_root_coords)
 
 SUPPORTED = [("A", rank) for rank in range(1, 8)] + [("B", 2)]
@@ -230,7 +230,8 @@ def test_chamber_walk_against_coroot_pairings(case):
     # over all positive roots alpha, from the invariant form.
     rs, lam = case
     shifted = tuple(c + 1 for c in lam)
-    pairings = [coroot_pairing(rs, shifted, root) for root in rs.positive_roots]
+    pairings = [oracles.coroot_pairing(rs, shifted, root)
+                for root in rs.positive_roots]
     res = weyl.to_dominant(rs, lam)
     (batch,) = _kernels.dot_walk_batch([lam], rs.cartan)
     if 0 in pairings:
