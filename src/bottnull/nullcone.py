@@ -3,8 +3,12 @@ r copies of sl_n, common invariant flags, and resolution-bundle points.
 
 Arithmetic is exact, and the rows are integer inside.  Membership, the
 subspace chain and the flag do not change when a matrix is scaled by a
-nonzero rational, so each matrix is cleared once to an integer matrix by the
-lcm of its denominators.  One elimination step, ``_reduce`` (clear a row at
+nonzero rational, so each matrix is cleared to an integer matrix by the lcm
+of its denominators.  A ``MatrixTuple`` keeps its cleared matrices and its
+subspace chain from the first question asked of it for as long as the tuple
+lives, so ``in_nullcone``, ``common_flag``, ``triangularize`` and
+``resolution_sample`` on one tuple clear each matrix once and build the chain
+once.  One elimination step, ``_reduce`` (clear a row at
 the pivots of an echelon basis by cross-multiplying, then divide it by the
 gcd of its entries), is the package's only row reduction.
 ``fractions.Fraction`` appears only at the boundary: the entries read by
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction as Q
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -132,7 +137,13 @@ def _monic(row: Sequence[int], piv: int) -> Vector:
 
 
 def rref(vectors: Sequence[Vector]) -> list[Vector]:
-    """Reduced row-echelon basis of the span, rows ordered by pivot column."""
+    """Reduced row-echelon basis of the span, rows ordered by pivot column.
+
+    No command calls it.  It stays as the rational face of ``_echelon``: the
+    tests check it against sympy's ``Matrix.rref()``, and the benchmark's
+    tracer wraps it (``perfbench/tracer.py``'s ``install`` raises when a
+    target is missing).
+    """
     rows, pivots = _echelon(_clear(vectors)[0])
     return [_monic(row, p) for row, p in zip(rows, pivots)]
 
@@ -162,7 +173,13 @@ def mat_inverse(m: Sequence[Sequence]) -> Matrix:
 
 
 class MatrixTuple(Record):
-    """An r-tuple (r >= 1) of trace-free n x n rational matrices."""
+    """An r-tuple (r >= 1) of trace-free n x n rational matrices.
+
+    A tuple keeps what its questions share: its matrices cleared to integers
+    (``_cleared``) and its subspace chain (``_chain``), each computed on
+    first use and kept as long as the tuple.  Neither is a field, so
+    equality, hash, ``repr`` and pickles see the fields only.
+    """
 
     n: int
     matrices: tuple[Matrix, ...]
@@ -178,33 +195,41 @@ class MatrixTuple(Record):
             if mat_trace(m) != 0:
                 raise NotTraceFree("matrix tuple entries must be trace-free")
 
+    def __getstate__(self) -> dict:
+        return {f: getattr(self, f) for f in self._fields}
+
     @property
     def r(self) -> int:
         return len(self.matrices)
 
+    @cached_property
+    def _cleared(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+        """``_clear`` of each matrix: (integer rows, d) with m == ints / d."""
+        return tuple(_clear(m) for m in self.matrices)
 
-def _subspace_chain(t: MatrixTuple) -> list[Sequence[Sequence[int]]]:
-    """U_0 = C^n, U_{k+1} = sum_i x_i(U_k), until zero or stabilization.
+    @cached_property
+    def _chain(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """U_0 = C^n, U_{k+1} = sum_i x_i(U_k), until zero or stabilization.
 
-    Each U_k is its reduced-echelon basis of primitive integer rows (see
-    ``_echelon``); the x_i act as their integer multiples.
-    """
-    mats = [_clear(m)[0] for m in t.matrices]
-    chain = [identity(t.n)]
-    while True:
-        current = chain[-1]
-        if not current:
-            break
-        nxt = _echelon([mat_vec(m, v) for m in mats for v in current])[0]
-        chain.append(nxt)
-        if len(nxt) == len(current):
-            break  # stabilized at nonzero dimension
-    return chain
+        Each U_k is its reduced-echelon basis of primitive integer rows (see
+        ``_echelon``); the x_i act as their integer multiples.
+        """
+        mats = [ints for ints, _ in self._cleared]
+        chain = [identity(self.n)]
+        while True:
+            current = chain[-1]
+            if not current:
+                break
+            nxt = _echelon([mat_vec(m, v) for m in mats for v in current])[0]
+            chain.append(tuple(map(tuple, nxt)))
+            if len(nxt) == len(current):
+                break  # stabilized at nonzero dimension
+        return tuple(chain)
 
 
 def in_nullcone(t: MatrixTuple) -> bool:
     """True iff every length-n product of the matrices vanishes (U_n = 0)."""
-    return not _subspace_chain(t)[-1]
+    return not t._chain[-1]
 
 
 class Flag(Record):
@@ -225,7 +250,7 @@ def common_flag(t: MatrixTuple) -> Flag | None:
     Deterministic: each chain subspace is extended to the next by its
     reduced-echelon rows in pivot-column order.
     """
-    chain = _subspace_chain(t)
+    chain = t._chain
     if chain[-1]:
         return None
     basis: list[list[int]] = []
@@ -246,26 +271,38 @@ def is_strictly_upper(m: Matrix) -> bool:
     return all(m[i][j] == 0 for i in range(n) for j in range(n) if j <= i)
 
 
-def _conjugate(left: Sequence[Sequence[int]], x: Matrix,
+def _conjugate(left: Sequence[Sequence[int]],
+               x: tuple[Sequence[Sequence[int]], int],
                right: Sequence[Sequence[int]], den: int) -> Matrix:
-    """left x right / den, with x cleared to integers first."""
-    ints, d = _clear(x)
+    """left x right / den for a cleared matrix x = (ints, d)."""
+    ints, d = x
     prod = mat_mul(mat_mul(left, ints), right)
     return tuple(tuple(Q(v, den * d) for v in row) for row in prod)
 
 
+def _check_size(rows: Sequence[Sequence], n: int, what: str) -> None:
+    """Raise ValueError, naming both sizes, unless ``rows`` is n x n."""
+    widths = sorted({len(row) for row in rows}) or [0]
+    if len(rows) != n or widths != [n]:
+        cols = "/".join(map(str, widths))  # ragged rows list every length
+        raise ValueError(f"{what} is {len(rows)}x{cols} but the matrices are "
+                         f"{n}x{n}")
+
+
 def triangularize(t: MatrixTuple, flag: Flag) -> tuple[Matrix, ...]:
     """g^{-1} x_i g for the flag's basis matrix g (strictly upper if valid)."""
+    _check_size(flag.basis, t.n, "flag basis")
     g = _clear(flag.matrix)[0]  # a multiple of g conjugates alike
     ginv, den = _inverse(g)
-    return tuple(_conjugate(ginv, m, g, den) for m in t.matrices)
+    return tuple(_conjugate(ginv, m, g, den) for m in t._cleared)
 
 
 def resolution_sample(g: Matrix, nilpotent: MatrixTuple) -> MatrixTuple:
     """Point of the resolution bundle over the flag g: conjugates g x_i g^{-1}.
 
-    Requires g invertible and every x_i strictly upper triangular.
+    Requires g invertible and n x n, and every x_i strictly upper triangular.
     """
+    _check_size(g, nilpotent.n, "g")
     for m in nilpotent.matrices:
         if not is_strictly_upper(m):
             raise NotStrictlyUpper("matrix tuple entries must be strictly upper "
@@ -273,7 +310,7 @@ def resolution_sample(g: Matrix, nilpotent: MatrixTuple) -> MatrixTuple:
     ints = _clear(g)[0]
     ginv, den = _inverse(ints)  # raises SingularMatrix when g is not invertible
     conjugated = tuple(_conjugate(ints, m, ginv, den)
-                       for m in nilpotent.matrices)
+                       for m in nilpotent._cleared)
     return MatrixTuple(n=nilpotent.n, matrices=conjugated)
 
 

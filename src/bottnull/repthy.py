@@ -24,6 +24,16 @@ from .errors import CheckFailed, NotAGModule, NotDominant
 from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
 
+# Weight terms charged to each Newton step of ``_wedge`` on top of its
+# pairs.  A step's fixed cost (a convolution call, a ``psupp`` build, an
+# ``alternating_module``) is 38-46 us on A7 (``wedge^k(h^20)``, k = 50-200:
+# one weight, one pair a step), about 100 times the 360-470 ns that
+# ``bundles.weights`` of b^4, b*b*b*b*b and g^2*b^2 on A7 spends per charged
+# term (in process on a 2-vCPU VM).  So ``COST_CAP`` bounds the time of a
+# long Newton walk as it bounds that of an evaluation: the largest admitted
+# A7 ``wedge^k(h^20)``, k = 314, takes about 2.2 s.
+NEWTON_STEP_TERMS = 100
+
 
 class FormalGModule(_WeightMap):
     """Formal integer combination of irreducibles, keyed by highest weight.
@@ -218,8 +228,9 @@ def _wedge(rs: RootSystem, expr: Wedge, budget: _Budget) -> FormalGModule:
     """Lambda^k V by Newton's identity,
     m Lambda^m V = sum_{j=1..m} (-1)^(j-1) psi^j(V) (x) Lambda^(m-j) V,
     where psi^j(V) has the weights of V times j.  Lambda^m V is nonzero for
-    m <= dim V, so each of the k(k+1)/2 steps reads at least the distinct
-    weights of V: that is the look-ahead."""
+    m <= dim V, so each of the k(k+1)/2 steps costs at least
+    ``NEWTON_STEP_TERMS`` plus the distinct weights of V: that is the
+    look-ahead."""
     ws = _operand(rs, expr.inner, budget)
     k = expr.degree
     budget.charge(k + 1)
@@ -235,7 +246,8 @@ def _wedge(rs: RootSystem, expr: Wedge, budget: _Budget) -> FormalGModule:
         for j in range(1, m + 1):
             left -= 1
             prev = wedges[m - j]
-            budget.charge(len(prev) * len(ws), ahead=len(ws) * left)
+            budget.charge(NEWTON_STEP_TERMS + len(prev) * len(ws),
+                          ahead=(NEWTON_STEP_TERMS + len(ws)) * left)
             sign = 1 if j % 2 else -1
             for w, c in _tensor_step(rs, prev, psi[j - 1])._data.items():
                 acc[w] = acc.get(w, 0) + sign * c

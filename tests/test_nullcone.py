@@ -1,4 +1,6 @@
+import itertools
 import json
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -133,6 +135,24 @@ def test_resolution_sample_rejects_bad_inputs():
     singular = ((Q(1), Q(1)), (Q(1), Q(1)))
     with pytest.raises(SingularMatrix):
         nullcone.resolution_sample(singular, upper)
+
+
+def test_wrong_size_flag_or_g_is_refused_before_any_work():
+    jordan = _mt([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    short = nullcone.Flag(basis=((Q(1), Q(0)), (Q(0), Q(1))))
+    with pytest.raises(ValueError,
+                       match="flag basis is 2x2 but the matrices are 3x3"):
+        nullcone.triangularize(jordan, short)
+    ragged = nullcone.Flag(basis=((1, 0, 0), (0, 1), (0, 0, 1)))
+    with pytest.raises(ValueError, match="flag basis is 3x2/3 but"):
+        nullcone.triangularize(jordan, ragged)
+    g4 = nullcone.identity(4)
+    with pytest.raises(ValueError, match="g is 4x4 but the matrices are 3x3"):
+        nullcone.resolution_sample(g4, jordan)
+    # The size comes first: this tuple is not strictly upper either.
+    with pytest.raises(ValueError, match="g is 4x4"):
+        nullcone.resolution_sample(g4, _mt([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+    assert vars(jordan).keys() == {"n", "matrices"}  # nothing cleared
 
 
 def test_flag_basis_is_ascending_invariant_chain():
@@ -405,3 +425,81 @@ def test_cartan_inverse_matches_sympy(family, rank):
     rs = build_root_system(family, rank)
     assert rs._cartan_inverse == _sympy_inverse(rs.cartan)
     assert all(type(x) is Q for row in rs._cartan_inverse for x in row)
+
+
+# ------------------------------------------- what a tuple keeps between calls
+
+@st.composite
+def _cache_cases(draw):
+    """(tuple, flag f, f-conjugates): half resolution points g x g^-1 with
+    |det g| > 1 and f the columns of g, so the conjugates are x; half
+    trace-free tuples with fractional entries and f the standard basis."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        g = draw(_invertible(n))
+        ginv = _sympy_inverse(g)
+        uppers = tuple(draw(_strictly_upper(n)) for _ in range(r))
+        mats = tuple(oracles.conjugate(g, ginv, x) for x in uppers)
+        basis = tuple(zip(*g))
+        return nullcone.MatrixTuple(n=n, matrices=mats), basis, uppers
+    mats = []
+    for _ in range(r):
+        m = [list(row) for row in draw(_matrices(n, n))]
+        m[-1][-1] -= sum(m[i][i] for i in range(n))
+        mats.append(tuple(tuple(row) for row in m))
+    return (nullcone.MatrixTuple(n=n, matrices=tuple(mats)),
+            nullcone.identity(n), tuple(mats))
+
+
+def _answers(t, order, f):
+    ops = {"member": lambda: nullcone.in_nullcone(t),
+           "flag": lambda: nullcone.common_flag(t),
+           "triangularize": lambda: nullcone.triangularize(t, f)}
+    first = {op: ops[op]() for op in order}
+    again = {op: ops[op]() for op in order}
+    assert again == first
+    return first
+
+
+def _fresh(t):
+    return nullcone.MatrixTuple(n=t.n, matrices=t.matrices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cache_cases())
+def test_cached_tuple_state_changes_no_answer(case):
+    t, basis, conjugates = case
+    f = nullcone.Flag(basis=basis)
+    cold = _fresh(t)
+    want = {"member": nullcone.in_nullcone(_fresh(t)),
+            "flag": nullcone.common_flag(_fresh(t)),
+            "triangularize": nullcone.triangularize(_fresh(t), f)}
+    assert want["member"] == oracles.brute_nullcone_member(t.matrices)
+    assert (want["flag"] is not None) == want["member"]
+    assert want["triangularize"] == conjugates
+    for order in itertools.permutations(want):
+        assert _answers(_fresh(t), order, f) == want
+    assert _answers(t, tuple(want), f) == want
+    # No question changes the chain that membership alone builds.
+    member_only = _fresh(t)
+    nullcone.in_nullcone(member_only)
+    assert t._chain == member_only._chain
+    assert all(type(row) is tuple for u in (t._chain, *t._chain) for row in u)
+    # Other tuples of the same size still get their own answers.
+    n = t.n
+    assert nullcone.in_nullcone(_mt([[0] * n] * n))
+    if n > 1:  # diag(1, -1, 0, ...)
+        split = _mt([[(i == j == 0) - (i == j == 1) for j in range(n)]
+                     for i in range(n)])
+        assert nullcone.common_flag(split) is None
+        assert not nullcone.in_nullcone(split)
+    # The warm tuple keeps its value semantics, and shares nothing.
+    assert t == cold and hash(t) == hash(cold) and repr(t) == repr(cold)
+    assert pickle.dumps(t) == pickle.dumps(cold)
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and repr(back) == repr(t)
+    assert vars(back).keys() == vars(cold).keys() == {"n", "matrices"}
+    assert _answers(back, tuple(want), f) == want
+    assert t._chain is not back._chain and t._cleared is not back._cleared
+    assert t._chain == back._chain and t._cleared == back._cleared

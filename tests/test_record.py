@@ -207,6 +207,17 @@ def test_root_system_keeps_a_dict_for_its_memos():
         copy.rank = 3
 
 
+def test_matrix_tuple_memos_leave_its_value_semantics():
+    kwargs = dict(SAMPLES)[nullcone.MatrixTuple]
+    warm, cold = nullcone.MatrixTuple(**kwargs), nullcone.MatrixTuple(**kwargs)
+    assert nullcone.in_nullcone(warm) and nullcone.common_flag(warm)
+    assert vars(warm).keys() == {"n", "matrices", "_cleared", "_chain"}
+    assert vars(cold).keys() == {"n", "matrices"}
+    assert repr(warm) == REPRS["MatrixTuple"]
+    assert warm == cold and hash(warm) == hash(cold)
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+
+
 def test_importing_the_package_loads_no_dataclasses_or_inspect():
     """In a fresh interpreter (``-S``: no site hooks, which may import
     either module themselves), importing every module of the package and

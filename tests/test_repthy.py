@@ -604,6 +604,33 @@ def test_ring_refuses_before_any_tensor_step(cold_memos, monkeypatch, rank,
     assert steps == []
 
 
+class _FirstStep(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k,admitted", [(314, True), (315, False)])
+def test_newton_steps_are_charged_a_fixed_cost(cold_memos, monkeypatch, k,
+                                               admitted):
+    """A7 wedge^k(h^20): one weight, so each of the k(k+1)/2 Newton steps
+    costs NEWTON_STEP_TERMS plus one pair.  With the operand's 40 terms and
+    the k + 1 charged up front, k = 314 fits under COST_CAP and k = 315 is
+    refused before its first tensor step."""
+    step = repthy.NEWTON_STEP_TERMS
+    charged = 40 + (k + 1) + (step + 1) * (k * (k + 1) // 2)
+    assert (charged <= bundles.COST_CAP) == admitted
+    steps = []
+
+    def first_step(*args):
+        steps.append(1)
+        raise _FirstStep
+
+    monkeypatch.setattr(repthy, "_tensor_step", first_step)
+    expected = _FirstStep if admitted else SizeCapExceeded
+    with pytest.raises(expected):
+        repthy.decompose(build_root_system("A", 7), f"wedge^{k}(h^20)")
+    assert steps == ([1] if admitted else [])
+
+
 def test_zero_exponent_and_degree_still_evaluate_the_operand(cold_memos):
     rs = build_root_system("A", 2)
     for text in ("L[1,2,3]^0", "wedge^0(L[1,2,3])", "g*L[1,2,3]^0"):
