@@ -8,14 +8,16 @@ and ``L[c1,...,ck]`` (line with the given fundamental coordinates).  Operators:
 
 Semantics keep only the weight multiset (filtration-graded data): every
 evaluation is a map weight -> multiplicity with deterministic ordering.
-``weights`` packs keys once per evaluation (one width from ``_bound``) and
-unpacks only the result to tuples.
+One structural pass over the tree (``_shape``, also ``dim``'s) refuses a
+wrong-rank line or an unprintable dimension before any evaluation, and gives
+the one width at which ``weights`` packs keys; only the result is unpacked.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator, Union
 
@@ -360,9 +362,6 @@ def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
         return {"n": n, "h": h, "b": {**n, **h}, "q": q,
                 "g": {**q, **n, **h}}[expr.kind]
     if isinstance(expr, Line):
-        if len(expr.coords) != rs.rank:
-            raise InvalidWeight(
-                f"line weight has {len(expr.coords)} coordinates; rank is {rs.rank}")
         return {pack(expr.coords): 1}
     if isinstance(expr, Tensor):
         acc = _eval(rs, expr.factors[0], budget, pack)
@@ -389,42 +388,22 @@ def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
             budget.charge(pairs, ahead=pairs * (expr.exponent - step - 1))
             acc = _convolve_packed(acc, base)
         return acc
-    # Wedge or Sym: ``_bound`` has refused any other node.
+    # Wedge or Sym: ``_shape`` has refused any other node.
     return _graded_power(_eval(rs, expr.inner, budget, pack), expr.degree,
                          isinstance(expr, Sym), budget)[expr.degree]
-
-
-def _bound(rs: RootSystem, expr: Expr) -> int:
-    """Bound on |coordinate| over the weights of ``expr`` and of each of its
-    subexpressions, so one packed width serves a whole evaluation.  A zero
-    exponent or degree still evaluates its operand, hence ``max(k, 1)``."""
-    if isinstance(expr, Atom):
-        return 0 if expr.kind == "h" else max(
-            abs(c) for r in rs.positive_roots for c in r.fund_coords)
-    if isinstance(expr, Line):
-        return max(map(abs, expr.coords), default=0)
-    if isinstance(expr, Tensor):
-        return sum(_bound(rs, f) for f in expr.factors)
-    if isinstance(expr, Sum):
-        return max((_bound(rs, t) for t in expr.terms), default=0)
-    if isinstance(expr, Power):
-        return max(expr.exponent, 1) * _bound(rs, expr.base)
-    if isinstance(expr, (Wedge, Sym)):
-        return max(expr.degree, 1) * _bound(rs, expr.inner)
-    raise TypeError(f"not an expression: {expr!r}")
 
 
 def weights(rs: RootSystem, expr: Expr | str,
             budget: _Budget | None = None) -> WeightMultiset:
     """Weight multiset of the expression over the given root system.
 
-    Raises SizeCapExceeded before any step that would take the evaluation
-    past ``COST_CAP`` weight terms; evaluations given one ``budget`` share
-    one cap.
+    Raises what ``_shape`` raises before any evaluation, and
+    SizeCapExceeded before any step that would take the evaluation past
+    ``COST_CAP`` weight terms; evaluations given one ``budget`` share one cap.
     """
     if isinstance(expr, str):
         expr = parse(expr)
-    pack, unpack = _packer(rs.rank, _bound(rs, expr))
+    pack, unpack = _packer(rs.rank, _shape(rs, expr)[1])
     out = _eval(rs, expr, _Budget() if budget is None else budget, pack)
     return WeightMultiset(dict(zip(unpack(out), out.values())))
 
@@ -435,7 +414,7 @@ def wedge_layers(rs: RootSystem, expr: Expr | str,
     one graded pass that ``weights`` runs for ``wedge^k``."""
     if isinstance(expr, str):
         expr = parse(expr)
-    pack, unpack = _packer(rs.rank, _bound(rs, Wedge(k, expr)))
+    pack, unpack = _packer(rs.rank, _shape(rs, Wedge(k, expr))[1])
     budget = _Budget()
     layers = _graded_power(_eval(rs, expr, budget, pack), k, False, budget)
     return [WeightMultiset(dict(zip(unpack(layer), layer.values())))
@@ -460,19 +439,19 @@ def memoized(rs: RootSystem, kind: str, expr: Expr | str,
 
 
 def dim(rs: RootSystem, expr: Expr | str) -> int:
-    """Total dimension (computed structurally; equals weights(...).total_dim).
-
-    Raises SizeCapExceeded when the dimension of the expression or of a
-    subexpression has more decimal digits than Python converts to text
-    (``sys.get_int_max_str_digits()``); no value on the way gets twice as long.
-    """
+    """Total dimension from ``_shape``; equals weights(...).total_dim."""
     if isinstance(expr, str):
         expr = parse(expr)
-    return _dim(rs, expr, 10 ** _max_digits())
+    return _shape(rs, expr)[0]
 
 
 def _max_digits() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+@lru_cache(maxsize=None)
+def _cap(digits: int) -> int:
+    return 10 ** digits  # about 55 us at 4300 digits: once per limit value
 
 
 def _too_large() -> SizeCapExceeded:
@@ -491,35 +470,48 @@ def _comb(n: int, k: int, cap: int) -> int:
     return out if k <= n or k == 0 else 0
 
 
-def _dim(rs: RootSystem, expr: Expr, cap: int) -> int:
+def _shape(rs: RootSystem, expr: Expr, cap: int | None = None) -> tuple[int, int]:
+    """``(dimension, bound)`` of ``expr``, the bound on |coordinate| over the
+    weights of ``expr`` and its subexpressions (one packed width serves a
+    whole evaluation; a zero exponent or degree still evaluates its operand,
+    hence ``max(k, 1)``).  Raises InvalidWeight on a line of the wrong rank,
+    and SizeCapExceeded once a dimension on the way reaches ``cap``, more
+    digits than Python prints (``sys.get_int_max_str_digits()``): no value
+    on the way gets twice as long."""
+    cap = cap or _cap(_max_digits())
     if isinstance(expr, Atom):
         n_pos = len(rs.positive_roots)
         out = {"n": n_pos, "h": rs.rank, "b": n_pos + rs.rank,
                "q": n_pos, "g": 2 * n_pos + rs.rank}[expr.kind]
+        bound = 0 if expr.kind == "h" else rs.root_coord_bound
     elif isinstance(expr, Line):
         if len(expr.coords) != rs.rank:
             raise InvalidWeight(
                 f"line weight has {len(expr.coords)} coordinates; rank is {rs.rank}")
-        out = 1
+        out, bound = 1, max(map(abs, expr.coords), default=0)
     elif isinstance(expr, Tensor):
-        out = 1
+        out, bound = 1, 0
         for f in expr.factors:
-            out *= _dim(rs, f, cap)
+            d, b = _shape(rs, f, cap)
+            out, bound = out * d, bound + b
             if out >= cap:
                 raise _too_large()
     elif isinstance(expr, Sum):
-        out = sum(_dim(rs, t, cap) for t in expr.terms)
+        out = bound = 0
+        for t in expr.terms:
+            d, b = _shape(rs, t, cap)
+            out, bound = out + d, max(bound, b)
     elif isinstance(expr, Power):
-        base = _dim(rs, expr.base, cap)
+        base, bound = _shape(rs, expr.base, cap)
         if base > 1 and expr.exponent * (base.bit_length() - 1) >= cap.bit_length():
             raise _too_large()  # base^e >= 2^(e * (bits - 1))
-        out = base ** expr.exponent
-    elif isinstance(expr, Wedge):
-        out = _comb(_dim(rs, expr.inner, cap), expr.degree, cap)
-    elif isinstance(expr, Sym):
-        out = _comb(_dim(rs, expr.inner, cap) + expr.degree - 1, expr.degree, cap)
+        out, bound = base ** expr.exponent, max(expr.exponent, 1) * bound
+    elif isinstance(expr, (Wedge, Sym)):
+        inner, bound = _shape(rs, expr.inner, cap)
+        top = inner if isinstance(expr, Wedge) else inner + expr.degree - 1
+        out, bound = _comb(top, expr.degree, cap), max(expr.degree, 1) * bound
     else:
         raise TypeError(f"not an expression: {expr!r}")
     if out >= cap:
         raise _too_large()
-    return out
+    return out, bound

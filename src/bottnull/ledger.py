@@ -13,6 +13,7 @@ are independent of the unknown multiplicities.
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from math import comb
 
@@ -108,6 +109,8 @@ def _module_from_pairs(pairs, rank: int) -> FormalGModule:
             raise ValueError(
                 f"multiplicity {mult!r} of module weight {coords!r} is not a "
                 "positive integer")
+        if tuple(coords) in mults:
+            raise ValueError(f"module weight {coords!r} is listed twice")
         mults[tuple(coords)] = mult
     return FormalGModule(mults)
 
@@ -136,16 +139,24 @@ def load_table(text: str) -> CohomologyTable:
         raise ValueError(f"unsupported table format: {doc.get('version')!r}")
     table = CohomologyTable()
     for entry in doc["entries"]:
-        family, rank, q, p = entry["key"].split("/")
+        family, rank, q, p = _parse_key(entry["key"], 3)
         module = entry["module"]
-        table.add(family, int(rank), int(q), int(p),
+        table.add(family, rank, q, p,
                   module=(None if module == "trivial-unresolved"
-                          else _module_from_pairs(module, int(rank))),
+                          else _module_from_pairs(module, rank)),
                   provenance=entry.get("provenance", ""))
     for key in doc["complete"]:
-        family, rank, q = key.split("/")
-        table.mark_complete(family, int(rank), int(q))
+        table.mark_complete(*_parse_key(key, 2))
     return table
+
+
+def _parse_key(key: str, numbers: int) -> tuple:
+    """``F/rank/q[/p]`` written as ``save_table`` writes it: ``int`` alone
+    reads ``"A/2/1_0"`` as q = 10, and ``" A/2/2"`` has family ``" A"``."""
+    if not re.fullmatch(r"[A-Z]+" + r"/(0|-?[1-9][0-9]*)" * numbers, key):
+        raise ValueError(f"malformed table key {key!r}")
+    family, *rest = key.split("/")
+    return (family, *map(int, rest))
 
 
 def builtin_tables() -> CohomologyTable:

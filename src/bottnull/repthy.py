@@ -19,7 +19,7 @@ from math import lcm
 
 from . import _kernels, bwb, weyl
 from .bundles import (Expr, Power, Sum, Tensor, Wedge, WeightMultiset,
-                      _Budget, _WeightMap, memoized, weights)
+                      _Budget, _shape, _WeightMap, memoized, weights)
 from .errors import CheckFailed, NotAGModule, NotDominant
 from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
@@ -31,7 +31,7 @@ from .rootsys import (RootSystem, Weight, invariant_form,
 # ``bundles.weights`` of b^4, b*b*b*b*b and g^2*b^2 on A7 spends per charged
 # term (in process on a 2-vCPU VM).  So ``COST_CAP`` bounds the time of a
 # long Newton walk as it bounds that of an evaluation: the largest admitted
-# A7 ``wedge^k(h^20)``, k = 314, takes about 2.2 s.
+# A7 ``wedge^k(h^18)``, k = 314 (4,128 digits), takes about 3 s.
 NEWTON_STEP_TERMS = 100
 
 
@@ -161,6 +161,7 @@ def decompose(rs: RootSystem, expr: Expr | str | WeightMultiset) -> FormalGModul
 
 
 def _decompose_expr(rs: RootSystem, expr: Expr) -> FormalGModule:
+    _shape(rs, expr)  # the ring evaluates only operands: refuse the whole first
     try:
         return _ring(rs, expr, _Budget())
     except NotAGModule:

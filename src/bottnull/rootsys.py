@@ -103,6 +103,10 @@ class RootSystem(Record):
         return 2 * len(self.positive_roots) + self.rank
 
     @cached_property
+    def root_coord_bound(self) -> int:  # largest |fund coordinate| of a root
+        return max(abs(c) for r in self.positive_roots for c in r.fund_coords)
+
+    @cached_property
     def simple_fund_columns(self) -> tuple[Weight, ...]:
         """Fundamental coordinates of each simple root (Cartan column j)."""
         return tuple(tuple(self.cartan[i][j] for i in range(self.rank))

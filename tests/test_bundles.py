@@ -316,6 +316,7 @@ def test_weight_map_is_a_zero_free_copy():
     ("A", 7, "b^1000000000"),             # more convolution calls than the cap
     ("A", 2, "wedge^100000000(L[0,0])"),  # more layers than the cap
     ("A", 2, "sym^100000(g)"),            # quadratic layer loop
+    ("A", 7, "h^6000"),                   # one weight, 5,071 digits of it
 ])
 def test_cost_cap_refuses_before_running_away(family, rank, text):
     from bottnull import bwb, repthy
@@ -351,7 +352,7 @@ def test_cost_cap_charges_terms_not_dimension():
     assert bundles.weights(rs, text).total_dim == bundles.dim(rs, text)
     # The largest benchmark expression stays well under the cap.
     a7, b4 = build_root_system("A", 7), bundles.parse("b^4")
-    pack, _ = bundles._packer(a7.rank, bundles._bound(a7, b4))
+    pack, _ = bundles._packer(a7.rank, bundles._shape(a7, b4)[1])
     budget = bundles._Budget()
     bundles._eval(a7, b4, budget, pack)
     assert budget.spent < bundles.COST_CAP // 10

@@ -466,6 +466,16 @@ MALFORMED_INPUTS = {
         "verdict", "--family", "A", "--rank", "2", "-r", "1",
         "--table", _edited_table(
             tmp, lambda doc: doc["complete"].append("A/2/-1"))],
+    # Once read as {(0, 0): 1}, the last multiplicity listed.
+    "table-module-weight-twice": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "3",
+        "--table", _edited_table(tmp, lambda doc: doc["entries"][0].update(
+            module=[[[0, 0], 2], [[0, 0], 1]]))],
+    # Once read by int() as A/2/2/1, the built-in table's first key.
+    "table-key-underscore": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "3",
+        "--table", _edited_table(
+            tmp, lambda doc: doc["entries"][0].update(key="A/2/2/0_1"))],
     # Once exit 2 with the bare cost-cap message, naming no table key.
     "table-complete-past-cost-cap": lambda tmp: [
         "verdict", "--family", "A", "--rank", "2", "-r", "1",
@@ -618,23 +628,31 @@ def test_user_table_that_validates_gives_a_verdict(tmp_path, capsys):
     assert json.loads(out)["payload"]["normal"] == ledger.NORMAL_YES
 
 
+_DIGITS = "expression dimension has more than 4300 decimal digits"
+
 RUNAWAY = [
     # Dimension 2.2e13: refused by the evaluation cost cap, not run.
-    ("psupp", "sym^12(g)", "expression evaluation exceeds the cost cap of "
+    (["psupp"], "sym^12(g)", "expression evaluation exceeds the cost cap of "
      "5000000 weight terms"),
     # 4,633 digits, more than Python converts to text.
-    ("dim", "b^3000", "expression dimension has more than 4300 decimal "
-     "digits"),
+    (["dim"], "b^3000", _DIGITS),
     # A 5e9-bit integer: refused before it is built.
-    ("dim", "b^1000000000", "expression dimension has more than 4300 "
-     "decimal digits"),
+    (["dim"], "b^1000000000", _DIGITS),
+    # One weight of multiplicity 7^6000 (5,071 digits): each was once a
+    # traceback when the answer was printed.
+    (["weights"], "h^6000", _DIGITS),
+    (["psupp"], "h^6000", _DIGITS),
+    (["decompose"], "h^6000", _DIGITS),
+    (["mult", "--weight", "f:0,0,0,0,0,0,0"], "h^6000", _DIGITS),
+    # 4,658 digits: once about 3 s of Newton steps, then the traceback.
+    (["decompose"], "wedge^300(h^20)", _DIGITS),
 ]
 
 
 def test_runaway_expression_exits_2_on_its_cost_cap():
     for command, expr, message in RUNAWAY:
         proc = subprocess.run(
-            [sys.executable, "-m", "bottnull.cli", command, "--family", "A",
+            [sys.executable, "-m", "bottnull.cli", *command, "--family", "A",
              "--rank", "7", "--expr", expr],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, proc.stderr

@@ -173,6 +173,29 @@ def test_load_table_refuses_duplicate_and_out_of_range_keys():
         load_table(json.dumps(doc))
 
 
+def test_load_table_refuses_what_save_table_never_writes():
+    # Each was once read: a repeated weight kept its last multiplicity, and
+    # int() read "0_1" as 1 and kept " A" as a family.
+    doc = json.loads(save_table(builtin_tables()))
+    (entry,) = [e for e in doc["entries"] if e["key"] == "A/2/2/1"]
+    entry["module"] = [[[0, 0], 2], [[0, 0], 1]]
+    with pytest.raises(ValueError, match=r"module weight \[0, 0\] is listed twice"):
+        load_table(json.dumps(doc))
+    entry["module"] = [[[0, 0], 1]]
+    for key in ("A/2/2/0_1", "A/2/2/+1", "A/2/2/01", "A/2/2/ 1", " A/2/2/1",
+                "a/2/2/1", "A/2/2", "A/2/2/1/0"):
+        entry["key"] = key
+        with pytest.raises(ValueError, match="malformed table key"):
+            load_table(json.dumps(doc))
+    entry["key"] = "A/2/2/1"
+    for key in ("A/2/1_0", " A/2/2", "A/2", "A/2/2/1"):
+        doc["complete"].append(key)
+        with pytest.raises(ValueError, match="malformed table key"):
+            load_table(json.dumps(doc))
+        doc["complete"].pop()
+    assert save_table(load_table(json.dumps(doc))) == save_table(builtin_tables())
+
+
 def _builtin_edited(edit):
     doc = json.loads(save_table(builtin_tables()))
     edit(doc)
@@ -394,8 +417,8 @@ def test_block_past_the_cost_cap_is_a_named_failure():
     table.mark_complete("A", 1, 3000000)
     report = validate_table(table)
     assert report.failures == (
-        "A/1/3000000: expression evaluation exceeds the cost cap of "
-        "5000000 weight terms",)
+        "A/1/3000000: expression dimension has more than 4300 decimal "
+        "digits",)
     with pytest.raises(ValidationFailure, match="^A/1/3000000: "):
         ensure_valid(table)
 

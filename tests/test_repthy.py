@@ -588,10 +588,15 @@ def test_a7_g_cubed_evaluates_only_g(cold_memos, monkeypatch):
 
 
 @pytest.mark.parametrize("rank,text", [
-    (1, "g^3000000"),                # the look-ahead of the first step
+    (1, "L[0]^3000000"),             # the look-ahead of the first step
     (2, "wedge^100000000(L[0,0])"),  # the degree, charged up front
-    # One weight of multiplicity 7^20: 8,002,000 Newton steps ahead.
+    # One weight of multiplicity 7^5: 8,002,000 Newton steps ahead.
+    (7, "wedge^4000(h^5)"),
+    # Dimensions of 1.4 million, 54,935 and 4,658 digits: refused by the
+    # dimension pass before any operand is evaluated.
+    (1, "g^3000000"),
     (7, "wedge^4000(h^20)"),
+    (7, "wedge^300(h^20)"),
 ])
 def test_ring_refuses_before_any_tensor_step(cold_memos, monkeypatch, rank,
                                              text):
@@ -611,12 +616,14 @@ class _FirstStep(Exception):
 @pytest.mark.parametrize("k,admitted", [(314, True), (315, False)])
 def test_newton_steps_are_charged_a_fixed_cost(cold_memos, monkeypatch, k,
                                                admitted):
-    """A7 wedge^k(h^20): one weight, so each of the k(k+1)/2 Newton steps
-    costs NEWTON_STEP_TERMS plus one pair.  With the operand's 40 terms and
+    """A7 wedge^k(h^18): one weight, so each of the k(k+1)/2 Newton steps
+    costs NEWTON_STEP_TERMS plus one pair.  With the operand's 36 terms and
     the k + 1 charged up front, k = 314 fits under COST_CAP and k = 315 is
-    refused before its first tensor step."""
+    refused by it before its first tensor step.  Both dimensions have fewer
+    than 4,300 digits (4,128 for k = 314), so the digit limit refuses
+    neither."""
     step = repthy.NEWTON_STEP_TERMS
-    charged = 40 + (k + 1) + (step + 1) * (k * (k + 1) // 2)
+    charged = 36 + (k + 1) + (step + 1) * (k * (k + 1) // 2)
     assert (charged <= bundles.COST_CAP) == admitted
     steps = []
 
@@ -626,8 +633,8 @@ def test_newton_steps_are_charged_a_fixed_cost(cold_memos, monkeypatch, k,
 
     monkeypatch.setattr(repthy, "_tensor_step", first_step)
     expected = _FirstStep if admitted else SizeCapExceeded
-    with pytest.raises(expected):
-        repthy.decompose(build_root_system("A", 7), f"wedge^{k}(h^20)")
+    with pytest.raises(expected, match=None if admitted else "cost cap"):
+        repthy.decompose(build_root_system("A", 7), f"wedge^{k}(h^18)")
     assert steps == ([1] if admitted else [])
 
 
