@@ -380,6 +380,8 @@ def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
         return acc
     if isinstance(expr, Power):
         acc = {0: 1}
+        if not expr.exponent:  # ``_shape`` has checked the base: not evaluated
+            return acc
         base = _eval(rs, expr.base, budget, pack)
         budget.charge(expr.exponent)  # one convolution call per step
         # acc only grows, so every later step costs at least as much.
@@ -389,6 +391,8 @@ def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
             acc = _convolve_packed(acc, base)
         return acc
     # Wedge or Sym: ``_shape`` has refused any other node.
+    if not expr.degree:  # ``_shape`` has checked the operand: not evaluated
+        return {0: 1}
     return _graded_power(_eval(rs, expr.inner, budget, pack), expr.degree,
                          isinstance(expr, Sym), budget)[expr.degree]
 
@@ -473,11 +477,12 @@ def _comb(n: int, k: int, cap: int) -> int:
 def _shape(rs: RootSystem, expr: Expr, cap: int | None = None) -> tuple[int, int]:
     """``(dimension, bound)`` of ``expr``, the bound on |coordinate| over the
     weights of ``expr`` and its subexpressions (one packed width serves a
-    whole evaluation; a zero exponent or degree still evaluates its operand,
-    hence ``max(k, 1)``).  Raises InvalidWeight on a line of the wrong rank,
-    and SizeCapExceeded once a dimension on the way reaches ``cap``, more
-    digits than Python prints (``sys.get_int_max_str_digits()``): no value
-    on the way gets twice as long."""
+    whole evaluation; ``wedge_layers`` evaluates the operand of a degree-0
+    wedge, hence ``max(k, 1)``).  Raises InvalidWeight on a line of the
+    wrong rank, and SizeCapExceeded once a dimension on the way reaches
+    ``cap``, more digits than Python prints (``sys.get_int_max_str_digits()``):
+    no value on the way gets twice as long.  A zero exponent or degree is
+    checked here with its operand, which evaluation then skips."""
     cap = cap or _cap(_max_digits())
     if isinstance(expr, Atom):
         n_pos = len(rs.positive_roots)

@@ -140,11 +140,14 @@ def load_table(text: str) -> CohomologyTable:
     table = CohomologyTable()
     for entry in doc["entries"]:
         family, rank, q, p = _parse_key(entry["key"], 3)
-        module = entry["module"]
+        module, provenance = entry["module"], entry.get("provenance", "")
+        if not isinstance(provenance, str):
+            raise ValueError(f"provenance of table key {entry['key']} is not "
+                             "a string")
         table.add(family, rank, q, p,
                   module=(None if module == "trivial-unresolved"
                           else _module_from_pairs(module, rank)),
-                  provenance=entry.get("provenance", ""))
+                  provenance=provenance)
     for key in doc["complete"]:
         table.mark_complete(*_parse_key(key, 2))
     return table

@@ -5,16 +5,18 @@ Arithmetic is exact, and the rows are integer inside.  Membership, the
 subspace chain and the flag do not change when a matrix is scaled by a
 nonzero rational, so each matrix is cleared to an integer matrix by the lcm
 of its denominators.  A ``MatrixTuple`` keeps its cleared matrices and its
-subspace chain from the first question asked of it for as long as the tuple
-lives, so ``in_nullcone``, ``common_flag``, ``triangularize`` and
-``resolution_sample`` on one tuple clear each matrix once and build the chain
-once.  One elimination step, ``_reduce`` (clear a row at
-the pivots of an echelon basis by cross-multiplying, then divide it by the
-gcd of its entries), is the package's only row reduction.
-``fractions.Fraction`` appears only at the boundary: the entries read by
-``matrix_from_rows``, the normalized flag basis, ``rref``, ``mat_inverse``,
-and the conjugated matrices of ``triangularize`` and ``resolution_sample``.
-Vectors are row tuples; matrices act on column vectors.
+subspace chain from the first question asked of it, so the questions asked
+of one tuple clear each matrix once and build the chain once.  The chain
+shrinks (U_{k+1} <= U_k), so a step stops once its images span dim U_k.  A
+``Flag`` from ``common_flag`` keeps its integer basis vectors as the
+columns that ``triangularize`` conjugates by.  One elimination step,
+``_reduce`` (clear a row at the pivots of an echelon basis by
+cross-multiplying, then divide it by the gcd of its entries), is the
+package's only row reduction.  ``fractions.Fraction`` appears only at the
+boundary: the entries read by ``matrix_from_rows``, the normalized flag
+basis, ``rref``, ``mat_inverse``, and the conjugated matrices of
+``triangularize`` and ``resolution_sample``.  Vectors are row tuples;
+matrices act on column vectors.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import InputError, NotStrictlyUpper, NotTraceFree, SingularMatrix
 Matrix = tuple[tuple[Q, ...], ...]
 Vector = tuple[Q, ...]
 
+_ZERO = Q(0)
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -68,10 +71,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = list(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def mat_trace(m: Matrix) -> Q:
-    return sum(m[i][i] for i in range(len(m)))
 
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
@@ -112,24 +111,26 @@ def _reduce(row: list[int], basis: list[list[int]],
     return piv
 
 
-def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+def _echelon(rows, rank: int = -1) -> tuple[list[list[int]], list[int]] | None:
     """Reduced row-echelon basis of the span of integer rows, ordered by
     pivot column, and its pivots.  Each row is primitive and positive at its
-    pivot, so dividing it by that entry gives the rational rref row."""
+    pivot, so dividing it by that entry gives the rational rref row.
+    None once ``rank`` rows, a rank the span cannot exceed, are independent."""
     basis: list[list[int]] = []
     pivots: list[int] = []
     for v in rows:
         row = list(v)
         piv = _reduce(row, basis, pivots)
-        if piv is None:
-            continue
-        for b in basis:  # back-substitution into the earlier rows
-            if b[piv]:
-                _reduce(b, [row], [piv])
-        basis.append(row)
-        pivots.append(piv)
+        if piv is not None:
+            if len(basis) + 1 == rank:
+                return None
+            basis.append(row)
+            pivots.append(piv)
     order = sorted(range(len(basis)), key=pivots.__getitem__)
-    return [basis[i] for i in order], [pivots[i] for i in order]
+    basis, pivots = [basis[i] for i in order], [pivots[i] for i in order]
+    for i in range(len(basis) - 2, -1, -1):  # back-substitution
+        _reduce(basis[i], basis[i + 1:], pivots[i + 1:])
+    return basis, pivots
 
 
 def _monic(row: Sequence[int], piv: int) -> Vector:
@@ -192,7 +193,7 @@ class MatrixTuple(Record):
         for m in self.matrices:
             if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise ValueError(f"matrices must be {self.n}x{self.n}")
-            if mat_trace(m) != 0:
+            if sum(_clear([[row[i] for i, row in enumerate(m)]])[0][0]):
                 raise NotTraceFree("matrix tuple entries must be trace-free")
 
     def __getstate__(self) -> dict:
@@ -212,18 +213,19 @@ class MatrixTuple(Record):
         """U_0 = C^n, U_{k+1} = sum_i x_i(U_k), until zero or stabilization.
 
         Each U_k is its reduced-echelon basis of primitive integer rows (see
-        ``_echelon``); the x_i act as their integer multiples.
+        ``_echelon``); the x_i act as their integer multiples.  U_{k+1} <= U_k
+        by induction, so dim U_k independent images end a step: U_{k+1} = U_k.
         """
         mats = [ints for ints, _ in self._cleared]
         chain = [identity(self.n)]
-        while True:
+        while chain[-1]:
             current = chain[-1]
-            if not current:
+            nxt = _echelon((mat_vec(m, v) for m in mats for v in current),
+                           len(current))
+            if nxt is None:  # U_{k+1} = U_k
+                chain.append(current)
                 break
-            nxt = _echelon([mat_vec(m, v) for m in mats for v in current])[0]
-            chain.append(tuple(map(tuple, nxt)))
-            if len(nxt) == len(current):
-                break  # stabilized at nonzero dimension
+            chain.append(tuple(map(tuple, nxt[0])))
         return tuple(chain)
 
 
@@ -236,6 +238,14 @@ class Flag(Record):
     """Ordered basis b_1..b_n; F_j = span(b_1..b_j) is the invariant flag."""
 
     basis: tuple[Vector, ...]
+
+    def __getstate__(self) -> dict:  # the field only, as for MatrixTuple
+        return {"basis": self.basis}
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """``matrix`` cleared to integers; ``common_flag`` sets it."""
+        return _clear(self.matrix)[0]
 
     @property
     def matrix(self) -> Matrix:
@@ -263,7 +273,12 @@ def common_flag(t: MatrixTuple) -> Flag | None:
                 basis.append(vec)
                 pivots.append(piv)
     assert len(basis) == t.n
-    return Flag(basis=tuple(_monic(vec, p) for vec, p in zip(basis, pivots)))
+    flag = Flag(basis=tuple(_monic(vec, p) for vec, p in zip(basis, pivots)))
+    # vec is primitive: vec[p] is the lcm of the denominators of vec / vec[p].
+    d = lcm(*(vec[p] for vec, p in zip(basis, pivots)))
+    vars(flag)["_columns"] = tuple(zip(*([x * (d // vec[p]) for x in vec]
+                                         for vec, p in zip(basis, pivots))))
+    return flag
 
 
 def is_strictly_upper(m: Matrix) -> bool:
@@ -277,7 +292,8 @@ def _conjugate(left: Sequence[Sequence[int]],
     """left x right / den for a cleared matrix x = (ints, d)."""
     ints, d = x
     prod = mat_mul(mat_mul(left, ints), right)
-    return tuple(tuple(Q(v, den * d) for v in row) for row in prod)
+    return tuple(tuple(Q(v, den * d) if v else _ZERO for v in row)
+                 for row in prod)
 
 
 def _check_size(rows: Sequence[Sequence], n: int, what: str) -> None:
@@ -292,7 +308,7 @@ def _check_size(rows: Sequence[Sequence], n: int, what: str) -> None:
 def triangularize(t: MatrixTuple, flag: Flag) -> tuple[Matrix, ...]:
     """g^{-1} x_i g for the flag's basis matrix g (strictly upper if valid)."""
     _check_size(flag.basis, t.n, "flag basis")
-    g = _clear(flag.matrix)[0]  # a multiple of g conjugates alike
+    g = flag._columns  # a multiple of g conjugates alike
     ginv, den = _inverse(g)
     return tuple(_conjugate(ginv, m, g, den) for m in t._cleared)
 
@@ -303,7 +319,7 @@ def resolution_sample(g: Matrix, nilpotent: MatrixTuple) -> MatrixTuple:
     Requires g invertible and n x n, and every x_i strictly upper triangular.
     """
     _check_size(g, nilpotent.n, "g")
-    for m in nilpotent.matrices:
+    for m, _ in nilpotent._cleared:
         if not is_strictly_upper(m):
             raise NotStrictlyUpper("matrix tuple entries must be strictly upper "
                                    "triangular")

@@ -221,7 +221,9 @@ def _ring(rs: RootSystem, expr: Expr, budget: _Budget) -> FormalGModule:
         module, factors = FormalGModule({(0,) * rs.rank: 1}), (expr,)
     for f in factors:
         base, k = (f.base, f.exponent) if isinstance(f, Power) else (f, 1)
-        module = tensor_power(rs, module, _operand(rs, base, budget), k, budget)
+        if k:  # base^0 is the trivial module: the base is not evaluated
+            module = tensor_power(rs, module, _operand(rs, base, budget), k,
+                                  budget)
     return module
 
 
@@ -232,8 +234,10 @@ def _wedge(rs: RootSystem, expr: Wedge, budget: _Budget) -> FormalGModule:
     m <= dim V, so each of the k(k+1)/2 steps costs at least
     ``NEWTON_STEP_TERMS`` plus the distinct weights of V: that is the
     look-ahead."""
-    ws = _operand(rs, expr.inner, budget)
     k = expr.degree
+    if not k:  # the trivial module: the operand is not evaluated
+        return FormalGModule({(0,) * rs.rank: 1})
+    ws = _operand(rs, expr.inner, budget)
     budget.charge(k + 1)
     if k > ws.total_dim:
         return FormalGModule()

@@ -6,8 +6,9 @@ iterated highest-weight stripping, potential supports by searching the
 Weyl group for each weight's dominant chamber, the weights of wedge powers
 of n by listing subsets of roots, page cells by convolving full characters,
 certain survivors by total degree instead of lanes, null-cone membership by
-brute-force word products, root data from sympy's ``liealgebras``, Weyl
-products and coroot pairings from the invariant form.  Slow but simple;
+brute-force word products, subspace chains and their flags by sympy's
+rational ``rref`` of every image, root data from sympy's ``liealgebras``,
+Weyl products and coroot pairings from the invariant form.  Slow but simple;
 meant for small inputs only.
 """
 
@@ -330,6 +331,50 @@ def brute_nullcone_member(matrices) -> bool:
         # Dedup to keep the word count in check.
         products = list(dict.fromkeys(products))
     return all(p == zero for p in products)
+
+
+def _rref(rows) -> list[tuple[Q, ...]]:
+    """Nonzero rows of sympy's rational ``rref`` of the span of ``rows``."""
+    import sympy
+
+    if not rows:
+        return []
+    reduced = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                             for x in row] for row in rows]).rref()[0]
+    return [tuple(Q(int(x.p), int(x.q)) for x in reduced.row(i))
+            for i in range(reduced.rows) if any(reduced.row(i))]
+
+
+def full_subspace_chain(matrices) -> list[list[tuple[Q, ...]]]:
+    """U_0 = Q^n, U_{k+1} = span of x_i(U_k) over every x_i and every basis
+    row of U_k, each U_k as its rational rref rows, until U_{k+1} is zero or
+    equal to U_k.  Every image of every step is reduced: no early stop."""
+    n = len(matrices[0])
+    chain = [[tuple(Q(int(i == j)) for j in range(n)) for i in range(n)]]
+    while chain[-1]:
+        images = [tuple(sum(a * b for a, b in zip(row, v)) for row in x)
+                  for x in matrices for v in chain[-1]]
+        chain.append(_rref(images))
+        if chain[-1] == chain[-2]:
+            break
+    return chain
+
+
+def chain_flag(chain) -> tuple[tuple[Q, ...], ...]:
+    """The flag basis ``common_flag`` promises for a zero-ending chain: the
+    subspaces, smallest first, each extended by its rref rows in order; a
+    row outside the span so far is taken minus the span's rref rows, so
+    that it vanishes at their pivots, and scaled to lead with 1."""
+    basis: list[tuple[Q, ...]] = []
+    for subspace in reversed(chain):
+        for row in subspace:
+            for r in _rref(basis):
+                f = row[next(j for j, x in enumerate(r) if x)]
+                row = tuple(a - f * b for a, b in zip(row, r))
+            lead = next((x for x in row if x), None)
+            if lead is not None:
+                basis.append(tuple(x / lead for x in row))
+    return tuple(basis)
 
 
 def random_strictly_upper(rng: random.Random, n: int):

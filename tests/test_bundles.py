@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from bottnull import bundles
+from bottnull import bundles, repthy
 from bottnull.bundles import Atom, Line, Power, Sum, Sym, Tensor, Wedge
 from bottnull.errors import (ExprSyntaxError, InvalidWeight, SizeCapExceeded,
                              UnknownAtom)
@@ -356,3 +356,29 @@ def test_cost_cap_charges_terms_not_dimension():
     budget = bundles._Budget()
     bundles._eval(a7, b4, budget, pack)
     assert budget.spent < bundles.COST_CAP // 10
+
+
+def test_zero_exponent_or_degree_is_trivial_without_evaluating(
+        cold_memos, monkeypatch):
+    a7 = build_root_system("A", 7)
+
+    def evaluated(*args):
+        raise AssertionError("an operand under a zero exponent was evaluated")
+
+    monkeypatch.setattr(bundles, "_convolve_packed", evaluated)
+    monkeypatch.setattr(bundles, "_graded_power", evaluated)
+    trivial = {(0,) * 7: 1}
+    # (b^9)^0: an operand past the cost cap is not evaluated, so not refused.
+    for text in ("wedge^0(b^4)", "sym^0(b^4)", "(b^4)^0", "(b^9)^0",
+                 "wedge^0(sym^0(b^9))"):
+        assert bundles.weights(a7, text) == trivial
+        assert repthy.decompose(a7, text) == trivial
+    assert bundles.weights(a7, "(b^4)^0+wedge^0(g)") == {(0,) * 7: 2}
+    # The structural pass still checks the operand: its line rank and its
+    # printable dimension (7^6000 has more than 4300 digits).
+    a2 = build_root_system("A", 2)
+    for text in ("L[1,2,3]^0", "wedge^0(L[1,2,3])", "sym^0(L[1])"):
+        with pytest.raises(InvalidWeight):
+            bundles.weights(a2, text)
+    with pytest.raises(SizeCapExceeded, match="decimal digits"):
+        bundles.weights(a7, "(h^6000)^0")

@@ -476,6 +476,11 @@ MALFORMED_INPUTS = {
         "verdict", "--family", "A", "--rank", "2", "-r", "3",
         "--table", _edited_table(
             tmp, lambda doc: doc["entries"][0].update(key="A/2/2/0_1"))],
+    # Once loaded, the list kept as the entry's provenance, and exit 0.
+    "table-provenance-not-a-string": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "1",
+        "--table", _edited_table(tmp, lambda doc: doc["entries"][0].update(
+            provenance=["x", 5]))],
     # Once exit 2 with the bare cost-cap message, naming no table key.
     "table-complete-past-cost-cap": lambda tmp: [
         "verdict", "--family", "A", "--rank", "2", "-r", "1",

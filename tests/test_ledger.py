@@ -196,6 +196,18 @@ def test_load_table_refuses_what_save_table_never_writes():
     assert save_table(load_table(json.dumps(doc))) == save_table(builtin_tables())
 
 
+def test_load_table_refuses_a_provenance_that_is_not_a_string():
+    doc = json.loads(save_table(builtin_tables()))
+    first = doc["entries"][0]
+    for value in (["x", 5], 5, None, {"text": "x"}):
+        first["provenance"] = value
+        with pytest.raises(ValueError, match=f"provenance of table key "
+                                             f"{first['key']} is not a string"):
+            load_table(json.dumps(doc))
+    del first["provenance"]  # absent reads as ""
+    assert load_table(json.dumps(doc)).entries()[0].provenance == ""
+
+
 def _builtin_edited(edit):
     doc = json.loads(save_table(builtin_tables()))
     edit(doc)

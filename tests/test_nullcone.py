@@ -266,9 +266,12 @@ def test_matrix_tuple_needs_a_matrix():
 
 
 def test_early_stabilization_matches_full_chain():
-    # A tuple whose chain stabilizes early at a nonzero subspace.
+    # A tuple whose chain stabilizes early at a nonzero subspace: U_1 =
+    # span(e_2, e_3) = U_2.
     t = _mt([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
     assert not nullcone.in_nullcone(t)
+    assert _rational_chain(t) == oracles.full_subspace_chain(t.matrices)
+    assert t._chain[1:] == (((0, 1, 0), (0, 0, 1)),) * 2
 
 
 def test_zero_tuple():
@@ -503,3 +506,61 @@ def test_cached_tuple_state_changes_no_answer(case):
     assert _answers(back, tuple(want), f) == want
     assert t._chain is not back._chain and t._cleared is not back._cleared
     assert t._chain == back._chain and t._cleared == back._cleared
+
+
+# --------------------------------------- the chain against a full-chain oracle
+
+def _rational_chain(t):
+    """``t._chain`` with each primitive row divided by its pivot entry."""
+    return [[tuple(Q(x, next(filter(None, row))) for x in row) for row in u]
+            for u in t._chain]
+
+
+@st.composite
+def _chain_cases(draw):
+    """Trace-free tuples whose first matrix often has a zero column, so its
+    rank is deficient and the chain can stabilize below Q^n; or resolution
+    points g x g^-1 of strictly upper tuples, |det g| > 1."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        g = draw(_invertible(n))
+        ginv = _sympy_inverse(g)
+        return nullcone.MatrixTuple(n=n, matrices=tuple(
+            oracles.conjugate(g, ginv, draw(_strictly_upper(n)))
+            for _ in range(r)))
+    mats = []
+    for k in range(r):
+        m = [list(row) for row in draw(_matrices(n, n))]
+        j = draw(st.integers(0, n - 1))
+        if k == 0 and draw(st.booleans()):
+            for row in m:
+                row[j] = Q(0)
+        i = (j + 1) % n  # not the zero column when n > 1
+        m[i][i] -= sum(m[d][d] for d in range(n))
+        mats.append(tuple(map(tuple, m)))
+    return nullcone.MatrixTuple(n=n, matrices=tuple(mats))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chain_cases())
+def test_chain_flag_and_conjugates_match_the_full_chain_oracle(t):
+    chain = oracles.full_subspace_chain(t.matrices)
+    assert _rational_chain(t) == chain
+    flag = nullcone.common_flag(t)
+    assert (flag is None) == bool(chain[-1])
+    if flag is None:
+        return
+    assert flag.basis == oracles.chain_flag(chain)
+    f = flag.matrix
+    tri = nullcone.triangularize(t, flag)
+    assert tri == tuple(oracles.conjugate(_sympy_inverse(f), f, x)
+                        for x in t.matrices)
+    assert all(nullcone.is_strictly_upper(m) for m in tri)
+    # A hand-built flag with the same basis is the same value, pickles
+    # alike, and conjugates alike from its cleared matrix.
+    hand = nullcone.Flag(basis=flag.basis)
+    assert hand == flag and hash(hand) == hash(flag) and repr(hand) == repr(flag)
+    assert pickle.dumps(hand) == pickle.dumps(flag)
+    assert vars(pickle.loads(pickle.dumps(flag))).keys() == {"basis"}
+    assert nullcone.triangularize(_fresh(t), hand) == tri

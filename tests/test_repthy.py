@@ -638,7 +638,7 @@ def test_newton_steps_are_charged_a_fixed_cost(cold_memos, monkeypatch, k,
     assert steps == ([1] if admitted else [])
 
 
-def test_zero_exponent_and_degree_still_evaluate_the_operand(cold_memos):
+def test_zero_exponent_and_degree_still_check_the_operand(cold_memos):
     rs = build_root_system("A", 2)
     for text in ("L[1,2,3]^0", "wedge^0(L[1,2,3])", "g*L[1,2,3]^0"):
         with pytest.raises(InvalidWeight):
