@@ -203,8 +203,8 @@ def _operand(rs: RootSystem, expr: Expr, budget: _Budget) -> WeightMultiset:
 def _ring(rs: RootSystem, expr: Expr, budget: _Budget) -> FormalGModule:
     """Decomposition of ``expr`` in the representation ring.  The walk
     enters a sum's terms and a product's first factor; every other node it
-    meets gives one operand (a power its base, a wedge its module), which
-    ``_operand`` evaluates and checks once."""
+    meets gives one operand (a power its base, a wedge its module, none at a
+    zero exponent or degree), which ``_operand`` evaluates and checks once."""
     if isinstance(expr, Sum):
         acc: dict[Weight, int] = {}
         for t in expr.terms:
