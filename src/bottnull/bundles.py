@@ -11,6 +11,8 @@ evaluation is a map weight -> multiplicity with deterministic ordering.
 One structural pass over the tree (``_shape``, also ``dim``'s) refuses a
 wrong-rank line or an unprintable dimension before any evaluation, and gives
 the one width at which ``weights`` packs keys; only the result is unpacked.
+``_off_wall_weights`` unpacks less still: it drops the weights with a
+coordinate -1, singular in Borel-Weil-Bott, while they are packed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator, Union
 
-from ._kernels._pykernels import _convolve_packed, _packer
+from ._kernels._pykernels import _convolve_packed, _off_walls, _packer
 from ._record import Record
 from .errors import ExprSyntaxError, InvalidWeight, SizeCapExceeded, UnknownAtom
 from .rootsys import MAX_COORD_DIGITS, RootSystem, Weight
@@ -326,30 +328,33 @@ def _graded_power(ws: dict, k: int, symmetric: bool, budget: _Budget) -> list:
     layers[0][0] = 1
     items = sorted(ws.items())
     for t, (w, m) in enumerate(items):
-        # This pass copies the layers and, for each j up to ``top`` (the
-        # nonzero coefficients), loops over d reading layer d - j: at most
-        # (top + 1) * per_read terms.  Layers only grow and top >= 1, so
-        # every later pass is charged at least 2 * per_read.
+        # For each j up to ``top`` (the nonzero coefficients) this pass loops
+        # over d reading layer d - j: at most top * per_read terms, charged
+        # (top + 1) * per_read.  Layers only grow and top >= 1, so every
+        # later pass is charged at least 2 * per_read.
         top = k if symmetric else min(k, m)
         per_read = sum(map(len, layers)) + k
         budget.charge((top + 1) * per_read,
                       ahead=2 * per_read * (len(items) - t - 1))
-        new = [dict(layer) for layer in layers]
-        for j in range(1, k + 1):
-            coeff = comb(m + j - 1, j) if symmetric else comb(m, j)
-            if coeff == 0:
-                continue
-            off = j * w
-            for d in range(j, k + 1):
+        # Layer d reads only layers below it, which this weight has not
+        # touched yet when d runs from k down: the layers grow in place.
+        for d in range(k, 0, -1):
+            tgt = layers[d]
+            get = tgt.get
+            for j in range(1, min(d, top) + 1):
                 src = layers[d - j]
                 if not src:
                     continue
-                tgt = new[d]
-                get = tgt.get
-                for key, c in src.items():
-                    key += off
-                    tgt[key] = get(key, 0) + c * coeff
-        layers = new
+                off = j * w
+                coeff = comb(m + j - 1, j) if symmetric else comb(m, j)
+                if coeff == 1:
+                    for key, c in src.items():
+                        key += off
+                        tgt[key] = get(key, 0) + c
+                else:
+                    for key, c in src.items():
+                        key += off
+                        tgt[key] = get(key, 0) + c * coeff
     return layers
 
 
@@ -357,10 +362,7 @@ def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
     """Weight multiset of ``expr`` on keys packed by ``pack``; the packed
     zero weight is 0 and ``pack`` is linear, so -pack(w) packs -w."""
     if isinstance(expr, Atom):
-        roots = [pack(r.fund_coords) for r in rs.positive_roots]
-        q, n, h = dict.fromkeys(roots, 1), {-r: 1 for r in roots}, {0: rs.rank}
-        return {"n": n, "h": h, "b": {**n, **h}, "q": q,
-                "g": {**q, **n, **h}}[expr.kind]
+        return dict(_atom_maps(rs, pack)[expr.kind])
     if isinstance(expr, Line):
         return {pack(expr.coords): 1}
     if isinstance(expr, Tensor):
@@ -397,6 +399,30 @@ def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
                          isinstance(expr, Sym), budget)[expr.degree]
 
 
+def _atom_maps(rs: RootSystem, pack) -> dict[str, dict]:
+    """The five atoms' packed maps, built once per root system and packing
+    (``pack(rho)`` names the field width) and kept in ``rs._packed_atoms``;
+    ``_eval`` hands out copies."""
+    key = pack(rs.rho)
+    maps = rs._packed_atoms.get(key)
+    if maps is None:
+        roots = [pack(r.fund_coords) for r in rs.positive_roots]
+        q, n, h = dict.fromkeys(roots, 1), {-r: 1 for r in roots}, {0: rs.rank}
+        maps = rs._packed_atoms[key] = {"n": n, "h": h, "b": {**n, **h},
+                                       "q": q, "g": {**q, **n, **h}}
+    return maps
+
+
+def _packed(rs: RootSystem, expr: Expr, budget: _Budget | None = None):
+    """``(packed, unpack, bound)``: the weight multiset of ``expr`` on keys
+    packed by ``_packer(rs.rank, bound)``, ``bound`` from ``_shape``, and
+    that packer's ``unpack``."""
+    bound = _shape(rs, expr)[1]
+    pack, unpack = _packer(rs.rank, bound)
+    budget = _Budget() if budget is None else budget
+    return _eval(rs, expr, budget, pack), unpack, bound
+
+
 def weights(rs: RootSystem, expr: Expr | str,
             budget: _Budget | None = None) -> WeightMultiset:
     """Weight multiset of the expression over the given root system.
@@ -407,22 +433,34 @@ def weights(rs: RootSystem, expr: Expr | str,
     """
     if isinstance(expr, str):
         expr = parse(expr)
-    pack, unpack = _packer(rs.rank, _shape(rs, expr)[1])
-    out = _eval(rs, expr, _Budget() if budget is None else budget, pack)
-    return WeightMultiset(dict(zip(unpack(out), out.values())))
+    packed, unpack, _ = _packed(rs, expr, budget)
+    return WeightMultiset(dict(zip(unpack(packed), packed.values())))
+
+
+def _off_wall_weights(rs: RootSystem, expr: Expr) -> dict[Weight, int]:
+    """The weights of ``expr`` with no coordinate -1 and their
+    multiplicities, in ``weights``' order: a weight with a coordinate -1
+    is singular in Borel-Weil-Bott without a walk, so it is dropped while
+    packed and never unpacked.  Raises what ``weights`` raises."""
+    packed, unpack, bound = _packed(rs, expr)
+    packed = _off_walls(rs.rank, bound)(packed)
+    return dict(zip(unpack(packed), packed.values()))
 
 
 def wedge_layers(rs: RootSystem, expr: Expr | str,
                  k: int) -> list[WeightMultiset]:
-    """Weight multisets of wedge^0 .. wedge^k of the expression, from the
-    one graded pass that ``weights`` runs for ``wedge^k``."""
+    """The weights with no coordinate -1 of wedge^0 .. wedge^k of the
+    expression (see ``_off_wall_weights``), from the one graded pass that
+    ``weights`` runs for ``wedge^k``."""
     if isinstance(expr, str):
         expr = parse(expr)
-    pack, unpack = _packer(rs.rank, _shape(rs, Wedge(k, expr))[1])
+    bound = _shape(rs, Wedge(k, expr))[1]
+    pack, unpack = _packer(rs.rank, bound)
+    keep = _off_walls(rs.rank, bound)
     budget = _Budget()
     layers = _graded_power(_eval(rs, expr, budget, pack), k, False, budget)
     return [WeightMultiset(dict(zip(unpack(layer), layer.values())))
-            for layer in layers]
+            for layer in map(keep, layers)]
 
 
 def memoized(rs: RootSystem, kind: str, expr: Expr | str,

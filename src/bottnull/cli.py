@@ -195,12 +195,16 @@ def _cmd_nullcone(rs: RootSystem | None, args) -> _Output:
     if args.op == "resolve":
         try:
             doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise ValueError("expected a JSON object")
             g = nullcone.matrix_from_rows(doc["g"])
             if any(len(row) != len(g) for row in g):
                 raise ValueError("g must be a square matrix")
             mats = tuple(nullcone.matrix_from_rows(m) for m in doc["matrices"])
             t = nullcone.MatrixTuple(n=len(g), matrices=mats)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise InputError(f"bad resolve document: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad resolve document: {exc}") from exc
         sample = nullcone.resolution_sample(g, t)
         payload = {"op": "resolve", "n": sample.n, "r": sample.r,

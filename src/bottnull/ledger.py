@@ -134,23 +134,33 @@ def save_table(table: CohomologyTable) -> str:
 
 
 def load_table(text: str) -> CohomologyTable:
-    doc = json.loads(text)
+    doc = _json_object(json.loads(text))
     if doc.get("version") != TABLE_FORMAT:
         raise ValueError(f"unsupported table format: {doc.get('version')!r}")
     table = CohomologyTable()
-    for entry in doc["entries"]:
-        family, rank, q, p = _parse_key(entry["key"], 3)
-        module, provenance = entry["module"], entry.get("provenance", "")
-        if not isinstance(provenance, str):
-            raise ValueError(f"provenance of table key {entry['key']} is not "
-                             "a string")
-        table.add(family, rank, q, p,
-                  module=(None if module == "trivial-unresolved"
-                          else _module_from_pairs(module, rank)),
-                  provenance=provenance)
-    for key in doc["complete"]:
-        table.mark_complete(*_parse_key(key, 2))
+    try:
+        for entry in doc["entries"]:
+            entry = _json_object(entry)
+            family, rank, q, p = _parse_key(entry["key"], 3)
+            module, provenance = entry["module"], entry.get("provenance", "")
+            if not isinstance(provenance, str):
+                raise ValueError(f"provenance of table key {entry['key']} is "
+                                 "not a string")
+            table.add(family, rank, q, p,
+                      module=(None if module == "trivial-unresolved"
+                              else _module_from_pairs(module, rank)),
+                      provenance=provenance)
+        for key in doc["complete"]:
+            table.mark_complete(*_parse_key(key, 2))
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
     return table
+
+
+def _json_object(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
+    return doc
 
 
 def _parse_key(key: str, numbers: int) -> tuple:

@@ -343,10 +343,14 @@ def tuple_to_json(t: MatrixTuple) -> str:
 def tuple_from_json(text: str) -> MatrixTuple:
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
         n = doc["n"]
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
         mats = tuple(matrix_from_rows(m) for m in doc["matrices"])
         return MatrixTuple(n=n, matrices=mats)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"bad matrix-tuple document: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad matrix-tuple document: {exc}") from exc

@@ -128,6 +128,11 @@ class RootSystem(Record):
         return {}
 
     @cached_property
+    def _packed_atoms(self) -> dict[int, dict[str, dict[int, int]]]:
+        """``bundles``' maps of the atoms on packed keys, per packing."""
+        return {}
+
+    @cached_property
     def _cartan_inverse(self) -> tuple[tuple[Q, ...], ...]:
         return mat_inverse(self.cartan)
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from bottnull import bundles, repthy
-from bottnull.bundles import Atom, Line, Power, Sum, Sym, Tensor, Wedge
+from conftest import rebuilt
+from bottnull import bundles, bwb, repthy
+from bottnull.bundles import (Atom, Line, Power, Sum, Sym, Tensor, Wedge,
+                              WeightMultiset)
 from bottnull.errors import (ExprSyntaxError, InvalidWeight, SizeCapExceeded,
                              UnknownAtom)
 from bottnull.rootsys import MAX_COORD_DIGITS, build_root_system
@@ -251,6 +253,18 @@ def test_weights_match_the_unpacked_oracle(case):
     # The oracle expands wedge and sym weight by weight.
     assume(all(bundles.dim(rs, e) <= 2000 for e in _subexpressions(expr)))
     assert bundles.weights(rs, expr) == oracles.expand_weights(rs, expr)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_system_and_tree())
+def test_psupp_drops_walls_like_the_unpacked_oracle(case):
+    # psupp of an expression drops the weights with a coordinate -1 while
+    # they are packed; psupp of a multiset hands every weight to the walk.
+    rs, expr = case
+    assume(all(bundles.dim(rs, e) <= 2000 for e in _subexpressions(expr)))
+    cold = rebuilt(rs)
+    oracle = WeightMultiset(oracles.expand_weights(rs, expr))
+    assert bwb.psupp(cold, expr) == bwb.psupp(cold, oracle)
 
 
 def test_power_past_the_cap_stops_after_six_convolutions(monkeypatch):

@@ -592,6 +592,26 @@ def test_resolve_refuses_a_non_square_g(capsys, tmp_path):
         "bottnull: error: bad resolve document: g must be a square matrix"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (lambda tmp: _nullcone_doc(tmp, [1]),
+     "bad matrix-tuple document: expected a JSON object"),
+    (lambda tmp: ["verdict", "--family", "A", "--rank", "2", "-r", "3",
+                  "--table", _write(tmp, "t.json", "[1]")],
+     "bad table document: expected a JSON object"),
+    (lambda tmp: _nullcone_doc(tmp, {"matrices": [[[0, 1], [0, 0]]]},
+                               op="resolve"),
+     "bad resolve document: missing key 'g'"),
+], ids=["tuple-list", "table-list", "resolve-without-g"])
+def test_json_document_of_the_wrong_shape_is_named(capsys, tmp_path, argv,
+                                                   message):
+    # Each once exited 1 with a line of Python internals ("list indices
+    # must be integers or slices, not str", "'list' object has no
+    # attribute 'get'", "bad resolve document: 'g'").
+    code, out, err = run_cli(capsys, argv(tmp_path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"bottnull: error: {message}"]
+
+
 def _nested(levels):
     """An expression ``levels`` deep whose tree grows by three or four nodes
     per level (sum, tensor, power, and a wedge at every other level)."""
@@ -781,6 +801,23 @@ def test_psupp_a7_matches_golden(capsys):
         want = fh.read()
     code, out, _ = run_cli(capsys, ["psupp", "--family", "A", "--rank", "7",
                                     "--expr", "b^4"])
+    assert code == 0
+    assert out == want
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("psupp_a4_line_b2.json",
+     ["--family", "A", "--rank", "4", "--expr", "L[-1,2,0,-1]*b^2"]),
+    ("psupp_b2_line_wedge2.json",
+     ["--family", "B", "--rank", "2", "--expr", "L[-1,3]*wedge^2(g)"]),
+    ("psupp_a5_b4.json", ["--family", "A", "--rank", "5", "--expr", "b^4"]),
+])
+def test_psupp_matches_golden(capsys, golden, argv):
+    # Recorded before weights with a coordinate -1 were dropped while
+    # packed; CI compares the installed script with the same files.
+    with open(os.path.join(GOLDEN_DIR, golden), "r", encoding="utf-8") as fh:
+        want = fh.read()
+    code, out, _ = run_cli(capsys, ["psupp", *argv])
     assert code == 0
     assert out == want
 

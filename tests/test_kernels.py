@@ -94,6 +94,22 @@ def test_packed_keys_add_and_round_trip(ws):
     assert unpack([pack(u) + pack(v) for u in ws for v in ws]) == sums
 
 
+def test_off_walls_keeps_exactly_the_weights_without_a_minus_one():
+    # Every field width from 1 bit up: bounds 0, 1, 2^k - 1 and 2^k.
+    bounds = sorted({0, 1} | {(1 << k) - d for k in (1, 2, 3, 7, 70)
+                              for d in (0, 1)})
+    for rank in range(1, 8):
+        for bound in bounds:
+            coords = sorted({c for c in (-1, 0, bound, -bound)
+                             if abs(c) <= bound})
+            ws = list(itertools.product(coords, repeat=rank))
+            pack, _ = _pykernels._packer(rank, bound)
+            kept = _pykernels._off_walls(rank, bound)(
+                {pack(w): i for i, w in enumerate(ws)})
+            assert [ws[i] for i in kept.values()] == [w for w in ws
+                                                      if -1 not in w]
+
+
 def test_dot_walk_agrees_with_scalar_walk():
     rng = random.Random(99)
     systems = [("A", rank) for rank in rootsys.A_RANKS] + [("B", 2)]
