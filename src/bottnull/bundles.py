@@ -330,8 +330,9 @@ def _graded_power(ws: dict, k: int, symmetric: bool, budget: _Budget) -> list:
     for t, (w, m) in enumerate(items):
         # For each j up to ``top`` (the nonzero coefficients) this pass loops
         # over d reading layer d - j: at most top * per_read terms, charged
-        # (top + 1) * per_read.  Layers only grow and top >= 1, so every
-        # later pass is charged at least 2 * per_read.
+        # (top + 1) * per_read, which keeps what the cap refuses unchanged.
+        # Layers only grow and top >= 1, so every later pass is charged at
+        # least 2 * per_read.
         top = k if symmetric else min(k, m)
         per_read = sum(map(len, layers)) + k
         budget.charge((top + 1) * per_read,

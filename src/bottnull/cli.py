@@ -203,7 +203,8 @@ def _cmd_nullcone(rs: RootSystem | None, args) -> _Output:
             mats = tuple(nullcone.matrix_from_rows(m) for m in doc["matrices"])
             t = nullcone.MatrixTuple(n=len(g), matrices=mats)
         except KeyError as exc:
-            raise InputError(f"bad resolve document: missing key {exc}") from exc
+            raise InputError(
+                f"bad resolve document: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad resolve document: {exc}") from exc
         sample = nullcone.resolution_sample(g, t)

@@ -351,6 +351,7 @@ def tuple_from_json(text: str) -> MatrixTuple:
         mats = tuple(matrix_from_rows(m) for m in doc["matrices"])
         return MatrixTuple(n=n, matrices=mats)
     except KeyError as exc:
-        raise InputError(f"bad matrix-tuple document: missing key {exc}") from exc
+        raise InputError(
+            f"bad matrix-tuple document: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad matrix-tuple document: {exc}") from exc
