@@ -381,11 +381,11 @@ def _block_checks(checks: list, rs: RootSystem, table: ledger.CohomologyTable,
     detail = ("; ".join(rep.failures) if not ok else
               f"{rep.checked} entries within potential-support bounds and "
               "alternating to chi_G")
-    # A resolved H^{q-1} holds the invariants of g^q as its trivial part.
+    # An H^{q-1} exact at the zero weight holds the invariants of g^q there.
     if q >= 2:
         h = table.entry(family, rank, q, q - 1)
-        if h is None or not h.unresolved:
-            have = 0 if h is None else h.module.get(zero)
+        have, most = (0, 0) if h is None else (h.lo.get(zero), h.hi.get(zero))
+        if have == most:
             inv = repthy.invariant_dim(rs, f"g^{q}")
             ok = ok and have == inv
             detail += (f"; trivial multiplicity in H^{q - 1} is {have}, "

@@ -1,13 +1,14 @@
 """Established cohomology tables for Borel-power bundles, the first-quadrant
 page they induce, and the normality / rational-singularity verdict engine.
 
-A ``CohomologyTable`` records H^p(X, b^{tensor q}) as formal G-modules, with
-explicit completeness marks: within a declared (family, rank, q) the absent
-degrees are genuinely zero; outside declared coverage nothing is known and
-consumers raise ``LedgerGap``.  Placeholder entries record "trivial-isotypic,
-multiplicity unresolved" facts without guessing a number; the verdict engine
-treats them as possibly-nonzero blockers and never as witnesses, so verdicts
-are independent of the unknown multiplicities.
+A ``CohomologyTable`` records H^p(X, b^{tensor q}) as an interval of formal
+G-modules, lo <= H^p <= hi weight by weight (an exact entry has lo == hi),
+with explicit completeness marks: within a declared (family, rank, q) the
+absent degrees are genuinely zero; outside declared coverage nothing is known
+and consumers raise ``LedgerGap``.  A page cell is possibly nonzero when its
+hi is, and certainly nonzero when its lo is; the verdict engine lets every
+possibly-nonzero cell block and only certainly-nonzero cells witness, so
+verdicts hold for every multiplicity within the intervals.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .errors import LedgerGap, SizeCapExceeded, ValidationFailure
 from .repthy import FormalGModule
 from .rootsys import RootSystem, build_root_system
 
-TABLE_FORMAT = "bott-null-ledger/1"
+TABLE_FORMAT = "bott-null-ledger/2"
+# Exact modules only, or "trivial-unresolved": C^m with m unknown.
+_TABLE_FORMAT_1 = "bott-null-ledger/1"
 
 NORMAL_YES = "yes"
 NORMAL_NO = "no"
@@ -36,16 +39,15 @@ RATIONAL_UNKNOWN = "unknown"
 
 
 class TableEntry(Record):
+    """lo <= H^p(X, b^q) <= hi, weight by weight."""
+
     family: str
     rank: int
     q: int
     p: int
-    module: FormalGModule | None  # None <=> unresolved placeholder
+    lo: FormalGModule
+    hi: FormalGModule
     provenance: str
-
-    @property
-    def unresolved(self) -> bool:
-        return self.module is None
 
 
 class CohomologyTable:
@@ -55,17 +57,17 @@ class CohomologyTable:
         self._entries: dict[tuple[str, int, int, int], TableEntry] = {}
         self._complete: set[tuple[str, int, int]] = set()
 
-    def add(self, family: str, rank: int, q: int, p: int, *,
-            module: FormalGModule | None, provenance: str = "") -> None:
-        """Record H^p(X, b^q); ``module=None`` records a placeholder."""
+    def add(self, family: str, rank: int, q: int, p: int, lo: FormalGModule,
+            hi: FormalGModule | None = None, *, provenance: str = "") -> None:
+        """Record lo <= H^p(X, b^q) <= hi; an exact H^p is ``lo`` alone."""
         if q < 1 or p < 0:
             raise ValueError(f"table key {family}/{rank}/{q}/{p} needs q >= 1 "
                              "and p >= 0")
         if (family, rank, q, p) in self._entries:
             raise ValueError(f"duplicate table key {family}/{rank}/{q}/{p}")
         self._entries[(family, rank, q, p)] = TableEntry(
-            family=family, rank=rank, q=q, p=p, module=module,
-            provenance=provenance)
+            family=family, rank=rank, q=q, p=p, lo=lo,
+            hi=lo if hi is None else hi, provenance=provenance)
 
     def mark_complete(self, family: str, rank: int, q: int) -> None:
         if q < 1:
@@ -85,7 +87,7 @@ class CohomologyTable:
         return self._entries.get((family, rank, q, p))
 
     def degrees(self, family: str, rank: int, q: int) -> tuple[int, ...]:
-        """Degrees p with recorded (nonzero or unresolved) cohomology."""
+        """Degrees p with a recorded entry."""
         if not self.covers(family, rank, q):
             raise LedgerGap(family, rank, q)
         return tuple(sorted(p for (f, r, qq, p) in self._entries
@@ -122,11 +124,10 @@ def _module_to_pairs(module: FormalGModule) -> list:
 def save_table(table: CohomologyTable) -> str:
     entries = []
     for e in table.entries():
-        doc = {"key": f"{e.family}/{e.rank}/{e.q}/{e.p}",
-               "provenance": e.provenance,
-               "module": ("trivial-unresolved" if e.unresolved
-                          else _module_to_pairs(e.module))}
-        entries.append(doc)
+        bounds = {"module": e.lo} if e.lo == e.hi else {"lo": e.lo, "hi": e.hi}
+        entries.append({"key": f"{e.family}/{e.rank}/{e.q}/{e.p}",
+                        "provenance": e.provenance,
+                        **{k: _module_to_pairs(m) for k, m in bounds.items()}})
     doc = {"version": TABLE_FORMAT,
            "complete": [f"{f}/{r}/{q}" for f, r, q in table.coverage()],
            "entries": entries}
@@ -135,26 +136,49 @@ def save_table(table: CohomologyTable) -> str:
 
 def load_table(text: str) -> CohomologyTable:
     doc = _json_object(json.loads(text))
-    if doc.get("version") != TABLE_FORMAT:
+    if doc.get("version") not in (TABLE_FORMAT, _TABLE_FORMAT_1):
         raise ValueError(f"unsupported table format: {doc.get('version')!r}")
     table = CohomologyTable()
     try:
         for entry in doc["entries"]:
             entry = _json_object(entry)
             family, rank, q, p = _parse_key(entry["key"], 3)
-            module, provenance = entry["module"], entry.get("provenance", "")
+            provenance = entry.get("provenance", "")
             if not isinstance(provenance, str):
                 raise ValueError(f"provenance of table key {entry['key']} is "
                                  "not a string")
-            table.add(family, rank, q, p,
-                      module=(None if module == "trivial-unresolved"
-                              else _module_from_pairs(module, rank)),
-                      provenance=provenance)
+            if "module" not in entry:
+                lo, hi = (_module_from_pairs(entry[k], rank) for k in ("lo", "hi"))
+            elif "lo" in entry or "hi" in entry:
+                raise ValueError(f"table key {entry['key']} has a module and "
+                                 "an interval")
+            elif entry["module"] == "trivial-unresolved":
+                lo, hi = FormalGModule(), _unresolved_bound(family, rank, q, p)
+            else:
+                lo = hi = _module_from_pairs(entry["module"], rank)
+            table.add(family, rank, q, p, lo, hi, provenance=provenance)
         for key in doc["complete"]:
             table.mark_complete(*_parse_key(key, 2))
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from exc
     return table
+
+
+def _unresolved_bound(family: str, rank: int, q: int, p: int) -> FormalGModule:
+    """The hi of a "trivial-unresolved" H^p(X, b^q), whose lo is 0: the zero
+    weight, as often as psupp(b^q) holds it in degree p."""
+    if q < 1 or p < 0:  # a key that ``add`` refuses
+        return FormalGModule()
+    zero, name = (0,) * rank, f"{family}/{rank}/{q}/{p}"
+    try:
+        ps = psupp(build_root_system(family, rank), f"b^{q}")
+    except SizeCapExceeded as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    count = ps.multiset(p).get(zero)
+    if not count:
+        raise ValueError(f"{name}: trivial-isotypic placeholder but the zero "
+                         f"weight is outside potential support at degree {p}")
+    return FormalGModule({zero: count})
 
 
 def _json_object(doc) -> dict:
@@ -184,42 +208,47 @@ def builtin_tables() -> CohomologyTable:
     # q = 2, type A, n >= 3: H^1 = C, all other degrees zero.
     for rank in range(2, 8):
         t.add("A", rank, 2, 1,
-              module=FormalGModule({(0,) * rank: 1}),
+              FormalGModule({(0,) * rank: 1}),
               provenance="established: tensor square, type A (n>=3); "
                           "H^1 is the trivial module")
         t.mark_complete("A", rank, 2)
 
     # q = 3, type A: concentrated in degree 2 (plus degree 3 exactly for n=4).
     t.add("A", 2, 3, 2,
-          module=FormalGModule({(0, 0): 2, (1, 1): 5, (3, 0): 1, (0, 3): 1}),
+          FormalGModule({(0, 0): 2, (1, 1): 5, (3, 0): 1, (0, 3): 1}),
           provenance="established: tensor cube, sl_3; "
                       "H^2 = C^2 + L(1,1)^5 + L(3,0) + L(0,3)")
     t.mark_complete("A", 2, 3)
-    t.add("A", 3, 3, 2, module=FormalGModule({(0, 0, 0): 2}),
+    t.add("A", 3, 3, 2, FormalGModule({(0, 0, 0): 2}),
           provenance="established: tensor cube, sl_4; H^2 = C^2")
-    t.add("A", 3, 3, 3, module=FormalGModule({(0, 2, 0): 1}),
+    t.add("A", 3, 3, 3, FormalGModule({(0, 2, 0): 1}),
           provenance="established: tensor cube, sl_4; H^3 = L(0,2,0)")
     t.mark_complete("A", 3, 3)
     for rank in range(4, 8):
-        t.add("A", rank, 3, 2, module=FormalGModule({(0,) * rank: 2}),
+        t.add("A", rank, 3, 2, FormalGModule({(0,) * rank: 2}),
               provenance="established: tensor cube, type A (n>=5); H^2 = C^2")
         t.mark_complete("A", rank, 3)
 
-    # q = 4, type A, n = 6 and 7: trivial-isotypic in degrees 2 and 3 with
-    # unresolved multiplicity; for n = 6 additionally H^5 = L(0,0,2,0,0).
-    for rank in (5, 6):
-        for p in (2, 3):
-            t.add("A", rank, 4, p, module=None,
-                  provenance="established: 4th tensor power, type A (n>=6); "
-                              "trivial-isotypic, multiplicity unresolved")
+    # q = 4, type A, n = 6 and 7: H^2 = C^m2 and H^3 = C^m3, m2 and m3 not
+    # known.  Each m_p is at most psupp_p(b^4)'s zero-weight count c_p (A5:
+    # 4680, 4788; A6: 9360, 9222), and m2 - m3 = chi_G(0) = -3, so m2 is in
+    # [0, min(c2, c3 - 3)].  For n = 6 additionally H^5 = L(0,0,2,0,0).
+    for rank, m2 in ((5, 4680), (6, 9219)):
+        zero = (0,) * rank
+        for p, lo, hi in ((2, 0, m2), (3, 3, m2 + 3)):
+            t.add("A", rank, 4, p, FormalGModule({zero: lo} if lo else {}),
+                  FormalGModule({zero: hi}),
+                  provenance=f"established: 4th tensor power, type A (n>=6); "
+                             f"trivial-isotypic, multiplicity in [{lo}, {hi}] "
+                             "by psupp(b^4) and chi_G(0) = -3")
         t.mark_complete("A", rank, 4)
-    t.add("A", 5, 4, 5, module=FormalGModule({(0, 0, 2, 0, 0): 1}),
+    t.add("A", 5, 4, 5, FormalGModule({(0, 0, 2, 0, 0): 1}),
           provenance="established: 4th tensor power, sl_6; H^5 = L(0,0,2,0,0)")
 
     # B2, q = 2: H^1 = C and H^2 = L(alpha_1 + alpha_2) = L(0,1).
-    t.add("B", 2, 2, 1, module=FormalGModule({(0, 0): 1}),
+    t.add("B", 2, 2, 1, FormalGModule({(0, 0): 1}),
           provenance="established: tensor square, so_5; H^1 is trivial")
-    t.add("B", 2, 2, 2, module=FormalGModule({(0, 1): 1}),
+    t.add("B", 2, 2, 2, FormalGModule({(0, 1): 1}),
           provenance="established: tensor square, so_5; H^2 = L(0,1)")
     t.mark_complete("B", 2, 2)
     return t
@@ -243,48 +272,48 @@ def validate_block(table: CohomologyTable, rs: RootSystem, q: int,
                    ps: PotentialSupport) -> ValidationReport:
     """Check the entries of one tensor power q against ``ps = psupp(rs, b^q)``.
 
-    Placeholders must have the zero weight in potential support at their
-    degree; explicit modules need supportwise containment and multiplicity
-    domination.  A complete block whose entries pass must also alternate to
-    the G-equivariant Euler characteristic: by Borel-Weil-Bott,
-    sum_p (-1)^p H^p equals sum_k (-1)^k psupp_k weight by weight, except
-    at the zero weight of a block that holds a placeholder.
+    At every weight of an entry, its multiplicities must be positive and
+    lo <= hi <= the potential support of its degree.  A complete block whose
+    entries pass must also hold the G-equivariant Euler characteristic: by
+    Borel-Weil-Bott, sum_p (-1)^p H^p equals chi_G = sum_k (-1)^k psupp_k,
+    so at every weight chi_G lies between sum_even lo - sum_odd hi and
+    sum_even hi - sum_odd lo (which are equal where every entry is exact).
     """
     failures: list[str] = []
     block = [e for e in table.entries()
              if (e.family, e.rank, e.q) == (rs.family, rs.rank, q)]
-    zero = (0,) * rs.rank
-    alternating: dict[tuple[int, ...], int] = {}
+    least: dict[tuple[int, ...], int] = {}
+    most: dict[tuple[int, ...], int] = {}
     for entry in block:
         name = f"{entry.family}/{entry.rank}/{entry.q}/{entry.p}"
-        if entry.unresolved:
-            if zero not in ps.support(entry.p):
-                failures.append(
-                    f"{name}: trivial-isotypic placeholder but the zero weight "
-                    f"is outside potential support at degree {entry.p}")
-            continue
         bound = ps.multiset(entry.p)
-        for w, m in entry.module.sorted_items():
-            alternating[w] = alternating.get(w, 0) + (-1) ** entry.p * m
-            have = bound.get(w)
-            if m < 1:
-                failures.append(f"{name}: multiplicity {m} of weight {w} is "
+        odd = entry.p % 2
+        for w in sorted(entry.lo.support() | entry.hi.support()):
+            lo, hi, have = entry.lo.get(w), entry.hi.get(w), bound.get(w)
+            least[w] = least.get(w, 0) + (-hi if odd else lo)
+            most[w] = most.get(w, 0) + (-lo if odd else hi)
+            if lo > hi:
+                failures.append(f"{name}: multiplicity at least {lo} but at "
+                                f"most {hi} at weight {w}")
+            elif lo < 0 or hi < 1:
+                failures.append(f"{name}: multiplicity {lo} of weight {w} is "
                                 "not positive")
             elif have == 0:
                 failures.append(f"{name}: weight {w} outside potential support "
                                 f"at degree {entry.p}")
-            elif m > have:
-                failures.append(f"{name}: multiplicity {m} of weight {w} exceeds "
+            elif hi > have:
+                failures.append(f"{name}: multiplicity {hi} of weight {w} exceeds "
                                 f"potential-support bound {have}")
     if not failures and table.covers(rs.family, rs.rank, q):
         chi = repthy.alternating_module(ps)
-        exempt = zero if any(e.unresolved for e in block) else None
-        for w in sorted(chi.support() | alternating.keys()):
-            if w != exempt and alternating.get(w, 0) != chi.get(w):
+        for w in sorted(chi.support() | least.keys()):
+            low, high, want = least.get(w, 0), most.get(w, 0), chi.get(w)
+            if not low <= want <= high:
+                span = low if low == high else f"between {low} and {high}"
                 failures.append(
                     f"{rs.family}/{rs.rank}/{q}: the recorded modules "
-                    f"alternate to multiplicity {alternating.get(w, 0)} at "
-                    f"highest weight {w}, chi_G has {chi.get(w)}")
+                    f"alternate to multiplicity {span} at highest weight {w}, "
+                    f"chi_G has {want}")
     return ValidationReport(passed=not failures, checked=len(block),
                             failures=tuple(failures))
 
@@ -316,22 +345,20 @@ def ensure_valid(table: CohomologyTable) -> None:
 
 
 class PageCell(Record):
-    """One page cell at (a, b) = (-q, p): copies * g^{tensor (r-q)} * H^p."""
+    """One page cell at (a, b) = (-q, p): copies * g^{tensor (r-q)} * H^p,
+    with lo <= H^p <= hi from the table."""
 
     a: int
     b: int
     copies: int
     tensor_power: int
-    coh: FormalGModule | None  # the table's H^p; None for a placeholder
-
-    @property
-    def unresolved(self) -> bool:
-        return self.coh is None
+    lo: FormalGModule
+    hi: FormalGModule
 
     @property
     def possibly_nonzero(self) -> bool:
         # Characters have no zero divisors: the cell is zero iff H^p is.
-        return self.unresolved or bool(self.coh)
+        return bool(self.hi)
 
 
 class EPage(Record, uncompared=("cells",)):
@@ -362,25 +389,23 @@ def e_page(family: str, rank: int, r: int,
     if table is None:
         table = _builtin()
     build_root_system(family, rank)  # raises UnsupportedFamilyRank
-    cells: dict[tuple[int, int], PageCell] = {}
-    for q in range(0, r + 1):
-        if q == 0:
-            cohs = {0: FormalGModule({(0,) * rank: 1})}
-        else:  # table.degrees may raise LedgerGap
-            cohs = {p: table.entry(family, rank, q, p).module
-                    for p in table.degrees(family, rank, q)}
-        for p, coh in cohs.items():
+    trivial = FormalGModule({(0,) * rank: 1})
+    cells: dict[tuple[int, int], PageCell] = {(0, 0): PageCell(
+        a=0, b=0, copies=1, tensor_power=r, lo=trivial, hi=trivial)}
+    for q in range(1, r + 1):
+        for p in table.degrees(family, rank, q):  # may raise LedgerGap
+            e = table.entry(family, rank, q, p)
             cells[(-q, p)] = PageCell(a=-q, b=p, copies=comb(r, q),
-                                      tensor_power=r - q, coh=coh)
+                                      tensor_power=r - q, lo=e.lo, hi=e.hi)
     return EPage(family=family, rank=rank, r=r, cells=cells)
 
 
 def cell_module(rs: RootSystem, cell: PageCell) -> FormalGModule:
-    """The decomposed content of a resolved cell, copies * g^tp (x) H^p:
+    """What a cell certainly holds, copies * g^tp (x) lo, decomposed:
     ``tensor_power`` Brauer-Klimyk steps over the weights of g, from
-    copies * H^p, so neither H^p's characters nor g^tp's weights are built."""
+    copies * lo, so neither lo's characters nor g^tp's weights are built."""
     start = FormalGModule({mu: cell.copies * mult
-                           for mu, mult in cell.coh._data.items()})
+                           for mu, mult in cell.lo._data.items()})
     return repthy.tensor_power(rs, start, weights(rs, "g"), cell.tensor_power)
 
 
@@ -392,28 +417,21 @@ class Witness(Record):
 
 
 def certain_survivors(page: EPage) -> tuple[Witness, ...]:
-    """Cells at a < 0 with every incoming and outgoing lane zero on the page.
-
-    Unresolved placeholder cells block neighbours (possibly nonzero) but are
-    never reported: their own content is unknown.
-    """
+    """Certainly-nonzero cells at a < 0 with no possibly-nonzero cell on
+    any incoming or outgoing lane."""
     witnesses = []
     span = page.r + page.max_b() + 2
     for (a, b), cell in sorted(page.cells.items()):
-        if a >= 0 or not cell.coh:  # zero or a placeholder
+        if a >= 0 or not cell.lo or any(
+                page.possibly_nonzero(a - s, b + s - 1)
+                or page.possibly_nonzero(a + s, b - s + 1)
+                for s in range(1, span + 1)):
             continue
-        blocked = False
-        for s in range(1, span + 1):
-            if (page.possibly_nonzero(a - s, b + s - 1)
-                    or page.possibly_nonzero(a + s, b - s + 1)):
-                blocked = True
-                break
-        if not blocked:
-            rs = build_root_system(page.family, page.rank)
-            witnesses.append(Witness(
-                a=a, b=b, module=cell_module(rs, cell),
-                reason=(f"cell ({a},{b}) has no possibly-nonzero source or "
-                        f"target on any lane; contributes in total degree {a + b}")))
+        rs = build_root_system(page.family, page.rank)
+        witnesses.append(Witness(
+            a=a, b=b, module=cell_module(rs, cell),
+            reason=(f"cell ({a},{b}) has no possibly-nonzero source or "
+                    f"target on any lane; contributes in total degree {a + b}")))
     return tuple(witnesses)
 
 

@@ -234,16 +234,16 @@ def convolved_cell(rs: RootSystem, coh, copies: int, tensor_power: int):
 
 
 def survivors_by_total_degree(page) -> list[tuple[int, int]]:
-    """The cells (a, b) with a < 0 and a resolved nonzero module that no
-    possibly-nonzero cell (a', b') can hit or be hit by: none with
-    a' + b' = a + b + 1 and a' > a (a target), none with a' + b' = a + b - 1
-    and a' < a (a source).  Placeholders block but never survive.  Cells
+    """The candidate cells (a, b), a < 0 with some multiplicity of lo
+    positive, that no live cell (a', b'), some multiplicity of hi positive,
+    can hit or be hit by: none with a' + b' = a + b + 1 and a' > a (a
+    target), none with a' + b' = a + b - 1 and a' < a (a source).  Cells
     are compared by total degree alone, with no lane and no lane bound."""
     live = [(x, y) for (x, y), cell in page.cells.items()
-            if cell.possibly_nonzero]
+            if any(m > 0 for m in cell.hi.mults.values())]
     return sorted(
         (a, b) for (a, b), cell in page.cells.items()
-        if a < 0 and cell.coh
+        if a < 0 and any(m > 0 for m in cell.lo.mults.values())
         and not any(x + y == a + b + 1 and x > a or x + y == a + b - 1 and x < a
                     for x, y in live))
 

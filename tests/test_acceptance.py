@@ -157,10 +157,10 @@ def test_criterion_06_table_validation_and_mutation():
 
         mutated = ledger.CohomologyTable()
         for e in table.entries():
-            module = e.module
+            lo, hi = e.lo, e.hi
             if (e.family, e.rank, e.q, e.p) == ("A", 2, 2, 1):
-                module = repthy.FormalGModule({(1, 1): 1})
-            mutated.add(e.family, e.rank, e.q, e.p, module=module,
+                lo = hi = repthy.FormalGModule({(1, 1): 1})
+            mutated.add(e.family, e.rank, e.q, e.p, lo, hi,
                         provenance=e.provenance)
         for family, rank, q in table.coverage():
             mutated.mark_complete(family, rank, q)

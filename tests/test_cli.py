@@ -409,6 +409,27 @@ def _edited_table(tmp, edit):
     return _write(tmp, "t.json", json.dumps(doc))
 
 
+def _a5_table_with_interval(tmp, key, lo, hi):
+    """``verdict`` A5 r=4 on the built-in table with the entry at ``key``
+    set to lo..hi copies of the trivial module."""
+    def edit(doc):
+        (entry,) = [e for e in doc["entries"] if e["key"] == key]
+        entry.pop("module", None)
+        entry["lo"], entry["hi"] = ([[[0] * 5, m]] if m else []
+                                    for m in (lo, hi))
+    return ["verdict", "--family", "A", "--rank", "5", "-r", "4",
+            "--table", _edited_table(tmp, edit)]
+
+
+def _old_placeholder(tmp, key):
+    """``verdict`` A2 r=1 on a bott-null-ledger/1 table that holds a
+    "trivial-unresolved" entry at ``key`` alone."""
+    doc = {"version": "bott-null-ledger/1", "complete": [],
+           "entries": [{"key": key, "module": "trivial-unresolved"}]}
+    return ["verdict", "--family", "A", "--rank", "2", "-r", "1",
+            "--table", _write(tmp, "t.json", json.dumps(doc))]
+
+
 def _verdict_with_table(tmp, weight, mult=1):
     return ["verdict", "--family", "A", "--rank", "2", "-r", "3",
             "--table", _table_with(tmp, weight, mult)]
@@ -486,6 +507,20 @@ MALFORMED_INPUTS = {
         "verdict", "--family", "A", "--rank", "2", "-r", "1",
         "--table", _edited_table(
             tmp, lambda doc: doc["complete"].append("A/1/3000000"))],
+    # An interval entry: lo above hi; hi above the potential support (4788);
+    # an H^3 too small for chi_G(0) = -3.
+    "table-interval-lo-above-hi": lambda tmp: _a5_table_with_interval(
+        tmp, "A/5/4/2", 5, 4),
+    "table-interval-above-potential-support": lambda tmp:
+        _a5_table_with_interval(tmp, "A/5/4/3", 3, 4789),
+    "table-interval-misses-euler": lambda tmp: _a5_table_with_interval(
+        tmp, "A/5/4/3", 0, 2),
+    # An old-format placeholder past the cost cap, and one whose zero weight
+    # is outside potential support.
+    "table-old-placeholder-past-cost-cap": lambda tmp: _old_placeholder(
+        tmp, "A/1/3000000/1"),
+    "table-old-placeholder-outside-support": lambda tmp: _old_placeholder(
+        tmp, "A/2/2/4"),
     # Once accepted: an n x n identity row-reduced for a bare n.
     "nullcone-member-no-matrices": lambda tmp: _nullcone_doc(
         tmp, {"n": 1000000000, "matrices": []}),

@@ -31,10 +31,11 @@ SAMPLES = [
     (bundles.Wedge, dict(degree=2, inner=Atom("g"))),
     (bundles.Sym, dict(degree=2, inner=Atom("g"))),
     (ledger.TableEntry, dict(family="A", rank=1, q=1, p=1,
-                             module=FormalGModule({(0,): 1}), provenance="x")),
+                             lo=FormalGModule({}), hi=FormalGModule({(0,): 1}),
+                             provenance="x")),
     (ledger.ValidationReport, dict(passed=False, checked=2, failures=("a",))),
     (ledger.PageCell, dict(a=-1, b=1, copies=2, tensor_power=0,
-                           coh=FormalGModule({(0,): 1}))),
+                           lo=FormalGModule({}), hi=FormalGModule({(0,): 1}))),
     (ledger.EPage, dict(family="A", rank=1, r=1, cells={})),
     (ledger.Witness, dict(a=-1, b=1, module=FormalGModule({(2,): 3}),
                           reason="r")),
@@ -62,9 +63,9 @@ REPRS = {
     'Power': "Power(base=Atom(kind='b'), exponent=2)",
     'Wedge': "Wedge(degree=2, inner=Atom(kind='g'))",
     'Sym': "Sym(degree=2, inner=Atom(kind='g'))",
-    'TableEntry': "TableEntry(family='A', rank=1, q=1, p=1, module=FormalGModule({(0,): 1}), provenance='x')",
+    'TableEntry': "TableEntry(family='A', rank=1, q=1, p=1, lo=FormalGModule({}), hi=FormalGModule({(0,): 1}), provenance='x')",
     'ValidationReport': "ValidationReport(passed=False, checked=2, failures=('a',))",
-    'PageCell': 'PageCell(a=-1, b=1, copies=2, tensor_power=0, coh=FormalGModule({(0,): 1}))',
+    'PageCell': 'PageCell(a=-1, b=1, copies=2, tensor_power=0, lo=FormalGModule({}), hi=FormalGModule({(0,): 1}))',
     'EPage': "EPage(family='A', rank=1, r=1, cells={})",
     'Witness': "Witness(a=-1, b=1, module=FormalGModule({(2,): 3}), reason='r')",
     'Verdict': "Verdict(family='A', rank=2, r=1, normal='yes', rational='yes', path='vanishing-criterion', witnesses=())",
@@ -147,7 +148,9 @@ def test_equality_only_within_one_class():
 
 
 def test_epage_equality_ignores_cells():
-    cell = ledger.PageCell(a=-1, b=1, copies=1, tensor_power=0, coh=None)
+    empty = FormalGModule()
+    cell = ledger.PageCell(a=-1, b=1, copies=1, tensor_power=0, lo=empty,
+                           hi=empty)
     full = ledger.EPage("A", 1, 1, {(-1, 1): cell})
     empty = ledger.EPage("A", 1, 1, {})
     assert full == empty and hash(full) == hash(empty)
