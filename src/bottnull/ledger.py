@@ -101,6 +101,8 @@ class CohomologyTable:
 
 
 def _module_from_pairs(pairs, rank: int) -> FormalGModule:
+    if not isinstance(pairs, list):
+        raise ValueError(f"module {pairs!r} is not a list of pairs")
     mults = {}
     for coords, mult in pairs:
         if (len(coords) != rank
@@ -147,13 +149,15 @@ def load_table(text: str) -> CohomologyTable:
             if not isinstance(provenance, str):
                 raise ValueError(f"provenance of table key {entry['key']} is "
                                  "not a string")
-            if "module" not in entry:
+            # Only /1 has the placeholder; every /1 entry has a module.
+            if (doc["version"] == _TABLE_FORMAT_1
+                    and entry["module"] == "trivial-unresolved"):
+                lo, hi = FormalGModule(), _unresolved_bound(family, rank, q, p)
+            elif "module" not in entry:
                 lo, hi = (_module_from_pairs(entry[k], rank) for k in ("lo", "hi"))
             elif "lo" in entry or "hi" in entry:
                 raise ValueError(f"table key {entry['key']} has a module and "
                                  "an interval")
-            elif entry["module"] == "trivial-unresolved":
-                lo, hi = FormalGModule(), _unresolved_bound(family, rank, q, p)
             else:
                 lo = hi = _module_from_pairs(entry["module"], rank)
             table.add(family, rank, q, p, lo, hi, provenance=provenance)
@@ -169,9 +173,10 @@ def _unresolved_bound(family: str, rank: int, q: int, p: int) -> FormalGModule:
     weight, as often as psupp(b^q) holds it in degree p."""
     if q < 1 or p < 0:  # a key that ``add`` refuses
         return FormalGModule()
-    zero, name = (0,) * rank, f"{family}/{rank}/{q}/{p}"
+    rs, name = build_root_system(family, rank), f"{family}/{rank}/{q}/{p}"
+    zero = (0,) * rs.rank
     try:
-        ps = psupp(build_root_system(family, rank), f"b^{q}")
+        ps = psupp(rs, f"b^{q}")
     except SizeCapExceeded as exc:
         raise ValueError(f"{name}: {exc}") from exc
     count = ps.multiset(p).get(zero)
@@ -236,7 +241,7 @@ def builtin_tables() -> CohomologyTable:
     for rank, m2 in ((5, 4680), (6, 9219)):
         zero = (0,) * rank
         for p, lo, hi in ((2, 0, m2), (3, 3, m2 + 3)):
-            t.add("A", rank, 4, p, FormalGModule({zero: lo} if lo else {}),
+            t.add("A", rank, 4, p, FormalGModule({zero: lo}),
                   FormalGModule({zero: hi}),
                   provenance=f"established: 4th tensor power, type A (n>=6); "
                              f"trivial-isotypic, multiplicity in [{lo}, {hi}] "
@@ -295,7 +300,7 @@ def validate_block(table: CohomologyTable, rs: RootSystem, q: int,
             if lo > hi:
                 failures.append(f"{name}: multiplicity at least {lo} but at "
                                 f"most {hi} at weight {w}")
-            elif lo < 0 or hi < 1:
+            elif lo < 0:
                 failures.append(f"{name}: multiplicity {lo} of weight {w} is "
                                 "not positive")
             elif have == 0:

@@ -18,6 +18,7 @@ from bottnull import cli, ledger, nullcone, repthy
 from bottnull.rootsys import build_root_system
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+OLD_TABLE = os.path.join(GOLDEN_DIR, "ledger_v1_builtin.json")
 
 
 def run_cli(capsys, argv):
@@ -471,11 +472,11 @@ MALFORMED_INPUTS = {
         "--table", _table_with(tmp, [0, 2, 0], -1, key="A/3/3/3")],
     # Once truncated to 1.
     "table-mult-float": lambda tmp: _verdict_with_table(tmp, [0, 0], 1.9),
-    # Once a silent replacement of the built-in H^1 = C by a placeholder.
+    # Once a silent replacement of the built-in H^1 = C.
     "table-duplicate-key": lambda tmp: [
         "verdict", "--family", "A", "--rank", "2", "-r", "3",
         "--table", _edited_table(tmp, lambda doc: doc["entries"].append(
-            {"key": "A/2/2/1", "module": "trivial-unresolved"}))],
+            {"key": "A/2/2/1", "module": [[[0, 0], 2]]}))],
     # Once exit 0 and "normal: no" from a claim that H^*(X, b^4) = 0 on A3,
     # where chi(X, b^4) = -1603.
     "table-complete-without-entries": lambda tmp: [
@@ -515,10 +516,12 @@ MALFORMED_INPUTS = {
         _a5_table_with_interval(tmp, "A/5/4/3", 3, 4789),
     "table-interval-misses-euler": lambda tmp: _a5_table_with_interval(
         tmp, "A/5/4/3", 0, 2),
-    # An old-format placeholder past the cost cap, and one whose zero weight
-    # is outside potential support.
+    # An old-format placeholder past the cost cap, one whose zero weight is
+    # outside potential support, and one whose zero weight once took 8 GB.
     "table-old-placeholder-past-cost-cap": lambda tmp: _old_placeholder(
         tmp, "A/1/3000000/1"),
+    "table-old-placeholder-rank-unsupported": lambda tmp: _old_placeholder(
+        tmp, "A/1000000000/1/1"),
     "table-old-placeholder-outside-support": lambda tmp: _old_placeholder(
         tmp, "A/2/2/4"),
     # Once accepted: an n x n identity row-reduced for a bare n.
@@ -836,6 +839,20 @@ def test_psupp_a7_matches_golden(capsys):
         want = fh.read()
     code, out, _ = run_cli(capsys, ["psupp", "--family", "A", "--rank", "7",
                                     "--expr", "b^4"])
+    assert code == 0
+    assert out == want
+
+
+@pytest.mark.parametrize("table", [[], ["--table", OLD_TABLE]],
+                         ids=["builtin", "old-format-file"])
+def test_verdict_a5_r4_matches_golden(capsys, table):
+    # The stdout that CI compares the installed script with, with and
+    # without the built-in table saved in the format before intervals.
+    with open(os.path.join(GOLDEN_DIR, "verdict_a5_r4.json"), "r",
+              encoding="utf-8") as fh:
+        want = fh.read()
+    code, out, _ = run_cli(capsys, ["verdict", "--family", "A", "--rank", "5",
+                                    "-r", "4", *table])
     assert code == 0
     assert out == want
 

@@ -160,7 +160,7 @@ def test_load_table_rejects_bad_module_weights(weight, mult, match):
 
 def test_load_table_refuses_duplicate_and_out_of_range_keys():
     doc = json.loads(save_table(builtin_tables()))
-    doc["entries"].append({"key": "A/2/2/1", "module": "trivial-unresolved"})
+    doc["entries"].append({"key": "A/2/2/1", "module": [[[0, 0], 2]]})
     with pytest.raises(ValueError, match="duplicate table key A/2/2/1"):
         load_table(json.dumps(doc))
     doc["entries"][-1]["key"] = "A/2/0/1"
@@ -292,10 +292,32 @@ def test_placeholder_outside_potential_support_is_refused():
     doc["entries"][0]["key"] = "A/1/3000000/1"
     with pytest.raises(ValueError, match="^A/1/3000000/1: expression "):
         load_table(json.dumps(doc))
+    # An unsupported system is refused before any weight of its rank is built.
+    doc["entries"][0]["key"] = "A/1000000000/1/1"
+    with pytest.raises(UnsupportedFamilyRank):
+        load_table(json.dumps(doc))
     # Where the count is positive, the placeholder loads as [0, count].
     doc["entries"][0]["key"] = "A/2/2/1"
     (entry,) = load_table(json.dumps(doc)).entries()
     assert (entry.lo, entry.hi) == ({}, {(0, 0): 8})
+
+
+def test_each_format_holds_only_its_own_entries():
+    # The placeholder is old-format only; an old file never held lo and hi.
+    doc = json.loads(save_table(builtin_tables()))
+    (entry,) = [e for e in doc["entries"] if e["key"] == "A/2/2/1"]
+    entry["module"] = "trivial-unresolved"
+    with pytest.raises(ValueError, match="^module 'trivial-unresolved' is "
+                                         "not a list of pairs$"):
+        load_table(json.dumps(doc))
+    doc["version"] = "bott-null-ledger/1"
+    entry["module"] = entry["lo"] = entry["hi"] = [[[0, 0], 1]]
+    with pytest.raises(ValueError, match="^table key A/2/2/1 has a module "
+                                         "and an interval$"):
+        load_table(json.dumps(doc))
+    del entry["module"]
+    with pytest.raises(ValueError, match="^missing key 'module'$"):
+        load_table(json.dumps(doc))
 
 
 def test_an_entry_is_one_interval_of_modules():
