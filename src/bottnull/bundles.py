@@ -73,10 +73,6 @@ class Sym(Record):
 
 Expr = Union[Atom, Line, Tensor, Sum, Power, Wedge, Sym]
 
-# The parser returns one shared node per atom, so comparing two parsed trees
-# (a lookup in ``RootSystem.expr_memo``) finds their atoms identical.
-_ATOM_NODES = {kind: Atom(kind) for kind in ATOMS}
-
 _TOKEN = re.compile(r"(?P<int>-?\d+)|(?P<name>[A-Za-z]+)|(?P<sym>[-+*^()\[\],])")
 
 
@@ -182,7 +178,7 @@ class _Parser:
                 self.expect("]")
                 return Line(tuple(coords))
             if text in ATOMS:
-                return _ATOM_NODES[text]
+                return Atom(text)
             raise UnknownAtom(text, pos)
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
@@ -209,12 +205,17 @@ def parse(text: str) -> Expr:
 
 
 def unparse(expr: Expr) -> str:
-    """Canonical text form; ``parse(unparse(e)) == e``."""
+    """Canonical text form; ``parse(unparse(e)) == e`` for every tree that
+    ``parse`` returns, so the text names the tree (``memoized``'s key)."""
     return _unparse(expr, 0)
 
 
 def _unparse(expr: Expr, level: int) -> str:
-    # level: 0 sum context, 1 tensor context, 2 power-base context
+    # level: 0 top or operand, 1 sum term, 2 tensor factor, 3 power base.
+    # A sum, tensor or power in a place of its own kind or tighter keeps
+    # its parentheses: (a+b)+c, (a*b)*c and (a^2)^3 are trees of their own.
+    # Lists, not generators: they keep deep trees further from the
+    # recursion limit (see ``memoized``).
     if isinstance(expr, Atom):
         return expr.kind
     if isinstance(expr, Line):
@@ -224,12 +225,15 @@ def _unparse(expr: Expr, level: int) -> str:
     if isinstance(expr, Sym):
         return f"sym^{expr.degree}(" + _unparse(expr.inner, 0) + ")"
     if isinstance(expr, Power):
-        return _unparse(expr.base, 2) + f"^{expr.exponent}"
+        body = _unparse(expr.base, 3) + f"^{expr.exponent}"
+        return f"({body})" if level >= 3 else body
     if isinstance(expr, Tensor):
-        body = "*".join(_unparse(f, 1) for f in expr.factors)
+        body = "*".join([_unparse(f, 2) for f in expr.factors])
         return f"({body})" if level >= 2 else body
-    body = "+".join(_unparse(t, 0) for t in expr.terms)
-    return f"({body})" if level >= 1 else body
+    if isinstance(expr, Sum):
+        body = "+".join([_unparse(t, 1) for t in expr.terms])
+        return f"({body})" if level >= 1 else body
+    raise TypeError(f"not an expression: {expr!r}")
 
 
 class _WeightMap:
@@ -254,6 +258,15 @@ class _WeightMap:
         if 0 in data.values():
             data = {w: c for w, c in data.items() if c != 0}
         self._data = data
+
+    @classmethod
+    def _adopt(cls, data: dict):
+        """A map that keeps ``data`` itself, without the copy and the zero
+        scan of ``__init__``: for a fresh, zero-free dict that nothing else
+        holds or changes."""
+        out = cls.__new__(cls)
+        out._data = data
+        return out
 
     def get(self, weight: Weight) -> int:
         return self._data.get(weight, 0)
@@ -431,11 +444,24 @@ def weights(rs: RootSystem, expr: Expr | str,
     Raises what ``_shape`` raises before any evaluation, and
     SizeCapExceeded before any step that would take the evaluation past
     ``COST_CAP`` weight terms; evaluations given one ``budget`` share one cap.
+
+    Without a ``budget`` the answer is memoized (``memoized``, kind
+    ``"weights"``): a repeat returns the same multiset and evaluates
+    nothing.  A call with a ``budget`` is one step of a larger evaluation;
+    it evaluates afresh and never reads or writes the memo, so what the
+    cap refuses does not depend on what the process has asked before.
     """
+    if budget is None:
+        return memoized(rs, "weights", expr, _weights)
     if isinstance(expr, str):
         expr = parse(expr)
+    return _weights(rs, expr, budget)
+
+
+def _weights(rs: RootSystem, expr: Expr,
+             budget: _Budget | None = None) -> WeightMultiset:
     packed, unpack, _ = _packed(rs, expr, budget)
-    return WeightMultiset(dict(zip(unpack(packed), packed.values())))
+    return WeightMultiset._adopt(dict(zip(unpack(packed), packed.values())))
 
 
 def _off_wall_weights(rs: RootSystem, expr: Expr) -> dict[Weight, int]:
@@ -460,20 +486,27 @@ def wedge_layers(rs: RootSystem, expr: Expr | str,
     keep = _off_walls(rs.rank, bound)
     budget = _Budget()
     layers = _graded_power(_eval(rs, expr, budget, pack), k, False, budget)
-    return [WeightMultiset(dict(zip(unpack(layer), layer.values())))
+    return [WeightMultiset._adopt(dict(zip(unpack(layer), layer.values())))
             for layer in map(keep, layers)]
 
 
 def memoized(rs: RootSystem, kind: str, expr: Expr | str,
              answer: Callable[[RootSystem, Expr], object]):
     """``answer(rs, parse(expr))``, kept in ``rs.expr_memo`` under
-    ``(kind, parse(expr))``: a text and its parsed tree share one entry, and
-    each is answered once per root system for the life of the process.
-    An error (``SizeCapExceeded``, ``InvalidWeight``, ``NotAGModule``, ...)
+    ``(kind, unparse(parse(expr)))``: a text and its parsed tree share one
+    entry, and each is answered once per root system for the life of the
+    process.  The canonical text names the tree (``unparse``) and stands in
+    for it as the key: hashing and comparing two equal trees parsed apart
+    recurses through every node, past Python's default recursion limit at
+    ``MAX_NESTING`` levels, while a string is hashed and compared flat.
+    The kinds are ``"weights"`` (``weights`` without a budget), ``"psupp"``
+    (``bwb.psupp``) and ``"decompose"`` (``repthy.decompose``); the answers
+    are immutable, and a repeat returns the same object.  An error
+    (``SizeCapExceeded``, ``InvalidWeight``, ``NotAGModule``, ...)
     propagates and is not stored, so a repeat raises it again."""
     if isinstance(expr, str):
         expr = parse(expr)
-    key = (kind, expr)
+    key = (kind, unparse(expr))
     memo = rs.expr_memo
     out = memo.get(key)
     if out is None:

@@ -178,7 +178,8 @@ class MatrixTuple(Record):
 
     A tuple keeps what its questions share: its matrices cleared to integers
     (``_cleared``) and its subspace chain (``_chain``), each computed on
-    first use and kept as long as the tuple.  Neither is a field, so
+    first use and kept as long as the tuple; ``resolution_sample`` gives
+    its tuple the cleared matrices it conjugated.  Neither is a field, so
     equality, hash, ``repr`` and pickles see the fields only.
     """
 
@@ -288,12 +289,27 @@ def is_strictly_upper(m: Matrix) -> bool:
 
 def _conjugate(left: Sequence[Sequence[int]],
                x: tuple[Sequence[Sequence[int]], int],
-               right: Sequence[Sequence[int]], den: int) -> Matrix:
-    """left x right / den for a cleared matrix x = (ints, d)."""
+               right: Sequence[Sequence[int]],
+               den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """left x right / den for a cleared matrix x = (ints, d), as the integer
+    product and its denominator den * d."""
     ints, d = x
-    prod = mat_mul(mat_mul(left, ints), right)
-    return tuple(tuple(Q(v, den * d) if v else _ZERO for v in row)
-                 for row in prod)
+    return mat_mul(mat_mul(left, ints), right), den * d
+
+
+def _fractions(ints: Sequence[Sequence[int]], d: int) -> Matrix:
+    """The matrix ints / d."""
+    return tuple(tuple(Q(v, d) if v else _ZERO for v in row) for row in ints)
+
+
+def _reduced(ints: tuple[tuple[int, ...], ...],
+             d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``_clear`` of ints / d for d > 0: the lcm of the denominators of the
+    entries p / d is d / gcd(d, every p)."""
+    g = gcd(d, *(v for row in ints for v in row))
+    if g == 1:
+        return ints, d
+    return tuple(tuple(v // g for v in row) for row in ints), d // g
 
 
 def _check_size(rows: Sequence[Sequence], n: int, what: str) -> None:
@@ -310,7 +326,7 @@ def triangularize(t: MatrixTuple, flag: Flag) -> tuple[Matrix, ...]:
     _check_size(flag.basis, t.n, "flag basis")
     g = flag._columns  # a multiple of g conjugates alike
     ginv, den = _inverse(g)
-    return tuple(_conjugate(ginv, m, g, den) for m in t._cleared)
+    return tuple(_fractions(*_conjugate(ginv, m, g, den)) for m in t._cleared)
 
 
 def resolution_sample(g: Matrix, nilpotent: MatrixTuple) -> MatrixTuple:
@@ -325,9 +341,12 @@ def resolution_sample(g: Matrix, nilpotent: MatrixTuple) -> MatrixTuple:
                                    "triangular")
     ints = _clear(g)[0]
     ginv, den = _inverse(ints)  # raises SingularMatrix when g is not invertible
-    conjugated = tuple(_conjugate(ints, m, ginv, den)
-                       for m in nilpotent._cleared)
-    return MatrixTuple(n=nilpotent.n, matrices=conjugated)
+    cleared = tuple(_reduced(*_conjugate(ints, m, ginv, den))
+                    for m in nilpotent._cleared)
+    out = MatrixTuple(n=nilpotent.n, matrices=tuple(
+        _fractions(*m) for m in cleared))
+    vars(out)["_cleared"] = cleared  # what ``_clear`` of each matrix gives
+    return out
 
 
 def matrix_to_strings(m: Matrix) -> list[list[str]]:

@@ -165,7 +165,8 @@ def _decompose_expr(rs: RootSystem, expr: Expr) -> FormalGModule:
     try:
         return _ring(rs, expr, _Budget())
     except NotAGModule:
-        return decompose_multiset(rs, weights(rs, expr))
+        # A budgeted call skips the memo (see ``bundles.weights``).
+        return decompose_multiset(rs, weights(rs, expr, _Budget()))
 
 
 def _tensor_step(rs: RootSystem, module: FormalGModule,

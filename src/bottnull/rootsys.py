@@ -121,10 +121,11 @@ class RootSystem(Record):
                      for col in self.simple_fund_columns)
 
     @cached_property
-    def expr_memo(self) -> dict[tuple[str, object], object]:
-        """``bundles.memoized``'s answers on this root system: (kind, parsed
-        expression) -> the ``bwb.PotentialSupport`` of kind ``"psupp"`` or
-        the ``repthy.FormalGModule`` of kind ``"decompose"``."""
+    def expr_memo(self) -> dict[tuple[str, str], object]:
+        """``bundles.memoized``'s answers on this root system: (kind, the
+        expression's canonical text) -> the ``bundles.WeightMultiset`` of
+        kind ``"weights"``, the ``bwb.PotentialSupport`` of kind ``"psupp"``
+        or the ``repthy.FormalGModule`` of kind ``"decompose"``."""
         return {}
 
     @cached_property

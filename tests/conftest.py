@@ -12,8 +12,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 @pytest.fixture
 def cold_memos(monkeypatch):
     """Give every cached root system an empty ``expr_memo`` for one test, so
-    ``psupp`` and ``decompose`` compute their answers there instead of
-    reading an earlier test's; the old memos come back afterwards."""
+    ``bundles.weights`` (without a budget), ``psupp`` and ``decompose``
+    compute their answers there instead of reading an earlier test's; the
+    old memos come back afterwards."""
     for family, ranks in (("A", A_RANKS), ("B", B_RANKS)):
         for rank in ranks:
             monkeypatch.setitem(vars(build_root_system(family, rank)),
@@ -38,6 +39,17 @@ def flag_one_sum(monkeypatch, target):
 
     monkeypatch.setattr(_kernels, "dot_walk_batch", patched)
     return seen
+
+
+def nested(levels):
+    """An A2 expression ``levels`` deep whose tree grows by three or four
+    nodes per level (sum, tensor, power, and a wedge at every other level):
+    b plus trivial terms, so not a G-module."""
+    text = "b"
+    for i in range(levels):
+        text = (f"wedge^1({text}^1*h^1+L[0,0]*h^0)" if i % 2
+                else f"({text}^1*L[0,0]^1+h^0)")
+    return text
 
 
 def rebuilt(rs: RootSystem) -> RootSystem:

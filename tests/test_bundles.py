@@ -79,8 +79,22 @@ def test_unparse_round_trip():
         expr = _random_expr(rng, rank=2, depth=0)
         text = bundles.unparse(expr)
         again = bundles.parse(text)
-        assert bundles.unparse(again) == text
+        assert again == expr and bundles.unparse(again) == text
         assert bundles.weights(rs, again) == bundles.weights(rs, expr)
+
+
+def test_unparse_keeps_the_parentheses_that_make_a_tree():
+    # The text is the memo key of its tree, so two trees never share one.
+    # A power of a power once printed "b^2^3", which does not parse, and a
+    # grouped sum or tensor printed as the flat one.
+    for text in ("(b^2)^3", "((b^2)^3)^4*L[1,2]^2", "wedge^2(b^2)^3",
+                 "(b+n)+h", "b+(n+h)", "(b*n)*h", "b*(n*h)*(g*q)",
+                 "(b+n)*h+g^2", "b*n^2+h"):
+        assert bundles.unparse(bundles.parse(text)) == text
+    assert bundles.unparse(bundles.parse("((b)^2)^3")) == "(b^2)^3"
+    assert bundles.unparse(bundles.parse("(b*n)+(h^2)")) == "b*n+h^2"
+    flat, grouped = bundles.parse("b+n+h"), bundles.parse("(b+n)+h")
+    assert flat != grouped and bundles.unparse(flat) == "b+n+h"
 
 
 def _random_expr(rng, rank, depth):

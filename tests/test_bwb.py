@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import flag_one_sum, rebuilt
+from conftest import flag_one_sum, nested, rebuilt
 from bottnull import _kernels, bundles, bwb, repthy, weyl
 from bottnull.bundles import WeightMultiset
-from bottnull.errors import CheckFailed, InvalidWeight, SizeCapExceeded
+from bottnull.errors import (CheckFailed, InvalidWeight, NotAGModule,
+                             SizeCapExceeded)
 from bottnull.rootsys import A_RANKS, build_root_system
 
 
@@ -384,7 +385,7 @@ def test_text_and_parsed_expression_share_one_entry(cold_memos, monkeypatch):
     assert bwb.psupp(rs, bundles.parse("b^2")) is ps
     assert bwb.psupp(rs, " b ^ 2 ") is ps
     assert evaluated == [bundles.parse("b^2")]
-    assert rs.expr_memo == {("psupp", bundles.parse("b^2")): ps}
+    assert rs.expr_memo == {("psupp", "b^2"): ps}
     # A different text for the same bundle is a different entry.
     assert bwb.psupp(rs, "(n+h)^2") == ps and len(rs.expr_memo) == 2
 
@@ -395,8 +396,8 @@ def test_memos_are_per_root_system(cold_memos):
     # One key, two root systems: each answers its own.
     a, b = bwb.psupp(a2, "sym^2(q)"), bwb.psupp(b2, "sym^2(q)")
     assert a != b
-    assert a2.expr_memo == {("psupp", bundles.parse("sym^2(q)")): a}
-    assert b2.expr_memo == {("psupp", bundles.parse("sym^2(q)")): b}
+    assert a2.expr_memo == {("psupp", "sym^2(q)"): a}
+    assert b2.expr_memo == {("psupp", "sym^2(q)"): b}
     # A copy of a cached root system starts with an empty memo of its own.
     copy = rebuilt(a2)
     assert copy.expr_memo == {} and bwb.psupp(copy, "sym^2(q)") == a
@@ -411,7 +412,8 @@ def test_weight_multiset_bypasses_the_memo(cold_memos, monkeypatch):
                         lambda ws, cartan: walks.append(1) or real(ws, cartan))
     ws = bundles.weights(rs, "b^2")
     assert bwb.psupp(rs, ws) == bwb.psupp(rs, ws) == bwb.psupp(rs, "b^2")
-    assert len(walks) == 3 and len(rs.expr_memo) == 1
+    # The weights of b^2 and the answer of psupp for b^2: two entries.
+    assert len(walks) == 3 and len(rs.expr_memo) == 2
     assert bwb.psupp(rs, "b^2") == bwb.psupp(rs, ws) and len(walks) == 4
 
 
@@ -426,3 +428,96 @@ def test_errors_are_raised_on_every_call_and_not_stored(cold_memos, rank, text,
         with pytest.raises(error):
             bwb.psupp(rs, text)
     assert rs.expr_memo == {}
+
+
+# --------------------------------------------------------------- weights memo
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_system_and_pool_expr())
+def test_weights_memo_matches_the_unpacked_oracle(case):
+    family, rank, text = case
+    cold = rebuilt(build_root_system(family, rank))
+    first = bundles.weights(cold, text)
+    assert bundles.weights(cold, text) is first
+    warm = bundles.weights(build_root_system(family, rank), text)
+    assert first == warm == oracles.expand_weights(cold, bundles.parse(text))
+
+
+def test_weights_keep_one_entry_per_text_and_tree(cold_memos, monkeypatch):
+    a3 = build_root_system("A", 3)
+    evaluated = []
+    real = bundles._packed
+    monkeypatch.setattr(bundles, "_packed", lambda rs, expr, budget=None: (
+        evaluated.append(expr) or real(rs, expr, budget)))
+    ws = bundles.weights(a3, "b^2")
+    assert bundles.weights(a3, bundles.parse("b^2")) is ws
+    assert bundles.weights(a3, " b ^ 2 ") is ws
+    assert evaluated == [bundles.parse("b^2")]
+    assert a3.expr_memo == {("weights", "b^2"): ws}
+    # One memo per root system, and a copy starts with an empty one.
+    b2 = build_root_system("B", 2)
+    assert bundles.weights(b2, "b^2") != ws
+    assert b2.expr_memo.keys() == {("weights", "b^2")}
+    copy = rebuilt(a3)
+    assert bundles.weights(copy, "b^2") == ws
+    assert bundles.weights(copy, "b^2") is not ws
+    assert len(evaluated) == 3 and len(a3.expr_memo) == 1
+    # A grouped sum is a tree, and an entry, of its own.
+    flat = bundles.weights(a3, "b^2+n+h")
+    assert bundles.weights(a3, "(b^2+n)+h") == flat
+    assert len(evaluated) == 5 and len(a3.expr_memo) == 3
+
+
+@pytest.mark.parametrize("rank,text,error", [
+    (1, "b^3000000", SizeCapExceeded),  # refused before its first convolution
+    (2, "b*L[1,0,0]", InvalidWeight),
+])
+def test_weights_errors_are_raised_on_every_call_and_not_stored(
+        cold_memos, rank, text, error):
+    rs = build_root_system("A", rank)
+    for _ in range(2):
+        with pytest.raises(error):
+            bundles.weights(rs, text)
+    assert rs.expr_memo == {}
+
+
+def test_budgeted_weights_leave_the_memo_alone(cold_memos):
+    rs = build_root_system("A", 2)
+    budget = bundles._Budget()
+    ws = bundles.weights(rs, "b^2", budget)
+    assert budget.spent and rs.expr_memo == {}
+    # A memoized answer does not let a spent budget through.
+    assert bundles.weights(rs, "b^2") == ws and len(rs.expr_memo) == 1
+    budget.spent = bundles.COST_CAP
+    with pytest.raises(SizeCapExceeded):
+        bundles.weights(rs, "b^2", budget)
+    # decompose's fallback for a non-module evaluates with a budget too.
+    with pytest.raises(NotAGModule):
+        repthy.decompose(rs, "b")
+    assert ("weights", "b") not in rs.expr_memo and len(rs.expr_memo) == 1
+
+
+READERS = {
+    "weights": bundles.weights,
+    "psupp": bwb.psupp,
+    "decompose": repthy.decompose,
+    "mult": lambda rs, expr: repthy.mult_in(rs, expr, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_two_parses_of_the_deepest_tree_stay_inside_the_recursion_limit(
+        cold_memos, reader):
+    # The second parse finds the first one's entry, where there is one
+    # (decompose stores no error, and its fallback skips the memo).  Two
+    # such trees compared node by node pass Python's default limit.
+    rs = build_root_system("A", 2)
+    ask = READERS[reader]
+    trees = [bundles.parse(nested(100)) for _ in range(2)]
+    if reader in ("decompose", "mult"):  # b plus trivial terms: no G-module
+        for tree in trees:
+            with pytest.raises(NotAGModule):
+                ask(rs, tree)
+    else:
+        assert ask(rs, trees[0]) is ask(rs, trees[1])
+    assert len(rs.expr_memo) == (reader != "decompose")

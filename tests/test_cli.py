@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import flag_one_sum
+from conftest import flag_one_sum, nested
 from bottnull import cli, ledger, nullcone, repthy
 from bottnull.rootsys import build_root_system
 
@@ -650,16 +650,6 @@ def test_json_document_of_the_wrong_shape_is_named(capsys, tmp_path, argv,
     assert err.splitlines() == [f"bottnull: error: {message}"]
 
 
-def _nested(levels):
-    """An expression ``levels`` deep whose tree grows by three or four nodes
-    per level (sum, tensor, power, and a wedge at every other level)."""
-    text = "b"
-    for i in range(levels):
-        text = (f"wedge^1({text}^1*h^1+L[0,0]*h^0)" if i % 2
-                else f"({text}^1*L[0,0]^1+h^0)")
-    return text
-
-
 def test_nesting_is_refused_past_100_levels(capsys):
     code, out, err = run_cli(capsys, ["dim", "--family", "A", "--rank", "2",
                                       "--expr", "(" * 101 + "b" + ")" * 101])
@@ -667,22 +657,22 @@ def test_nesting_is_refused_past_100_levels(capsys):
     assert err.splitlines() == [
         "bottnull: error: expression nested too deeply (at position 100)"]
     code, _, err = run_cli(capsys, ["psupp", "--family", "A", "--rank", "2",
-                                    "--expr", _nested(101)])
+                                    "--expr", nested(101)])
     assert code == 1 and "nested too deeply" in err
 
 
 @pytest.mark.parametrize("command", ["weights", "psupp", "decompose", "dim"])
 def test_nesting_of_100_levels_runs(capsys, command):
-    # Evaluating, hashing (the memo key) and printing the deepest accepted
-    # tree stay inside Python's recursion limit.  The expression is b plus
+    # Evaluating and printing the deepest accepted tree (its text is the
+    # memo key) stay inside Python's recursion limit.  The expression is b plus
     # trivial terms, so decompose refuses it as a non-module, with exit 2.
     code, out, err = run_cli(capsys, [command, "--family", "A", "--rank", "2",
-                                      "--expr", _nested(100)])
+                                      "--expr", nested(100)])
     if command == "decompose":
         assert code == 2 and err.startswith("bottnull: error: weight multiset")
     else:
         assert code == 0, err
-        assert json.loads(out)["payload"]["expr"] == _nested(100)
+        assert json.loads(out)["payload"]["expr"] == nested(100)
 
 
 def test_user_table_that_validates_gives_a_verdict(tmp_path, capsys):
@@ -827,6 +817,17 @@ def test_decompose_a7_matches_golden(capsys):
         want = fh.read()
     code, out, _ = run_cli(capsys, ["decompose", "--family", "A", "--rank",
                                     "7", "--expr", "g^3"])
+    assert code == 0
+    assert out == want
+
+
+def test_weights_a7_matches_golden(capsys):
+    # The stdout that CI compares the installed script with.
+    with open(os.path.join(GOLDEN_DIR, "weights_a7_g2.json"), "r",
+              encoding="utf-8") as fh:
+        want = fh.read()
+    code, out, _ = run_cli(capsys, ["weights", "--family", "A", "--rank", "7",
+                                    "--expr", "g^2"])
     assert code == 0
     assert out == want
 

@@ -410,6 +410,20 @@ def test_conjugations_match_a_sympy_inverse(g_and_uppers, s):
                for row in m for x in row)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    _invertible(n), st.lists(_strictly_upper(n), min_size=1, max_size=3))),
+    _SCALE, _SCALE)
+def test_resolution_sample_keeps_its_cleared_matrices(g_and_uppers, s, u):
+    g, uppers = g_and_uppers
+    t = nullcone.MatrixTuple(n=len(g), matrices=tuple(
+        _scaled(x, u) for x in uppers))
+    sample = nullcone.resolution_sample(_scaled(g, s), t)
+    # The integer product it conjugated, not cleared again from Fractions.
+    kept = vars(sample)["_cleared"]
+    assert kept == tuple(nullcone._clear(m) for m in sample.matrices)
+
+
 def test_boundary_values_are_fractions():
     # Integer inputs still give Fraction outputs.
     assert nullcone.rref([(2, 4, 6), (1, 1, 0)]) == [(1, 0, -3), (0, 1, 3)]
