@@ -4,9 +4,6 @@ Weight sums run on packed keys: ``_packer`` maps each weight to one Python
 int with a signed field per coordinate, so adding two packed keys adds the
 weights.  ``_convolve_packed`` is the one pair loop: ``bundles.weights``
 runs it on keys packed once per evaluation, ``convolve`` on tuple keys.
-``_off_walls`` drops, still packed, the keys of weights with a coordinate
--1 (``w + rho`` on a simple wall, so singular in Borel-Weil-Bott): the
-potential support unpacks and walks only the rest.
 
 ``chamber_walk`` is the one chamber walk of the package; ``weyl`` builds its
 dominantization, canonical words and linear orbit representatives on it.
@@ -17,15 +14,6 @@ table ``RootSystem.simple_root_support``).
 from __future__ import annotations
 
 BACKEND = "pure"
-
-
-def _fields(rank: int, bound: int):
-    """``(width, half, shifts, offset)`` of the packing for ``rank`` and
-    ``bound``: ``offset`` holds ``half`` in every field."""
-    width = bound.bit_length() + 1
-    half = 1 << (width - 1)  # > bound: a field plus half lies in [1, 2^width)
-    shifts = range((rank - 1) * width, -1, -width)
-    return width, half, shifts, sum(half << s for s in shifts)
 
 
 def _packer(rank: int, bound: int):
@@ -39,7 +27,10 @@ def _packer(rank: int, bound: int):
     within the bound and returns their tuples in order.  Python ints have
     no width limit, so any bound works.
     """
-    width, half, shifts, offset = _fields(rank, bound)
+    width = bound.bit_length() + 1
+    half = 1 << (width - 1)  # > bound: a field plus half lies in [1, 2^width)
+    shifts = range((rank - 1) * width, -1, -width)
+    offset = sum(half << s for s in shifts)  # half in every field
     mask = (1 << width) - 1
 
     def pack(w) -> int:
@@ -52,27 +43,6 @@ def _packer(rank: int, bound: int):
                           for s in shifts]))
 
     return pack, unpack
-
-
-def _off_walls(rank: int, bound: int):
-    """``keep(packed)``: the entries of a dict on keys packed by
-    ``_packer(rank, bound)`` whose weights have no coordinate -1, in order.
-
-    In ``x = (key + offset) ^ flip``, with ``half - 1`` in every field of
-    ``flip``, a field is zero exactly when its coordinate is -1, and every
-    field lies in [0, 2^width), so ``(x - low) & ~x & offset`` (``low``: the
-    low bit of every field; ``offset``: the high bit) is nonzero exactly
-    when some field is zero.
-    """
-    width, half, shifts, offset = _fields(rank, bound)
-    low = sum(1 << s for s in shifts)
-    flip = offset - low
-
-    def keep(packed: dict) -> dict:
-        return {key: c for key, c in packed.items()
-                if not ((x := (key + offset) ^ flip) - low) & ~x & offset}
-
-    return keep
 
 
 def _convolve_packed(a: dict, b: dict) -> dict:

@@ -11,8 +11,6 @@ evaluation is a map weight -> multiplicity with deterministic ordering.
 One structural pass over the tree (``_shape``, also ``dim``'s) refuses a
 wrong-rank line or an unprintable dimension before any evaluation, and gives
 the one width at which ``weights`` packs keys; only the result is unpacked.
-``_off_wall_weights`` unpacks less still: it drops the weights with a
-coordinate -1, singular in Borel-Weil-Bott, while they are packed.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator, Union
 
-from ._kernels._pykernels import _convolve_packed, _off_walls, _packer
+from ._kernels._pykernels import _convolve_packed, _packer
 from ._record import Record
 from .errors import ExprSyntaxError, InvalidWeight, SizeCapExceeded, UnknownAtom
 from .rootsys import MAX_COORD_DIGITS, RootSystem, Weight
@@ -427,67 +425,40 @@ def _atom_maps(rs: RootSystem, pack) -> dict[str, dict]:
     return maps
 
 
-def _packed(rs: RootSystem, expr: Expr, budget: _Budget | None = None):
-    """``(packed, unpack, bound)``: the weight multiset of ``expr`` on keys
-    packed by ``_packer(rs.rank, bound)``, ``bound`` from ``_shape``, and
-    that packer's ``unpack``."""
-    bound = _shape(rs, expr)[1]
-    pack, unpack = _packer(rs.rank, bound)
-    budget = _Budget() if budget is None else budget
-    return _eval(rs, expr, budget, pack), unpack, bound
-
-
-def weights(rs: RootSystem, expr: Expr | str,
-            budget: _Budget | None = None) -> WeightMultiset:
+def weights(rs: RootSystem, expr: Expr | str) -> WeightMultiset:
     """Weight multiset of the expression over the given root system.
 
     Raises what ``_shape`` raises before any evaluation, and
     SizeCapExceeded before any step that would take the evaluation past
-    ``COST_CAP`` weight terms; evaluations given one ``budget`` share one cap.
-
-    Without a ``budget`` the answer is memoized (``memoized``, kind
+    ``COST_CAP`` weight terms.  The answer is memoized (``memoized``, kind
     ``"weights"``): a repeat returns the same multiset and evaluates
-    nothing.  A call with a ``budget`` is one step of a larger evaluation;
-    it evaluates afresh and never reads or writes the memo, so what the
-    cap refuses does not depend on what the process has asked before.
+    nothing, and ``bwb.psupp`` of the expression reads the same entry.
     """
-    if budget is None:
-        return memoized(rs, "weights", expr, _weights)
-    if isinstance(expr, str):
-        expr = parse(expr)
-    return _weights(rs, expr, budget)
+    return memoized(rs, "weights", expr, _weights)
 
 
 def _weights(rs: RootSystem, expr: Expr,
              budget: _Budget | None = None) -> WeightMultiset:
-    packed, unpack, _ = _packed(rs, expr, budget)
+    """``weights`` evaluated afresh: it never reads or writes the memo, so
+    what the cost cap refuses in a larger evaluation (``repthy.decompose``,
+    whose steps share one ``budget``) does not depend on what the process
+    has asked before."""
+    pack, unpack = _packer(rs.rank, _shape(rs, expr)[1])
+    packed = _eval(rs, expr, _Budget() if budget is None else budget, pack)
     return WeightMultiset._adopt(dict(zip(unpack(packed), packed.values())))
-
-
-def _off_wall_weights(rs: RootSystem, expr: Expr) -> dict[Weight, int]:
-    """The weights of ``expr`` with no coordinate -1 and their
-    multiplicities, in ``weights``' order: a weight with a coordinate -1
-    is singular in Borel-Weil-Bott without a walk, so it is dropped while
-    packed and never unpacked.  Raises what ``weights`` raises."""
-    packed, unpack, bound = _packed(rs, expr)
-    packed = _off_walls(rs.rank, bound)(packed)
-    return dict(zip(unpack(packed), packed.values()))
 
 
 def wedge_layers(rs: RootSystem, expr: Expr | str,
                  k: int) -> list[WeightMultiset]:
-    """The weights with no coordinate -1 of wedge^0 .. wedge^k of the
-    expression (see ``_off_wall_weights``), from the one graded pass that
-    ``weights`` runs for ``wedge^k``."""
+    """The weights of wedge^0 .. wedge^k of the expression, from the one
+    graded pass that ``weights`` runs for ``wedge^k``."""
     if isinstance(expr, str):
         expr = parse(expr)
-    bound = _shape(rs, Wedge(k, expr))[1]
-    pack, unpack = _packer(rs.rank, bound)
-    keep = _off_walls(rs.rank, bound)
+    pack, unpack = _packer(rs.rank, _shape(rs, Wedge(k, expr))[1])
     budget = _Budget()
     layers = _graded_power(_eval(rs, expr, budget, pack), k, False, budget)
     return [WeightMultiset._adopt(dict(zip(unpack(layer), layer.values())))
-            for layer in map(keep, layers)]
+            for layer in layers]
 
 
 def memoized(rs: RootSystem, kind: str, expr: Expr | str,
@@ -499,8 +470,8 @@ def memoized(rs: RootSystem, kind: str, expr: Expr | str,
     for it as the key: hashing and comparing two equal trees parsed apart
     recurses through every node, past Python's default recursion limit at
     ``MAX_NESTING`` levels, while a string is hashed and compared flat.
-    The kinds are ``"weights"`` (``weights`` without a budget), ``"psupp"``
-    (``bwb.psupp``) and ``"decompose"`` (``repthy.decompose``); the answers
+    The kinds are ``"weights"``, ``"psupp"`` and ``"decompose"``, for
+    ``weights``, ``bwb.psupp`` and ``repthy.decompose``; the answers
     are immutable, and a repeat returns the same object.  An error
     (``SizeCapExceeded``, ``InvalidWeight``, ``NotAGModule``, ...)
     propagates and is not stored, so a repeat raises it again."""

@@ -79,19 +79,21 @@ def psupp(rs: RootSystem, expr: Expr | str | WeightMultiset) -> PotentialSupport
 
     The answer for an expression (text or parsed tree) is memoized per root
     system for the life of the process (``bundles.memoized``), so a repeat
-    evaluates and walks nothing; a ``WeightMultiset`` is answered afresh on
-    every call and never stored.  An expression's weights with a coordinate
-    -1 are singular and dropped before they are unpacked
-    (``bundles._off_wall_weights``); the walk returns None for them anyway.
+    evaluates and walks nothing.  Its weights come from ``weights`` and stay
+    in the memo too, so ``weights``, ``mult_in`` and ``euler_characteristic``
+    of the expression evaluate nothing either.  A ``WeightMultiset`` is
+    answered afresh on every call and never stored.
     """
     if isinstance(expr, WeightMultiset):
         return _potential_support(rs, expr._data)
     return memoized(rs, "psupp", expr, lambda rs, expr: _potential_support(
-        rs, bundles._off_wall_weights(rs, expr)))
+        rs, weights(rs, expr)._data))
 
 
 def _potential_support(rs: RootSystem,
                        data: dict[Weight, int]) -> PotentialSupport:
+    # The walk answers None for a weight with a coordinate -1 (w + rho on a
+    # wall) without walking it.
     return _bucket(data, _kernels.dot_walk_batch(list(data), rs.cartan))
 
 
@@ -112,8 +114,7 @@ def kostant_check(rs: RootSystem) -> tuple[int, ...]:
     for every k; return that profile, or raise CheckFailed at the first k
     that deviates.  Its weights are the -sum(S) over k-subsets S of the
     positive roots, so this checks every sum of distinct positive roots.
-    One graded pass gives every layer, without the weights with a coordinate
-    -1 (singular, so they add nothing); each distinct weight left is walked
+    One graded pass gives every layer, and each distinct weight is walked
     once."""
     layers = bundles.wedge_layers(rs, "n", len(rs.positive_roots))
     distinct = list(dict.fromkeys(w for layer in layers for w in layer))

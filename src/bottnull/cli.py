@@ -57,6 +57,16 @@ def _module_rows(rs: RootSystem, module: repthy.FormalGModule) -> list[dict]:
             for w, m in module.sorted_items()]
 
 
+def _read_text(path: str) -> str:
+    """The contents of an input file, which must be UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from exc
+
+
 def _parse_word(rs: RootSystem, text: str) -> tuple[int, ...]:
     try:
         letters = tuple(int(p) for p in text.split(","))
@@ -190,8 +200,7 @@ def _cmd_decompose(rs: RootSystem | None, args) -> _Output:
 
 
 def _cmd_nullcone(rs: RootSystem | None, args) -> _Output:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.input)
     if args.op == "resolve":
         try:
             doc = json.loads(text)
@@ -238,13 +247,11 @@ def _witness_doc(rs: RootSystem, w: ledger.Witness) -> dict:
 def _cmd_verdict(rs: RootSystem | None, args) -> _Output:
     table = None
     if args.table is not None:
-        with open(args.table, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.table)
         try:
             table = ledger.load_table(text)
             ledger.ensure_valid(table)
-        except (AttributeError, KeyError, TypeError, ValueError,
-                UnsupportedFamilyRank, ValidationFailure) as exc:
+        except (ValueError, UnsupportedFamilyRank, ValidationFailure) as exc:
             raise InputError(f"bad table document: {exc}") from exc
     v = ledger.verdict(args.family, args.rank, args.copies, table)
     payload = {

@@ -104,8 +104,12 @@ def _module_from_pairs(pairs, rank: int) -> FormalGModule:
     if not isinstance(pairs, list):
         raise ValueError(f"module {pairs!r} is not a list of pairs")
     mults = {}
-    for coords, mult in pairs:
-        if (len(coords) != rank
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(
+                f"module entry {pair!r} is not a [weight, multiplicity] pair")
+        coords, mult = pair
+        if (not isinstance(coords, list) or len(coords) != rank
                 or not all(type(c) is int and c >= 0 for c in coords)):
             raise ValueError(
                 f"module weight {coords!r} is not a dominant weight of rank {rank}")
@@ -142,7 +146,7 @@ def load_table(text: str) -> CohomologyTable:
         raise ValueError(f"unsupported table format: {doc.get('version')!r}")
     table = CohomologyTable()
     try:
-        for entry in doc["entries"]:
+        for entry in _json_list(doc, "entries"):
             entry = _json_object(entry)
             family, rank, q, p = _parse_key(entry["key"], 3)
             provenance = entry.get("provenance", "")
@@ -161,7 +165,7 @@ def load_table(text: str) -> CohomologyTable:
             else:
                 lo = hi = _module_from_pairs(entry["module"], rank)
             table.add(family, rank, q, p, lo, hi, provenance=provenance)
-        for key in doc["complete"]:
+        for key in _json_list(doc, "complete"):
             table.mark_complete(*_parse_key(key, 2))
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from exc
@@ -192,9 +196,20 @@ def _json_object(doc) -> dict:
     return doc
 
 
+def _json_list(doc: dict, name: str) -> list:
+    """``doc[name]``, which must be a list: a string's characters are not
+    its keys."""
+    value = doc[name]
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _parse_key(key: str, numbers: int) -> tuple:
     """``F/rank/q[/p]`` written as ``save_table`` writes it: ``int`` alone
     reads ``"A/2/1_0"`` as q = 10, and ``" A/2/2"`` has family ``" A"``."""
+    if not isinstance(key, str):
+        raise ValueError(f"table key {key!r} is not a string")
     if not re.fullmatch(r"[A-Z]+" + r"/(0|-?[1-9][0-9]*)" * numbers, key):
         raise ValueError(f"malformed table key {key!r}")
     family, *rest = key.split("/")

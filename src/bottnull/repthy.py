@@ -19,7 +19,7 @@ from math import lcm
 
 from . import _kernels, bwb, weyl
 from .bundles import (Expr, Power, Sum, Tensor, Wedge, WeightMultiset,
-                      _Budget, _shape, _WeightMap, memoized, weights)
+                      _Budget, _shape, _WeightMap, _weights, memoized, weights)
 from .errors import CheckFailed, NotAGModule, NotDominant
 from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
@@ -165,8 +165,8 @@ def _decompose_expr(rs: RootSystem, expr: Expr) -> FormalGModule:
     try:
         return _ring(rs, expr, _Budget())
     except NotAGModule:
-        # A budgeted call skips the memo (see ``bundles.weights``).
-        return decompose_multiset(rs, weights(rs, expr, _Budget()))
+        # Evaluated afresh, like the ring's operands (see ``bundles._weights``).
+        return decompose_multiset(rs, _weights(rs, expr, _Budget()))
 
 
 def _tensor_step(rs: RootSystem, module: FormalGModule,
@@ -196,7 +196,7 @@ def tensor_power(rs: RootSystem, module: FormalGModule, ws: WeightMultiset,
 
 def _operand(rs: RootSystem, expr: Expr, budget: _Budget) -> WeightMultiset:
     """The weights of an operand of the ring walk, checked Weyl-invariant."""
-    ws = weights(rs, expr, budget)
+    ws = _weights(rs, expr, budget)
     _check_invariant(rs, ws)
     return ws
 

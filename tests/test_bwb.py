@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import flag_one_sum, nested, rebuilt
 from bottnull import _kernels, bundles, bwb, repthy, weyl
+from bottnull._kernels import _pykernels
 from bottnull.bundles import WeightMultiset
 from bottnull.errors import (CheckFailed, InvalidWeight, NotAGModule,
                              SizeCapExceeded)
@@ -278,16 +279,27 @@ def test_kostant_check_fails_on_a_flagged_sum(monkeypatch, rank):
         bwb.kostant_check(rs)
 
 
+def _count_chamber_walks(monkeypatch):
+    """Make the batch walk record the shifted weight of every chamber walk
+    it starts; returns that list."""
+    real = _pykernels.chamber_walk
+    started = []
+    monkeypatch.setattr(_pykernels, "chamber_walk", lambda mu, support: (
+        started.append(tuple(mu)) or real(mu, support)))
+    return started
+
+
 def test_kostant_check_drops_wall_sums_before_the_walk(monkeypatch):
-    # -(alpha_1 + alpha_2) = (-1, -1, 1) on A3 lies on a wall: it is dropped
-    # while packed, so a walk that would map it elsewhere never sees it.
+    # -(alpha_1 + alpha_2) = (-1, -1, 1) on A3 lies on a wall: the batch
+    # walk answers it None without starting a chamber walk for it.
     rs = build_root_system("A", 3)
     roots = [r.fund_coords for r in rs.positive_roots]
-    target = _root_sum(3, roots[:2])
-    assert -1 in tuple(-c for c in target)
-    seen = flag_one_sum(monkeypatch, target)
+    target = tuple(-c for c in _root_sum(3, roots[:2]))
+    assert -1 in target
+    started = _count_chamber_walks(monkeypatch)
     assert bwb.kostant_check(rs) == (1, 3, 5, 6, 5, 3, 1)
-    assert seen == [26]
+    assert tuple(c + 1 for c in target) not in started
+    assert len(started) == 26
 
 
 @pytest.mark.usefixtures("cold_memos")
@@ -307,9 +319,9 @@ def test_distinct_roots_sampled_maps_a_flagged_sum(monkeypatch):
 
 
 def test_distinct_roots_a5_walks_1476_of_2932_sums(monkeypatch):
-    """Of the A5 wedge profile's 2,932 distinct subset sums (8,072 weights
-    over its 16 layers), the 1,476 with no coordinate -1 are walked in one
-    batch."""
+    """The A5 wedge profile's 2,932 distinct subset sums (8,072 weights
+    over its 16 layers) go to the walk in one batch, which starts a chamber
+    walk for the 1,476 with no coordinate -1."""
     rs = build_root_system("A", 5)
     layers = [oracles.subset_sum_counts(rs, k) for k in range(16)]
     assert sum(map(len, layers)) == 8072
@@ -317,17 +329,17 @@ def test_distinct_roots_a5_walks_1476_of_2932_sums(monkeypatch):
     assert len(distinct) == 2932
     assert sum(-1 not in w for w in distinct) == 1476
     seen = flag_one_sum(monkeypatch, (99,) * 5)
+    started = _count_chamber_walks(monkeypatch)
     assert bwb.kostant_check(rs) == (
         1, 5, 14, 29, 49, 71, 90, 101, 101, 90, 71, 49, 29, 14, 5, 1)
-    assert seen == [1476]
+    assert seen == [2932] and len(started) == 1476
 
 
 @pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 6)]
                          + [("B", 2)])
 def test_distinct_roots_walks_each_subset_sum_once(monkeypatch, family, rank):
     """The wedge profile's one batch walk holds each sum of distinct positive
-    roots that ``itertools.combinations`` lists, negated, exactly once,
-    unless the negated sum has a coordinate -1 (a wall: never walked)."""
+    roots that ``itertools.combinations`` lists, negated, exactly once."""
     rs = build_root_system(family, rank)
     roots = [r.fund_coords for r in rs.positive_roots]
     oracle = {_root_sum(rank, s) for k in range(len(roots) + 1)
@@ -338,8 +350,7 @@ def test_distinct_roots_walks_each_subset_sum_once(monkeypatch, family, rank):
                         lambda ws, cartan: batches.append(ws) or real(ws, cartan))
     bwb.kostant_check(rs)
     [walked] = batches
-    assert sorted(tuple(-c for c in w) for w in walked) == sorted(
-        s for s in oracle if 1 not in s)
+    assert sorted(tuple(-c for c in w) for w in walked) == sorted(oracle)
 
 
 # ------------------------------------------------------------- answer memo
@@ -378,16 +389,18 @@ def test_memo_answers_match_the_unpacked_oracle(case):
 def test_text_and_parsed_expression_share_one_entry(cold_memos, monkeypatch):
     rs = build_root_system("A", 3)
     evaluated = []
-    real = bundles._packed
-    monkeypatch.setattr(bundles, "_packed",
+    real = bundles._weights
+    monkeypatch.setattr(bundles, "_weights",
                         lambda rs, expr: evaluated.append(expr) or real(rs, expr))
     ps = bwb.psupp(rs, "b^2")
     assert bwb.psupp(rs, bundles.parse("b^2")) is ps
     assert bwb.psupp(rs, " b ^ 2 ") is ps
     assert evaluated == [bundles.parse("b^2")]
-    assert rs.expr_memo == {("psupp", "b^2"): ps}
+    # The answer, and the weights it was walked from.
+    assert rs.expr_memo == {("psupp", "b^2"): ps,
+                            ("weights", "b^2"): bundles.weights(rs, "b^2")}
     # A different text for the same bundle is a different entry.
-    assert bwb.psupp(rs, "(n+h)^2") == ps and len(rs.expr_memo) == 2
+    assert bwb.psupp(rs, "(n+h)^2") == ps and len(rs.expr_memo) == 4
 
 
 def test_memos_are_per_root_system(cold_memos):
@@ -396,8 +409,10 @@ def test_memos_are_per_root_system(cold_memos):
     # One key, two root systems: each answers its own.
     a, b = bwb.psupp(a2, "sym^2(q)"), bwb.psupp(b2, "sym^2(q)")
     assert a != b
-    assert a2.expr_memo == {("psupp", "sym^2(q)"): a}
-    assert b2.expr_memo == {("psupp", "sym^2(q)"): b}
+    assert a2.expr_memo[("psupp", "sym^2(q)")] is a
+    assert b2.expr_memo[("psupp", "sym^2(q)")] is b
+    assert a2.expr_memo.keys() == b2.expr_memo.keys() == {
+        ("psupp", "sym^2(q)"), ("weights", "sym^2(q)")}
     # A copy of a cached root system starts with an empty memo of its own.
     copy = rebuilt(a2)
     assert copy.expr_memo == {} and bwb.psupp(copy, "sym^2(q)") == a
@@ -446,8 +461,8 @@ def test_weights_memo_matches_the_unpacked_oracle(case):
 def test_weights_keep_one_entry_per_text_and_tree(cold_memos, monkeypatch):
     a3 = build_root_system("A", 3)
     evaluated = []
-    real = bundles._packed
-    monkeypatch.setattr(bundles, "_packed", lambda rs, expr, budget=None: (
+    real = bundles._weights
+    monkeypatch.setattr(bundles, "_weights", lambda rs, expr, budget=None: (
         evaluated.append(expr) or real(rs, expr, budget)))
     ws = bundles.weights(a3, "b^2")
     assert bundles.weights(a3, bundles.parse("b^2")) is ws
@@ -483,14 +498,14 @@ def test_weights_errors_are_raised_on_every_call_and_not_stored(
 
 def test_budgeted_weights_leave_the_memo_alone(cold_memos):
     rs = build_root_system("A", 2)
-    budget = bundles._Budget()
-    ws = bundles.weights(rs, "b^2", budget)
+    budget, b2 = bundles._Budget(), bundles.parse("b^2")
+    ws = bundles._weights(rs, b2, budget)
     assert budget.spent and rs.expr_memo == {}
     # A memoized answer does not let a spent budget through.
     assert bundles.weights(rs, "b^2") == ws and len(rs.expr_memo) == 1
     budget.spent = bundles.COST_CAP
     with pytest.raises(SizeCapExceeded):
-        bundles.weights(rs, "b^2", budget)
+        bundles._weights(rs, b2, budget)
     # decompose's fallback for a non-module evaluates with a budget too.
     with pytest.raises(NotAGModule):
         repthy.decompose(rs, "b")
@@ -509,8 +524,9 @@ READERS = {
 def test_two_parses_of_the_deepest_tree_stay_inside_the_recursion_limit(
         cold_memos, reader):
     # The second parse finds the first one's entry, where there is one
-    # (decompose stores no error, and its fallback skips the memo).  Two
-    # such trees compared node by node pass Python's default limit.
+    # (decompose stores no error, and its fallback skips the memo; psupp
+    # stores its weights too).  Two such trees compared node by node pass
+    # Python's default limit.
     rs = build_root_system("A", 2)
     ask = READERS[reader]
     trees = [bundles.parse(nested(100)) for _ in range(2)]
@@ -520,4 +536,4 @@ def test_two_parses_of_the_deepest_tree_stay_inside_the_recursion_limit(
                 ask(rs, tree)
     else:
         assert ask(rs, trees[0]) is ask(rs, trees[1])
-    assert len(rs.expr_memo) == (reader != "decompose")
+    assert len(rs.expr_memo) == {"psupp": 2, "decompose": 0}.get(reader, 1)

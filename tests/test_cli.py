@@ -79,6 +79,14 @@ def test_bad_expression_exits_1(capsys):
     assert "error" in err
 
 
+def test_unexpected_character_exits_1_with_its_position(capsys):
+    code, out, err = run_cli(capsys, ["psupp", "--family", "A", "--rank", "2",
+                                      "--expr", "b$"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "bottnull: error: unexpected character (at position 1)"]
+
+
 def test_bad_weight_exits_1(capsys):
     code, _, err = run_cli(capsys, ["bwb", "--family", "A", "--rank", "2",
                                     "--weight", "f:1"])
@@ -394,6 +402,12 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
 def _table_with(tmp, weight, mult=1, key="A/2/2/1"):
     """The built-in table, saved with the module at ``key`` set to
     ``mult`` copies of ``weight``."""
@@ -454,6 +468,12 @@ MALFORMED_INPUTS = {
     "table-not-json": lambda tmp: [
         "verdict", "--family", "A", "--rank", "2", "-r", "2",
         "--table", _write(tmp, "t.json", "{not json")],
+    # Each once a UnicodeDecodeError traceback.
+    "table-not-utf8": lambda tmp: [
+        "verdict", "--family", "A", "--rank", "2", "-r", "1",
+        "--table", _write_bytes(tmp, "t.json", b"\xff\xfe")],
+    "nullcone-input-not-utf8": lambda tmp: [
+        "nullcone", "--input", _write_bytes(tmp, "t.json", b"\xff\xfe")],
     "table-is-directory": lambda tmp: [
         "verdict", "--family", "A", "--rank", "2", "-r", "2",
         "--table", str(tmp)],
@@ -639,7 +659,9 @@ def test_resolve_refuses_a_non_square_g(capsys, tmp_path):
     (lambda tmp: _nullcone_doc(tmp, {"matrices": [[[0, 1], [0, 0]]]},
                                op="resolve"),
      "bad resolve document: missing key 'g'"),
-], ids=["tuple-list", "table-list", "resolve-without-g"])
+    (lambda tmp: _nullcone_doc(tmp, [1], op="resolve"),
+     "bad resolve document: expected a JSON object"),
+], ids=["tuple-list", "table-list", "resolve-without-g", "resolve-list"])
 def test_json_document_of_the_wrong_shape_is_named(capsys, tmp_path, argv,
                                                    message):
     # Each once exited 1 with a line of Python internals ("list indices

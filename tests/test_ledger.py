@@ -195,6 +195,38 @@ def test_load_table_refuses_what_save_table_never_writes():
     assert save_table(load_table(json.dumps(doc))) == save_table(builtin_tables())
 
 
+def _entry_module(module):
+    def edit(doc):
+        (entry,) = [e for e in doc["entries"] if e["key"] == "A/2/2/1"]
+        entry["module"] = module
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.update(complete=[5]), "table key 5 is not a string"),
+    (lambda doc: doc["entries"][0].update(key=5), "table key 5 is not a string"),
+    (lambda doc: doc.update(complete="A/2/1"),
+     "complete must be a list, got 'A/2/1'"),
+    (lambda doc: doc.update(entries={}), "entries must be a list, got {}"),
+    (_entry_module([[[0, 0]]]),
+     r"module entry \[\[0, 0\]\] is not a \[weight, multiplicity\] pair"),
+    (_entry_module([5]),
+     r"module entry 5 is not a \[weight, multiplicity\] pair"),
+    (_entry_module([[0, 1]]),
+     "module weight 0 is not a dominant weight of rank 2"),
+], ids=["complete-key-int", "entry-key-int", "complete-string",
+        "entries-object", "pair-of-one", "pair-int", "pair-weight-int"])
+def test_load_table_names_a_document_of_the_wrong_shape(edit, message):
+    # Each once raised a message of Python internals ("expected string or
+    # bytes-like object", "not enough values to unpack", "cannot unpack
+    # non-iterable int object", "object of type 'int' has no len()"), or,
+    # for a string of complete marks, named its first character as a key.
+    doc = json.loads(save_table(builtin_tables()))
+    edit(doc)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_table(json.dumps(doc))
+
+
 def test_load_table_refuses_a_provenance_that_is_not_a_string():
     doc = json.loads(save_table(builtin_tables()))
     first = doc["entries"][0]

@@ -444,13 +444,13 @@ def test_decompose_memo_checks_invariance_once(cold_memos, monkeypatch):
     assert repthy.decompose(rs, bundles.parse("wedge^2(g)")) is mod
     assert len(checked) == 1
     assert rs.expr_memo == {("decompose", "wedge^2(g)"): mod}
-    # decompose and psupp keep separate entries for one expression.
+    # decompose and psupp keep separate entries for one expression, and
+    # psupp stores the weights that it walked.
     bwb.psupp(rs, "wedge^2(g)")
-    assert len(rs.expr_memo) == 2
+    assert len(rs.expr_memo) == 3
     # A weight multiset is checked and decomposed on every call, unstored.
     ws = bundles.weights(rs, "wedge^2(g)")
     assert repthy.decompose(rs, ws) == repthy.decompose(rs, ws) == mod
-    # The one new entry is the weights that ``bundles.weights`` asked for.
     assert len(checked) == 3 and len(rs.expr_memo) == 3
 
 
@@ -579,9 +579,9 @@ def test_invariant_sums_of_non_invariant_operands_decompose(cold_memos):
 def test_a7_g_cubed_evaluates_only_g(cold_memos, monkeypatch):
     rs = build_root_system("A", 7)
     evaluated = []
-    real = repthy.weights
-    monkeypatch.setattr(repthy, "weights", lambda rs, expr, *budget: (
-        evaluated.append(expr) or real(rs, expr, *budget)))
+    real = repthy._weights
+    monkeypatch.setattr(repthy, "_weights", lambda rs, expr, budget: (
+        evaluated.append(expr) or real(rs, expr, budget)))
     module = repthy.decompose(rs, "g^3")
     assert evaluated == [bundles.parse("g")]
     assert module.dimension(rs) == bundles.dim(rs, "g^3") == 63 ** 3
