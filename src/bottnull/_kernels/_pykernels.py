@@ -8,7 +8,9 @@ runs it on keys packed once per evaluation, ``convolve`` on tuple keys.
 ``chamber_walk`` is the one chamber walk of the package; ``weyl`` builds its
 dominantization, canonical words and linear orbit representatives on it.
 It reflects along the nonzero entries of each simple root only (the sparse
-table ``RootSystem.simple_root_support``).
+table ``RootSystem.simple_root_support``).  The dot walks
+(``dot_walk_batch``, ``weyl.to_dominant``) stop at the first wall; the
+linear ones walk through zero coordinates.
 """
 
 from __future__ import annotations
@@ -72,14 +74,24 @@ def convolve(a: dict, b: dict) -> dict:
     return dict(zip(unpack(out), out.values()))
 
 
-def chamber_walk(mu: list, support) -> list[int]:
+def chamber_walk(mu: list, support,
+                 stop_at_wall: bool = False) -> list[int] | None:
     """Move ``mu`` into the dominant chamber in place by simple reflections.
 
     Each step reflects in the smallest index with a negative coordinate;
     ``support[i]`` holds the nonzero ``(j, a)`` entries of the fundamental
     coordinates of the simple root alpha_{i+1}, by increasing j.  Returns
     the 1-based letters in the order they were applied.
+
+    With ``stop_at_wall``, returns ``None`` instead as soon as a coordinate
+    of ``mu`` is 0, before the first step or when a reflection leaves one,
+    and ``mu`` is left part-way: ``mu = w(nu)`` then lies on the
+    wall of a simple root alpha_j, so ``nu`` lies on the wall of
+    ``w^-1 alpha_j`` and its dominant representative is singular.  Without
+    it the walk goes on through zero coordinates to the dominant chamber.
     """
+    if stop_at_wall and 0 in mu:
+        return None
     rank = len(mu)
     letters = []
     start = 0
@@ -89,7 +101,10 @@ def chamber_walk(mu: list, support) -> list[int]:
             if c < 0:
                 col = support[i]
                 for j, a in col:
-                    mu[j] -= c * a
+                    v = mu[j] - c * a
+                    mu[j] = v
+                    if not v and stop_at_wall:
+                        return None
                 letters.append(i + 1)
                 # Coordinates below the first one s_i changed were, and
                 # stay, non-negative.
@@ -103,11 +118,12 @@ def dot_walk_batch(weights: list, cartan) -> list:
     """Dominantize ``w + rho`` by simple reflections for each input weight.
 
     Returns one entry per input: ``None`` when the shifted weight is singular
-    (hits a wall), else ``(length, dominant)`` where ``dominant`` is the
+    (lies on a wall), else ``(length, dominant)`` where ``dominant`` is the
     rho-shifted dominant representative (i.e. the dot-action image under the
     unique Weyl element of that length).  A weight with a coordinate -1
-    (``w + rho`` already on a wall) is ``None`` without a walk.  The sparse
-    simple-root table is built from ``cartan`` once per call.
+    (``w + rho`` already on a wall) is ``None`` without a walk, and a walk
+    stops at the first wall it meets (``chamber_walk``'s ``stop_at_wall``).
+    The sparse simple-root table is built from ``cartan`` once per call.
     """
     rank = len(cartan)
     support = [tuple((i, cartan[i][j]) for i in range(rank) if cartan[i][j])
@@ -118,9 +134,9 @@ def dot_walk_batch(weights: list, cartan) -> list:
             out.append(None)
             continue
         mu = [c + 1 for c in w]
-        length = len(chamber_walk(mu, support))
-        if 0 in mu:
+        letters = chamber_walk(mu, support, True)
+        if letters is None:
             out.append(None)
         else:
-            out.append((length, tuple([c - 1 for c in mu])))
+            out.append((len(letters), tuple([c - 1 for c in mu])))
     return out

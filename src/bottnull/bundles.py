@@ -470,19 +470,32 @@ def memoized(rs: RootSystem, kind: str, expr: Expr | str,
     for it as the key: hashing and comparing two equal trees parsed apart
     recurses through every node, past Python's default recursion limit at
     ``MAX_NESTING`` levels, while a string is hashed and compared flat.
+    A text is parsed and unparsed once per process (``_canonical``), so a
+    repeat of a text is two dictionary lookups.
     The kinds are ``"weights"``, ``"psupp"`` and ``"decompose"``, for
     ``weights``, ``bwb.psupp`` and ``repthy.decompose``; the answers
     are immutable, and a repeat returns the same object.  An error
     (``SizeCapExceeded``, ``InvalidWeight``, ``NotAGModule``, ...)
     propagates and is not stored, so a repeat raises it again."""
     if isinstance(expr, str):
-        expr = parse(expr)
-    key = (kind, unparse(expr))
+        expr, text = _canonical(expr)
+    else:
+        text = unparse(expr)
+    key = (kind, text)
     memo = rs.expr_memo
     out = memo.get(key)
     if out is None:
         out = memo[key] = answer(rs, expr)
     return out
+
+
+@lru_cache(maxsize=None)
+def _canonical(text: str) -> tuple[Expr, str]:
+    """``(parse(text), unparse(parse(text)))``, once per text per process.
+    A text that does not parse raises on every call: ``lru_cache`` stores
+    no exception."""
+    expr = parse(text)
+    return expr, unparse(expr)
 
 
 def dim(rs: RootSystem, expr: Expr | str) -> int:

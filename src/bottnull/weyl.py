@@ -60,13 +60,12 @@ class DominanceResult(Record):
 def to_dominant(rs: RootSystem, weight: Sequence[int]) -> DominanceResult:
     """Chamber walk on ``weight + rho``, flipping the smallest negative index.
 
-    A coordinate -1 puts ``weight + rho`` on a wall already: singular, no walk.
+    The walk stops at the first wall it meets: ``weight + rho`` with a
+    coordinate 0, before the first step or after a reflection, is singular.
     """
-    if -1 in weight:
-        return DominanceResult(singular=True)
     mu = [c + 1 for c in weight]
-    letters = chamber_walk(mu, rs.simple_root_support)
-    if 0 in mu:
+    letters = chamber_walk(mu, rs.simple_root_support, True)
+    if letters is None:
         return DominanceResult(singular=True)
     dominant = tuple(c - 1 for c in mu)
     return DominanceResult(singular=False, length=len(letters),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,8 @@ from conftest import flag_one_sum, nested, rebuilt
 from bottnull import _kernels, bundles, bwb, repthy, weyl
 from bottnull._kernels import _pykernels
 from bottnull.bundles import WeightMultiset
-from bottnull.errors import (CheckFailed, InvalidWeight, NotAGModule,
-                             SizeCapExceeded)
+from bottnull.errors import (CheckFailed, ExprSyntaxError, InvalidWeight,
+                             NotAGModule, SizeCapExceeded, UnknownAtom)
 from bottnull.rootsys import A_RANKS, build_root_system
 
 
@@ -284,8 +285,9 @@ def _count_chamber_walks(monkeypatch):
     it starts; returns that list."""
     real = _pykernels.chamber_walk
     started = []
-    monkeypatch.setattr(_pykernels, "chamber_walk", lambda mu, support: (
-        started.append(tuple(mu)) or real(mu, support)))
+    monkeypatch.setattr(
+        _pykernels, "chamber_walk", lambda mu, support, stop_at_wall=False: (
+            started.append(tuple(mu)) or real(mu, support, stop_at_wall)))
     return started
 
 
@@ -430,6 +432,57 @@ def test_weight_multiset_bypasses_the_memo(cold_memos, monkeypatch):
     # The weights of b^2 and the answer of psupp for b^2: two entries.
     assert len(walks) == 3 and len(rs.expr_memo) == 2
     assert bwb.psupp(rs, "b^2") == bwb.psupp(rs, ws) and len(walks) == 4
+
+
+def _count_parses(monkeypatch):
+    """Start the text cache of ``memoized`` empty for one test and record
+    the text of every parse; returns that list."""
+    monkeypatch.setattr(bundles, "_canonical",
+                        lru_cache(maxsize=None)(bundles._canonical.__wrapped__))
+    parsed = []
+
+    class Spy(bundles._Parser):
+        def __init__(self, text):
+            parsed.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(bundles, "_Parser", Spy)
+    return parsed
+
+
+def test_repeats_of_a_text_parse_it_once(cold_memos, monkeypatch):
+    parsed = _count_parses(monkeypatch)
+    a3, b2 = build_root_system("A", 3), build_root_system("B", 2)
+    answers = {}
+    for _ in range(3):
+        for rs in (a3, b2):
+            for reader in (bundles.weights, bwb.psupp, repthy.decompose):
+                out = reader(rs, "wedge^2(g)")
+                assert answers.setdefault((rs.family, reader), out) is out
+    assert parsed == ["wedge^2(g)"]
+    assert a3.expr_memo.keys() == b2.expr_memo.keys() == {
+        ("weights", "wedge^2(g)"), ("psupp", "wedge^2(g)"),
+        ("decompose", "wedge^2(g)")}
+    # Two texts of one tree: each parsed once, one entry between them.
+    ws = bundles.weights(a3, "b^2")
+    for _ in range(2):
+        assert bundles.weights(a3, " b ^ 2 ") is bundles.weights(a3, "b^2") is ws
+    assert parsed == ["wedge^2(g)", "b^2", " b ^ 2 "]
+    assert ("weights", "b^2") in a3.expr_memo and len(a3.expr_memo) == 4
+
+
+@pytest.mark.parametrize("text,error", [
+    ("b^", ExprSyntaxError),
+    ("b*x", UnknownAtom),
+])
+def test_texts_that_do_not_parse_raise_on_every_call(monkeypatch, text, error):
+    parsed = _count_parses(monkeypatch)
+    rs = build_root_system("A", 2)
+    for reader in (bundles.weights, bwb.psupp, repthy.decompose):
+        for _ in range(2):
+            with pytest.raises(error):
+                reader(rs, text)
+    assert parsed == [text] * 6
 
 
 @pytest.mark.parametrize("rank,text,error", [

@@ -886,10 +886,12 @@ def test_verdict_a5_r4_matches_golden(capsys, table):
     ("psupp_b2_line_wedge2.json",
      ["--family", "B", "--rank", "2", "--expr", "L[-1,3]*wedge^2(g)"]),
     ("psupp_a5_b4.json", ["--family", "A", "--rank", "5", "--expr", "b^4"]),
+    ("psupp_a6_b4.json", ["--family", "A", "--rank", "6", "--expr", "b^4"]),
 ])
 def test_psupp_matches_golden(capsys, golden, argv):
     # Recorded before weights with a coordinate -1 were dropped while
-    # packed; CI compares the installed script with the same files.
+    # packed (A6 b^4: before dot walks stopped at their first wall); CI
+    # compares the installed script with the same files.
     with open(os.path.join(GOLDEN_DIR, golden), "r", encoding="utf-8") as fh:
         want = fh.read()
     code, out, _ = run_cli(capsys, ["psupp", *argv])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from bottnull import _kernels, weyl
+from bottnull._kernels._pykernels import chamber_walk
 from bottnull.errors import InputError, NotDominant
 from bottnull.rootsys import (build_root_system, invariant_form,
                               weight_to_root_coords)
@@ -247,14 +248,51 @@ def test_chamber_walk_against_coroot_pairings(case):
     assert invariant_form(rs, lin, lin) == invariant_form(rs, lam, lam)
 
 
+@settings(max_examples=250, deadline=None, database=None)
+@given(_system_and_weight())
+def test_chamber_walk_stops_exactly_on_walls(case):
+    # Stopped at a wall: None exactly when lam + rho pairs to 0 with some
+    # positive coroot; otherwise the letters of the walk to the chamber.
+    rs, lam = case
+    shifted = [c + 1 for c in lam]
+    on_wall = any(oracles.coroot_pairing(rs, shifted, root) == 0
+                  for root in rs.positive_roots)
+    full = list(shifted)
+    letters = chamber_walk(full, rs.simple_root_support)
+    assert (0 in full) == on_wall
+    stopped = chamber_walk(list(shifted), rs.simple_root_support, True)
+    if on_wall:
+        assert stopped is None
+    else:
+        assert stopped == letters
+
+
+def test_chamber_walk_stops_at_its_first_wall():
+    # On A3, s_1 takes (-1, 1, -5) to (1, 0, -5), on the wall of alpha_2;
+    # the walk to the chamber would go on through s_3, s_2, s_1.
+    rs = build_root_system("A", 3)
+    full = [-1, 1, -5]
+    assert chamber_walk(full, rs.simple_root_support) == [1, 3, 2, 1]
+    assert full == [4, 1, 0]
+    mu = [-1, 1, -5]
+    assert chamber_walk(mu, rs.simple_root_support, True) is None
+    assert mu == [1, 0, -5]
+    # (-2, 0, -4) is (-1, 1, -5) - rho: singular after one reflection.
+    assert weyl.to_dominant(rs, (-2, 0, -4)).singular
+    assert _kernels.dot_walk_batch([(-2, 0, -4)], rs.cartan) == [None]
+
+
 def test_linear_dominant():
     rs = build_root_system("A", 2)
     assert weyl.linear_dominant(rs, (-1, -1)) == (1, 1)
     assert weyl.linear_dominant(rs, (0, 0)) == (0, 0)
     assert weyl.linear_dominant(rs, (2, 1)) == (2, 1)
+    # The walk of (-1, 1, -5) passes (1, 0, -5) and (-4, 5, 0), where a dot
+    # walk would stop, on its way to the dominant chamber.
+    rs3 = build_root_system("A", 3)
+    assert weyl.linear_dominant(rs3, (-1, 1, -5)) == (4, 1, 0)
     # The result is always in the same linear orbit.
     rng = random.Random(2)
-    rs3 = build_root_system("A", 3)
     for _ in range(50):
         lam = tuple(rng.randint(-6, 6) for _ in range(3))
         dom = weyl.linear_dominant(rs3, lam)
