@@ -3,17 +3,21 @@
 Weight sums run on packed keys: ``_packer`` maps each weight to one Python
 int with a signed field per coordinate, so adding two packed keys adds the
 weights.  ``_convolve_packed`` is the one pair loop: ``bundles.weights``
-runs it on keys packed once per evaluation, ``convolve`` on tuple keys.
+runs it on keys packed once per evaluation, ``repthy``'s Brauer-Klimyk
+steps on keys packed once per ring walk, ``convolve`` on tuple keys.
 
 ``chamber_walk`` is the one chamber walk of the package; ``weyl`` builds its
 dominantization, canonical words and linear orbit representatives on it.
 It reflects along the nonzero entries of each simple root only (the sparse
-table ``RootSystem.simple_root_support``).  The dot walks
+table ``RootSystem.simple_root_support``, which ``dot_walk_batch`` builds
+once per Cartan matrix).  The dot walks
 (``dot_walk_batch``, ``weyl.to_dominant``) stop at the first wall; the
 linear ones walk through zero coordinates.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 BACKEND = "pure"
 
@@ -114,6 +118,16 @@ def chamber_walk(mu: list, support,
             return letters
 
 
+@lru_cache(maxsize=None)
+def _simple_root_table(cartan: tuple) -> tuple:
+    """The sparse simple-root table of a Cartan matrix, once per matrix:
+    column j's nonzero ``(i, cartan[i][j])``, as
+    ``RootSystem.simple_root_support``."""
+    rank = len(cartan)
+    return tuple(tuple((i, cartan[i][j]) for i in range(rank) if cartan[i][j])
+                 for j in range(rank))
+
+
 def dot_walk_batch(weights: list, cartan) -> list:
     """Dominantize ``w + rho`` by simple reflections for each input weight.
 
@@ -123,11 +137,13 @@ def dot_walk_batch(weights: list, cartan) -> list:
     unique Weyl element of that length).  A weight with a coordinate -1
     (``w + rho`` already on a wall) is ``None`` without a walk, and a walk
     stops at the first wall it meets (``chamber_walk``'s ``stop_at_wall``).
-    The sparse simple-root table is built from ``cartan`` once per call.
+    ``cartan`` is a tuple of rows, or a list of lists, which is copied to
+    tuples to look its table up.
     """
-    rank = len(cartan)
-    support = [tuple((i, cartan[i][j]) for i in range(rank) if cartan[i][j])
-               for j in range(rank)]
+    try:
+        support = _simple_root_table(cartan)
+    except TypeError:  # unhashable rows
+        support = _simple_root_table(tuple(map(tuple, cartan)))
     out = []
     for w in weights:
         if -1 in w:

@@ -2,13 +2,16 @@
 multiplicities, decompositions.
 
 ``decompose`` of an expression works in the representation ring.  Only the
-operands of the walk over the parsed tree are evaluated to weights and
-checked Weyl-invariant; a tensor factor or power step is one Brauer-Klimyk
-step (``_tensor_step``: the module's highest weights shifted by the
-operand's weights and dominantized with sign), and ``wedge^k`` follows
-Newton's identity.  ``mult_in`` takes the alternating Weyl-group sum over
-the evaluated weights, an independent route to the same multiplicities.
-Full irreducible characters use Freudenthal's recursion.  All are exact.
+operands of the walk over the parsed tree are evaluated to weights, and
+checked Weyl-invariant unless they are invariant by construction (built
+from ``g``, ``h`` and zero lines); a tensor factor or power step is one
+Brauer-Klimyk step (``_tensor_step``: the module's highest weights shifted
+by the operand's weights and dominantized with sign), and ``wedge^k`` and
+``sym^k`` share one Newton walk.  The walk adds weights on keys packed
+once per expression, and unpacks only the sums it walks.  ``mult_in``
+takes the alternating Weyl-group sum over the evaluated weights, an
+independent route to the same multiplicities.  Full irreducible
+characters use Freudenthal's recursion.  All are exact.
 """
 
 from __future__ import annotations
@@ -17,21 +20,24 @@ from fractions import Fraction as Q
 from itertools import product
 from math import lcm
 
-from . import _kernels, bwb, weyl
-from .bundles import (Expr, Power, Sum, Tensor, Wedge, WeightMultiset,
-                      _Budget, _shape, _WeightMap, _weights, memoized, weights)
+from . import bwb, weyl
+from ._kernels._pykernels import _convolve_packed, _packer
+from .bundles import (Atom, Expr, Line, Power, Sum, Sym, Tensor, Wedge,
+                      WeightMultiset, _Budget, _eval, _shape, _WeightMap,
+                      _weights, memoized, weights)
 from .errors import CheckFailed, NotAGModule, NotDominant
 from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
 
-# Weight terms charged to each Newton step of ``_wedge`` on top of its
+# Weight terms charged to each Newton step of ``_newton`` on top of its
 # pairs.  A step's fixed cost (a convolution call, a ``psupp`` build, an
 # ``alternating_module``) is 38-46 us on A7 (``wedge^k(h^20)``, k = 50-200:
 # one weight, one pair a step), about 100 times the 360-470 ns that
 # ``bundles.weights`` of b^4, b*b*b*b*b and g^2*b^2 on A7 spends per charged
 # term (in process on a 2-vCPU VM).  So ``COST_CAP`` bounds the time of a
 # long Newton walk as it bounds that of an evaluation: the largest admitted
-# A7 ``wedge^k(h^18)``, k = 314 (4,128 digits), takes about 3 s.
+# A7 ``wedge^k(h^18)``, k = 314 (4,128 digits), takes about 3 s at that
+# step cost; on packed keys its 49,455 steps take about 0.8 s.
 NEWTON_STEP_TERMS = 100
 
 
@@ -161,7 +167,6 @@ def decompose(rs: RootSystem, expr: Expr | str | WeightMultiset) -> FormalGModul
 
 
 def _decompose_expr(rs: RootSystem, expr: Expr) -> FormalGModule:
-    _shape(rs, expr)  # the ring evaluates only operands: refuse the whole first
     try:
         return _ring(rs, expr, _Budget())
     except NotAGModule:
@@ -169,99 +174,164 @@ def _decompose_expr(rs: RootSystem, expr: Expr) -> FormalGModule:
         return decompose_multiset(rs, _weights(rs, expr, _Budget()))
 
 
-def _tensor_step(rs: RootSystem, module: FormalGModule,
-                 ws: WeightMultiset) -> FormalGModule:
-    """Brauer-Klimyk: for a Weyl-invariant V with weights ``ws``,
+# Packed keys.  A ring walk packs at one width (``_packer``): ``_shape``'s
+# bound for the whole expression, or for ``tensor_power`` its module's
+# largest |coordinate| plus k times its operand's.  A step unpacks only the
+# sums lam + mu of a module entry lam and an operand weight mu, so every
+# such sum must lie within that bound.  Two facts give it.  Each entry of
+# the decomposition of a Weyl-invariant multiset M, genuine or virtual,
+# lies in the convex hull of M's weights (the highest entry is a weight of
+# M; take its character off and repeat), so within M's coordinate bound.
+# And a constituent L(nu) of L(lam) (x) L(kappa) has nu = lam + a weight
+# of L(kappa).  So the entries of module (x) V^s lie within the module's
+# bound plus s times V's, those of Lambda^m V and S^m V within m times V's,
+# and the weights of psi^j(V) within j times V's: the bounds add up as
+# ``_shape`` adds them.
+
+def _tensor_step(rs: RootSystem, module: FormalGModule, operand: dict,
+                 packer) -> FormalGModule:
+    """Brauer-Klimyk: for a Weyl-invariant V whose weights ``operand``
+    holds on keys packed by ``packer`` (``_packer``'s pair),
     L(lam) (x) V = sum over the weights mu of V of m_V(mu) times the
-    signed L(dot-dominant(lam + mu)).  L(0) (x) V is V: no convolution."""
-    if module != {(0,) * rs.rank: 1}:
-        ws = WeightMultiset(_kernels.convolve(module._data, ws._data))
+    signed L(dot-dominant(lam + mu)).  L(0) (x) V is V: no convolution.
+    The module's highest weights are packed, the sums unpacked."""
+    pack, unpack = packer
+    if module == {(0,) * rs.rank: 1}:
+        sums = operand
+    else:
+        sums = _convolve_packed({pack(w): m for w, m in module._data.items()},
+                                operand)
+        if 0 in sums.values():  # cancelled virtual entries are not walked
+            sums = {key: c for key, c in sums.items() if c}
+    ws = WeightMultiset._adopt(dict(zip(unpack(sums), sums.values())))
     return decompose_multiset(rs, ws, check=False)
 
 
 def tensor_power(rs: RootSystem, module: FormalGModule, ws: WeightMultiset,
                  k: int, budget: _Budget | None = None) -> FormalGModule:
     """module (x) V^{(x)k} in k ``_tensor_step``s, for a Weyl-invariant V
-    with weights ``ws``.  Charged as ``bundles.weights`` charges a power:
-    k up front, then each step's pairs, refused early when the later steps,
-    none smaller, would pass the cap."""
-    budget = _Budget() if budget is None else budget
+    with weights ``ws``, packed once for all k.  Charged as
+    ``bundles.weights`` charges a power: k up front, then each step's
+    pairs, refused early when the later steps, none smaller, would pass
+    the cap."""
+    def bound(m):
+        return max((abs(c) for w in m._data for c in w), default=0)
+
+    packer = _packer(rs.rank, bound(module) + k * bound(ws))
+    operand = {packer[0](w): m for w, m in ws._data.items()}
+    return _power(rs, module, operand, k,
+                  _Budget() if budget is None else budget, packer)
+
+
+def _power(rs: RootSystem, module: FormalGModule, operand: dict, k: int,
+           budget: _Budget, packer) -> FormalGModule:
+    """``tensor_power`` on a packed operand."""
     budget.charge(k)
     for step in range(k):
-        pairs = len(module) * len(ws)
+        pairs = len(module) * len(operand)
         budget.charge(pairs, ahead=pairs * (k - step - 1))
-        module = _tensor_step(rs, module, ws)
+        module = _tensor_step(rs, module, operand, packer)
     return module
 
 
-def _operand(rs: RootSystem, expr: Expr, budget: _Budget) -> WeightMultiset:
-    """The weights of an operand of the ring walk, checked Weyl-invariant."""
-    ws = _weights(rs, expr, budget)
-    _check_invariant(rs, ws)
-    return ws
+def _invariant_by_construction(expr: Expr) -> bool:
+    """Built from ``g``, ``h`` and all-zero lines by ``+``, ``*``, ``^``,
+    ``wedge`` and ``sym``: Weyl-invariant, as each of these keeps a
+    Weyl-invariant weight multiset invariant."""
+    if isinstance(expr, Atom):
+        return expr.kind in ("g", "h")
+    if isinstance(expr, Line):
+        return not any(expr.coords)
+    if isinstance(expr, (Sum, Tensor)):
+        kids = expr.terms if isinstance(expr, Sum) else expr.factors
+        return all(map(_invariant_by_construction, kids))
+    if isinstance(expr, Power):
+        return _invariant_by_construction(expr.base)
+    return _invariant_by_construction(expr.inner)  # Wedge or Sym
 
 
-def _ring(rs: RootSystem, expr: Expr, budget: _Budget) -> FormalGModule:
+def _operand(rs: RootSystem, expr: Expr, budget: _Budget, packer) -> dict:
+    """The packed weights of an operand of the ring walk, checked
+    Weyl-invariant unless it is invariant by construction."""
+    pack, unpack = packer
+    packed = _eval(rs, expr, budget, pack)
+    if not _invariant_by_construction(expr):
+        _check_invariant(rs, WeightMultiset._adopt(
+            dict(zip(unpack(packed), packed.values()))))
+    return packed
+
+
+def _ring(rs: RootSystem, expr: Expr, budget: _Budget,
+          packer=None) -> FormalGModule:
     """Decomposition of ``expr`` in the representation ring.  The walk
     enters a sum's terms and a product's first factor; every other node it
-    meets gives one operand (a power its base, a wedge its module, none at a
-    zero exponent or degree), which ``_operand`` evaluates and checks once."""
+    meets gives one operand (a power its base, a wedge or sym its module,
+    none at a zero exponent or degree), which ``_operand`` evaluates and
+    checks once.  The top call runs ``_shape`` on the whole expression,
+    which refuses it before any operand is evaluated, and packs at its
+    bound (``packer``) for the whole walk."""
+    if packer is None:
+        packer = _packer(rs.rank, _shape(rs, expr)[1])
     if isinstance(expr, Sum):
         acc: dict[Weight, int] = {}
         for t in expr.terms:
-            term = _ring(rs, t, budget)
+            term = _ring(rs, t, budget, packer)
             budget.charge(len(term))
             for w, m in term._data.items():
                 acc[w] = acc.get(w, 0) + m
         return FormalGModule(acc)
-    if isinstance(expr, Wedge):
-        return _wedge(rs, expr, budget)
+    if isinstance(expr, (Wedge, Sym)):
+        return _newton(rs, expr, budget, packer)
     if isinstance(expr, Tensor):
-        module, factors = _ring(rs, expr.factors[0], budget), expr.factors[1:]
+        module = _ring(rs, expr.factors[0], budget, packer)
+        factors = expr.factors[1:]
     else:  # a power or an operand: one factor of the trivial module
         module, factors = FormalGModule({(0,) * rs.rank: 1}), (expr,)
     for f in factors:
         base, k = (f.base, f.exponent) if isinstance(f, Power) else (f, 1)
         if k:  # base^0 is the trivial module: the base is not evaluated
-            module = tensor_power(rs, module, _operand(rs, base, budget), k,
-                                  budget)
+            module = _power(rs, module, _operand(rs, base, budget, packer), k,
+                            budget, packer)
     return module
 
 
-def _wedge(rs: RootSystem, expr: Wedge, budget: _Budget) -> FormalGModule:
-    """Lambda^k V by Newton's identity,
+def _newton(rs: RootSystem, expr: Wedge | Sym, budget: _Budget,
+            packer) -> FormalGModule:
+    """Lambda^k V and S^k V by Newton's identities,
     m Lambda^m V = sum_{j=1..m} (-1)^(j-1) psi^j(V) (x) Lambda^(m-j) V,
-    where psi^j(V) has the weights of V times j.  Lambda^m V is nonzero for
-    m <= dim V, so each of the k(k+1)/2 steps costs at least
+    m S^m V = sum_{j=1..m} psi^j(V) (x) S^(m-j) V,
+    where psi^j(V) has the weights of V times j (its packed keys times j).
+    Lambda^m V is zero for m > dim V and nonzero below, as S^m V is for
+    V nonzero, so each of the k(k+1)/2 steps costs at least
     ``NEWTON_STEP_TERMS`` plus the distinct weights of V: that is the
     look-ahead."""
-    k = expr.degree
+    k, wedge = expr.degree, isinstance(expr, Wedge)
     if not k:  # the trivial module: the operand is not evaluated
         return FormalGModule({(0,) * rs.rank: 1})
-    ws = _operand(rs, expr.inner, budget)
+    ws = _operand(rs, expr.inner, budget, packer)
     budget.charge(k + 1)
-    if k > ws.total_dim:
+    if wedge and k > sum(ws.values()):
         return FormalGModule()
-    psi: list[WeightMultiset] = []
-    wedges = [FormalGModule({(0,) * rs.rank: 1})]
+    psi: list[dict] = []
+    powers = [FormalGModule({(0,) * rs.rank: 1})]
     left = k * (k + 1) // 2
     for m in range(1, k + 1):
-        psi.append(WeightMultiset({tuple(m * c for c in w): n
-                                   for w, n in ws._data.items()}))
+        psi.append({m * key: n for key, n in ws.items()})
         acc: dict[Weight, int] = {}
         for j in range(1, m + 1):
             left -= 1
-            prev = wedges[m - j]
+            prev = powers[m - j]
             budget.charge(NEWTON_STEP_TERMS + len(prev) * len(ws),
                           ahead=(NEWTON_STEP_TERMS + len(ws)) * left)
-            sign = 1 if j % 2 else -1
-            for w, c in _tensor_step(rs, prev, psi[j - 1])._data.items():
+            sign = -1 if wedge and not j % 2 else 1
+            step = _tensor_step(rs, prev, psi[j - 1], packer)
+            for w, c in step._data.items():
                 acc[w] = acc.get(w, 0) + sign * c
         if any(c % m for c in acc.values()):
-            raise CheckFailed(
-                f"Newton's identity leaves a remainder mod {m} in wedge^{m}")
-        wedges.append(FormalGModule({w: c // m for w, c in acc.items()}))
-    return wedges[k]
+            raise CheckFailed(f"Newton's identity leaves a remainder mod {m} "
+                              f"in {'wedge' if wedge else 'sym'}^{m}")
+        powers.append(FormalGModule({w: c // m for w, c in acc.items()}))
+    return powers[k]
 
 
 def _dominant_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:

@@ -140,6 +140,20 @@ def test_dot_walk_runs_at_rank_8():
     assert out[1] is None  # -2 on one node shifts to -1: a wall
 
 
+def test_walk_table_is_the_simple_root_support():
+    # dot_walk_batch's table, built once per Cartan matrix, is the one
+    # that the root system's own walks use.
+    systems = [("A", r) for r in rootsys.A_RANKS] + [("B", 2)]
+    for family, rank in systems:
+        rs = rootsys.build_root_system(family, rank)
+        table = _pykernels._simple_root_table(rs.cartan)
+        assert table == rs.simple_root_support
+        assert _pykernels._simple_root_table(rs.cartan) is table
+        rows = [list(row) for row in rs.cartan]
+        assert kern.dot_walk_batch([rs.rho], rows) == \
+            kern.dot_walk_batch([rs.rho], rs.cartan)
+
+
 def test_dot_walk_reflects_huge_coords():
     rs = rootsys.build_root_system("A", 2)
     big = 1 << 21

@@ -8,6 +8,7 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 import oracles
 from conftest import rebuilt
 from bottnull import bundles, bwb, repthy, weyl
+from bottnull._kernels._pykernels import _packer
 from bottnull.errors import (CheckFailed, InvalidWeight, NotAGModule,
                              NotDominant, SizeCapExceeded)
 from bottnull.rootsys import A_RANKS, build_root_system
@@ -239,12 +240,19 @@ def test_tensor_step_with_cancelling_virtual_entries_leaves_no_zero():
     # (L(2) - L(0)) (x) g on A1: the convolved weights 2 and 0 cancel to
     # zero and must leave the map, as must every cancelled module entry.
     rs = build_root_system("A", 1)
-    g = bundles.weights(rs, "g")
-    step = repthy._tensor_step(rs, repthy.FormalGModule({(2,): 1, (0,): -1}), g)
+    packer = _packer(1, 4)
+
+    def packed(ws):
+        return {packer[0](w): m for w, m in ws._data.items()}
+
+    g = packed(bundles.weights(rs, "g"))
+    step = repthy._tensor_step(rs, repthy.FormalGModule({(2,): 1, (0,): -1}),
+                               g, packer)
     assert step == {(4,): 1, (0,): 1}
     # L(0) (x) (L[0] + L[-2]): degrees 0 and 1 both land on L(0) and cancel.
-    ws = bundles.WeightMultiset({(0,): 1, (-2,): 1})
-    assert repthy._tensor_step(rs, repthy.FormalGModule({(0,): 1}), ws)._data == {}
+    ws = packed(bundles.WeightMultiset({(0,): 1, (-2,): 1}))
+    assert repthy._tensor_step(rs, repthy.FormalGModule({(0,): 1}), ws,
+                               packer)._data == {}
 
 
 def test_size_cap():
@@ -435,21 +443,22 @@ def test_memo_decompositions_match_the_oracles(case):
 
 
 def test_decompose_memo_checks_invariance_once(cold_memos, monkeypatch):
+    # n+q+h is not invariant by construction, so the ring checks it.
     rs = build_root_system("A", 3)
     checked = []
     real = repthy._check_invariant
     monkeypatch.setattr(repthy, "_check_invariant",
                         lambda rs, ws: checked.append(1) or real(rs, ws))
-    mod = repthy.decompose(rs, "wedge^2(g)")
-    assert repthy.decompose(rs, bundles.parse("wedge^2(g)")) is mod
+    mod = repthy.decompose(rs, "wedge^2(n+q+h)")
+    assert repthy.decompose(rs, bundles.parse("wedge^2(n+q+h)")) is mod
     assert len(checked) == 1
-    assert rs.expr_memo == {("decompose", "wedge^2(g)"): mod}
+    assert rs.expr_memo == {("decompose", "wedge^2(n+q+h)"): mod}
     # decompose and psupp keep separate entries for one expression, and
     # psupp stores the weights that it walked.
-    bwb.psupp(rs, "wedge^2(g)")
+    bwb.psupp(rs, "wedge^2(n+q+h)")
     assert len(rs.expr_memo) == 3
     # A weight multiset is checked and decomposed on every call, unstored.
-    ws = bundles.weights(rs, "wedge^2(g)")
+    ws = bundles.weights(rs, "wedge^2(n+q+h)")
     assert repthy.decompose(rs, ws) == repthy.decompose(rs, ws) == mod
     assert len(checked) == 3 and len(rs.expr_memo) == 3
 
@@ -579,9 +588,9 @@ def test_invariant_sums_of_non_invariant_operands_decompose(cold_memos):
 def test_a7_g_cubed_evaluates_only_g(cold_memos, monkeypatch):
     rs = build_root_system("A", 7)
     evaluated = []
-    real = repthy._weights
-    monkeypatch.setattr(repthy, "_weights", lambda rs, expr, budget: (
-        evaluated.append(expr) or real(rs, expr, budget)))
+    real = repthy._eval
+    monkeypatch.setattr(repthy, "_eval", lambda rs, expr, budget, pack: (
+        evaluated.append(expr) or real(rs, expr, budget, pack)))
     module = repthy.decompose(rs, "g^3")
     assert evaluated == [bundles.parse("g")]
     assert module.dimension(rs) == bundles.dim(rs, "g^3") == 63 ** 3
@@ -591,13 +600,16 @@ def test_a7_g_cubed_evaluates_only_g(cold_memos, monkeypatch):
 @pytest.mark.parametrize("rank,text", [
     (1, "L[0]^3000000"),             # the look-ahead of the first step
     (2, "wedge^100000000(L[0,0])"),  # the degree, charged up front
-    # One weight of multiplicity 7^5: 8,002,000 Newton steps ahead.
+    (2, "sym^100000000(L[0,0])"),
+    # One weight of multiplicity 7^5 (7^2): 8,002,000 Newton steps ahead.
     (7, "wedge^4000(h^5)"),
-    # Dimensions of 1.4 million, 54,935 and 4,658 digits: refused by the
-    # dimension pass before any operand is evaluated.
+    (7, "sym^4000(h^2)"),
+    # Dimensions of 1.4 million, 54,935, 4,658 and more than 4,300 digits:
+    # refused by the dimension pass before any operand is evaluated.
     (1, "g^3000000"),
     (7, "wedge^4000(h^20)"),
     (7, "wedge^300(h^20)"),
+    (7, "sym^4000(h^5)"),
 ])
 def test_ring_refuses_before_any_tensor_step(cold_memos, monkeypatch, rank,
                                              text):
@@ -617,12 +629,12 @@ class _FirstStep(Exception):
 @pytest.mark.parametrize("k,admitted", [(314, True), (315, False)])
 def test_newton_steps_are_charged_a_fixed_cost(cold_memos, monkeypatch, k,
                                                admitted):
-    """A7 wedge^k(h^18): one weight, so each of the k(k+1)/2 Newton steps
-    costs NEWTON_STEP_TERMS plus one pair.  With the operand's 36 terms and
-    the k + 1 charged up front, k = 314 fits under COST_CAP and k = 315 is
-    refused by it before its first tensor step.  Both dimensions have fewer
-    than 4,300 digits (4,128 for k = 314), so the digit limit refuses
-    neither."""
+    """A7 wedge^k(h^18) and sym^k(h^18): one weight, so each of the
+    k(k+1)/2 Newton steps costs NEWTON_STEP_TERMS plus one pair.  With the
+    operand's 36 terms and the k + 1 charged up front, k = 314 fits under
+    COST_CAP and k = 315 is refused by it before its first tensor step.
+    All four dimensions have fewer than 4,300 digits (4,128 for k = 314),
+    so the digit limit refuses none."""
     step = repthy.NEWTON_STEP_TERMS
     charged = 36 + (k + 1) + (step + 1) * (k * (k + 1) // 2)
     assert (charged <= bundles.COST_CAP) == admitted
@@ -634,9 +646,86 @@ def test_newton_steps_are_charged_a_fixed_cost(cold_memos, monkeypatch, k,
 
     monkeypatch.setattr(repthy, "_tensor_step", first_step)
     expected = _FirstStep if admitted else SizeCapExceeded
-    with pytest.raises(expected, match=None if admitted else "cost cap"):
-        repthy.decompose(build_root_system("A", 7), f"wedge^{k}(h^18)")
-    assert steps == ([1] if admitted else [])
+    for op in ("wedge", "sym"):
+        with pytest.raises(expected, match=None if admitted else "cost cap"):
+            repthy.decompose(build_root_system("A", 7), f"{op}^{k}(h^18)")
+    assert steps == ([1, 1] if admitted else [])
+
+
+def _partitions(k, parts):
+    """Ways to write k as a sum of ``parts`` entries, with repetition."""
+    ways = [1] + [0] * k
+    for d in parts:
+        for n in range(d, k + 1):
+            ways[n] += ways[n - d]
+    return ways[k]
+
+
+@pytest.mark.parametrize("family,rank", SYSTEMS)
+def test_sym_invariants_count_partitions_into_basic_degrees(cold_memos,
+                                                            family, rank):
+    # Chevalley: S(g)^G is a polynomial ring on basic invariants of degrees
+    # 2..n+1 for A_n and 2, 4 for B2, so the trivial multiplicity of
+    # sym^k(g) counts the partitions of k into those degrees.
+    rs = build_root_system(family, rank)
+    degrees = (2, 4) if family == "B" else tuple(range(2, rank + 2))
+    for k in range(9):
+        module = repthy.decompose(rs, f"sym^{k}(g)")
+        assert module.get((0,) * rank) == _partitions(k, degrees), k
+
+
+@st.composite
+def _system_and_sym(draw):
+    family, rank = draw(st.sampled_from([("A", 1), ("A", 2), ("A", 3),
+                                         ("B", 2)]))
+    zero = "L[" + ",".join(["0"] * rank) + "]"
+    inner = draw(st.sampled_from(["g", "h", "g*g", "wedge^2(g)", "n+q+h",
+                                  zero, f"g+{zero}", f"wedge^2({zero})"]))
+    text = f"sym^{draw(st.integers(0, 4))}({inner})"
+    assume(bundles.dim(build_root_system(family, rank), text) <= 20_000)
+    return family, rank, text
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_system_and_sym())
+def test_ring_sym_matches_the_evaluated_weights(case):
+    # Newton's walk against the graded evaluation of sym^k, decomposed.
+    family, rank, text = case
+    rs = rebuilt(build_root_system(family, rank))
+    assert repthy.decompose(rs, text) == repthy.decompose_multiset(
+        rs, bundles.weights(rs, text))
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(_system_and_tree().filter(lambda case: case[3]))
+def test_operands_invariant_by_construction_pass_the_check(case):
+    # What the ring skips checking: every g/h/zero-line tree is invariant.
+    family, rank, text, _ = case
+    rs = build_root_system(family, rank)
+    assert repthy._invariant_by_construction(bundles.parse(text))
+    repthy._check_invariant(rs, bundles._weights(rs, bundles.parse(text)))
+
+
+@pytest.mark.parametrize("text,twin,checks", [
+    ("wedge^2(n+q+h)", "wedge^2(g)", 1),
+    ("sym^2(b+q)", "sym^2(g)", 1),
+    ("g*(b+q)^2", "g^3", 1),
+    ("sym^2(g+L[1,0]*L[-1,0])", "sym^2(g+L[0,0])", 1),
+    ("sym^2(g+L[0,0])*wedge^2(h)", "sym^2(g+L[0,0])*wedge^2(h)", 0),
+])
+def test_only_operands_not_invariant_by_construction_are_checked(
+        cold_memos, monkeypatch, text, twin, checks):
+    rs = build_root_system("A", 2)
+    want = repthy.decompose_multiset(rs, bundles.weights(rs, twin))
+    checked = []
+    real = repthy._check_invariant
+    monkeypatch.setattr(repthy, "_check_invariant",
+                        lambda rs, ws: checked.append(1) or real(rs, ws))
+    assert repthy.decompose(rs, text) == want
+    assert len(checked) == checks
 
 
 def test_zero_exponent_and_degree_still_check_the_operand(cold_memos):
@@ -657,8 +746,8 @@ def test_wedge_past_the_dimension_is_zero_and_newton_checks_its_division(
     # (x) wedge^1 - psi^2) / 2.
     real = repthy._tensor_step
 
-    def off_by_one(rs, module, ws):
-        out = dict(real(rs, module, ws).mults)
+    def off_by_one(rs, module, *operand):
+        out = dict(real(rs, module, *operand).mults)
         out[(0, 0)] = out.get((0, 0), 0) + 1
         return repthy.FormalGModule(out)
     monkeypatch.setattr(repthy, "_tensor_step", off_by_one)
