@@ -17,6 +17,7 @@ from . import _kernels, bundles, weyl
 from ._record import Record
 from .bundles import Expr, WeightMultiset, memoized, weights
 from .errors import CheckFailed
+from .repthy import FormalGModule
 from .rootsys import RootSystem, Weight, invariant_form, weyl_product
 
 
@@ -109,6 +110,16 @@ def _bucket(data: dict[Weight, int], walked) -> PotentialSupport:
     return PotentialSupport(acc)
 
 
+def alternating_module(ps: PotentialSupport) -> FormalGModule:
+    """sum_k (-1)^k psupp_k: by Borel-Weil-Bott, the virtual G-module
+    sum_p (-1)^p H^p(X, E) of the bundle E whose potential support is ps."""
+    acc: dict[Weight, int] = {}
+    for k in ps.degrees():
+        for w, m in ps.multiset(k)._data.items():
+            acc[w] = acc.get(w, 0) + (-m if k % 2 else m)
+    return FormalGModule(acc)
+
+
 def kostant_check(rs: RootSystem) -> tuple[int, ...]:
     """Verify that H^*(X, wedge^k n) is trivial^{#\\{l(w)=k\\}} in degree k
     for every k; return that profile, or raise CheckFailed at the first k
@@ -186,8 +197,6 @@ def euler_from_psupp(rs: RootSystem, ps: PotentialSupport) -> int:
     Equals euler_characteristic of the originating expression: both reorganize
     the same signed sum.
     """
-    from .repthy import alternating_module
-
     return alternating_module(ps).dimension(rs)
 
 

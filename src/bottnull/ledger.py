@@ -21,8 +21,8 @@ from math import comb
 from . import repthy
 from ._record import Record
 from .bundles import weights
-from .bwb import PotentialSupport, psupp
-from .errors import LedgerGap, SizeCapExceeded, ValidationFailure
+from .bwb import PotentialSupport, alternating_module, psupp
+from .errors import CheckFailed, LedgerGap, SizeCapExceeded, ValidationFailure
 from .repthy import FormalGModule
 from .rootsys import RootSystem, build_root_system
 
@@ -325,7 +325,7 @@ def validate_block(table: CohomologyTable, rs: RootSystem, q: int,
                 failures.append(f"{name}: multiplicity {hi} of weight {w} exceeds "
                                 f"potential-support bound {have}")
     if not failures and table.covers(rs.family, rs.rank, q):
-        chi = repthy.alternating_module(ps)
+        chi = alternating_module(ps)
         for w in sorted(chi.support() | least.keys()):
             low, high, want = least.get(w, 0), most.get(w, 0), chi.get(w)
             if not low <= want <= high:
@@ -487,7 +487,8 @@ def verdict(family: str, rank: int, r: int,
     First tries the vanishing criterion (implies rational singularities, hence
     normality, for every r); otherwise scans the page for certain survivors:
     total degree 0 refutes normality, total degree >= 1 refutes rationality of
-    the normalization.
+    the normalization.  The abutment has no cohomology below total degree 0,
+    so a certain survivor there raises ``CheckFailed``.
     """
     if table is None:
         table = _builtin()
@@ -499,6 +500,10 @@ def verdict(family: str, rank: int, r: int,
                        witnesses=())
     page = e_page(family, rank, r, table)
     witnesses = certain_survivors(page)
+    for w in witnesses:
+        if w.a + w.b < 0:
+            raise CheckFailed(f"cell ({w.a},{w.b}) certainly survives in total "
+                              f"degree {w.a + w.b} < 0: the table is inconsistent")
     normal = NORMAL_NO if any(w.a + w.b == 0 for w in witnesses) else NORMAL_UNKNOWN
     rational = (RATIONAL_NO if any(w.a + w.b >= 1 for w in witnesses)
                 else RATIONAL_UNKNOWN)

@@ -8,9 +8,10 @@ from ``g``, ``h`` and zero lines); a tensor factor or power step is one
 Brauer-Klimyk step (``_tensor_step``: the module's highest weights shifted
 by the operand's weights and dominantized with sign), and ``wedge^k`` and
 ``sym^k`` share one Newton walk.  The walk adds weights on keys packed
-once per expression, and unpacks only the sums it walks.  ``mult_in``
-takes the alternating Weyl-group sum over the evaluated weights, an
-independent route to the same multiplicities.  Full irreducible
+once per expression, and unpacks only the sums it walks into one signed
+dot walk (``_signed_walk``), as ``decompose_multiset`` does its weights.
+``mult_in`` takes the alternating Weyl-group sum over the evaluated weights,
+an independent route to the same multiplicities.  Full irreducible
 characters use Freudenthal's recursion.  All are exact.
 """
 
@@ -20,8 +21,8 @@ from fractions import Fraction as Q
 from itertools import product
 from math import lcm
 
-from . import bwb, weyl
-from ._kernels._pykernels import _convolve_packed, _packer
+from . import weyl
+from ._kernels._pykernels import _convolve_packed, _packer, dot_walk_batch
 from .bundles import (Atom, Expr, Line, Power, Sum, Sym, Tensor, Wedge,
                       WeightMultiset, _Budget, _eval, _shape, _WeightMap,
                       _weights, memoized, weights)
@@ -30,14 +31,14 @@ from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
 
 # Weight terms charged to each Newton step of ``_newton`` on top of its
-# pairs.  A step's fixed cost (a convolution call, a ``psupp`` build, an
-# ``alternating_module``) is 38-46 us on A7 (``wedge^k(h^20)``, k = 50-200:
-# one weight, one pair a step), about 100 times the 360-470 ns that
-# ``bundles.weights`` of b^4, b*b*b*b*b and g^2*b^2 on A7 spends per charged
-# term (in process on a 2-vCPU VM).  So ``COST_CAP`` bounds the time of a
-# long Newton walk as it bounds that of an evaluation: the largest admitted
-# A7 ``wedge^k(h^18)``, k = 314 (4,128 digits), takes about 3 s at that
-# step cost; on packed keys its 49,455 steps take about 0.8 s.
+# pairs: a step's fixed cost, a convolution call and a signed dot walk.  On
+# A7 (``wedge^k(h^20)``, k = 50-200: one weight, one pair a step) that was
+# 38-46 us, about 100 times the 360-470 ns that ``bundles.weights`` of b^4,
+# b*b*b*b*b and g^2*b^2 spends per charged term (in process on a 2-vCPU
+# VM), while each step also built a potential support; without it a step
+# takes about half as long (11-16 against 21-26 us on one host).  So
+# ``COST_CAP`` bounds the time of a long Newton walk as it bounds that of an
+# evaluation: the largest admitted A7 ``wedge^k(h^18)``, k = 314, takes 0.6 s.
 NEWTON_STEP_TERMS = 100
 
 
@@ -127,25 +128,21 @@ def invariant_dim(rs: RootSystem, expr: Expr | str | WeightMultiset) -> int:
     return mult_in(rs, expr, (0,) * rs.rank)
 
 
-def decompose_multiset(rs: RootSystem, ws: WeightMultiset, *,
-                       check: bool = True) -> FormalGModule:
-    """Alternating sum of the potential support: each weight lands on its
-    dot-dominant representative with the sign of the walk length, so degree
-    k of ``bwb.psupp`` contributes with sign (-1)^k."""
-    if check:
-        _check_invariant(rs, ws)
-    return alternating_module(bwb.psupp(rs, ws))
+def decompose_multiset(rs: RootSystem, ws: WeightMultiset) -> FormalGModule:
+    """Checked Weyl-invariant, then decomposed in one ``_signed_walk``."""
+    _check_invariant(rs, ws)
+    return _signed_walk(rs, list(ws._data), ws._data.values())
 
 
-def alternating_module(ps: bwb.PotentialSupport) -> FormalGModule:
-    """sum_k (-1)^k psupp_k: by Borel-Weil-Bott, the virtual G-module
-    sum_p (-1)^p H^p(X, E) of the bundle E whose potential support is ps."""
+def _signed_walk(rs: RootSystem, weights: list, mults) -> FormalGModule:
+    """sum of (-1)^l(w) m L(w . lam) over the weights lam, multiplicities m,
+    whose dot walk (one ``dot_walk_batch``) is regular: by Borel-Weil-Bott,
+    the virtual module sum_p (-1)^p H^p of a bundle with these weights."""
     acc: dict[Weight, int] = {}
-    for k in ps.degrees():
-        sign = -1 if k % 2 else 1
-        for w, m in ps.multiset(k)._data.items():
-            acc[w] = acc.get(w, 0) + sign * m
-    return FormalGModule(acc)
+    for m, res in zip(mults, dot_walk_batch(weights, rs.cartan)):
+        if res is not None:
+            acc[res[1]] = acc.get(res[1], 0) + (-m if res[0] % 2 else m)
+    return FormalGModule(acc)  # drops the entries that cancel
 
 
 def decompose(rs: RootSystem, expr: Expr | str | WeightMultiset) -> FormalGModule:
@@ -196,15 +193,9 @@ def _tensor_step(rs: RootSystem, module: FormalGModule, operand: dict,
     signed L(dot-dominant(lam + mu)).  L(0) (x) V is V: no convolution.
     The module's highest weights are packed, the sums unpacked."""
     pack, unpack = packer
-    if module == {(0,) * rs.rank: 1}:
-        sums = operand
-    else:
-        sums = _convolve_packed({pack(w): m for w, m in module._data.items()},
-                                operand)
-        if 0 in sums.values():  # cancelled virtual entries are not walked
-            sums = {key: c for key, c in sums.items() if c}
-    ws = WeightMultiset._adopt(dict(zip(unpack(sums), sums.values())))
-    return decompose_multiset(rs, ws, check=False)
+    sums = operand if module == {(0,) * rs.rank: 1} else _convolve_packed(
+        {pack(w): m for w, m in module._data.items()}, operand)
+    return _signed_walk(rs, unpack(sums), sums.values())
 
 
 def tensor_power(rs: RootSystem, module: FormalGModule, ws: WeightMultiset,

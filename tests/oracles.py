@@ -5,7 +5,8 @@ package: characters by division of alternating sums, decompositions by
 iterated highest-weight stripping, potential supports by searching the
 Weyl group for each weight's dominant chamber, the weights of wedge powers
 of n by listing subsets of roots, page cells by convolving full characters,
-certain survivors by total degree instead of lanes, null-cone membership by
+certain survivors by total degree instead of lanes, Serre duals of potential
+supports by -w0 as a coordinate map, null-cone membership by
 brute-force word products, subspace chains and their flags by sympy's
 rational ``rref`` of every image, root data from sympy's ``liealgebras``,
 Weyl products and coroot pairings from the invariant form.  Slow but simple;
@@ -231,6 +232,19 @@ def convolved_cell(rs: RootSystem, coh, copies: int, tensor_power: int):
         for w, c in _kernels.convolve(base, char).items():
             content[w] = content.get(w, 0) + copies * mult * c
     return repthy.decompose_multiset(rs, bundles.WeightMultiset(content))
+
+
+def serre_dual(rs: RootSystem, ps) -> dict[int, dict[Weight, int]]:
+    """Serre duality on a potential support: degree N - p holds -w0 of the
+    weights of degree p, N = #positive roots.  If w(lam + rho) is dominant
+    of length l, then (w0 w)(-(lam + rho)) is, of length N - l, so this is
+    the potential support of the weights -lam - 2 rho.  -w0 reverses the
+    coordinates in type A and is the identity on B2."""
+    assert rs.family == "A" or (rs.family, rs.rank) == ("B", 2)
+    flip = (lambda w: w[::-1]) if rs.family == "A" else (lambda w: w)
+    n = len(rs.positive_roots)
+    return {n - p: {flip(w): m for w, m in ms.items()}
+            for p, ms in ps.multiset_view().items()}
 
 
 def survivors_by_total_degree(page) -> list[tuple[int, int]]:

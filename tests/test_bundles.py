@@ -281,6 +281,21 @@ def test_psupp_drops_walls_like_the_unpacked_oracle(case):
     assert bwb.psupp(cold, expr) == bwb.psupp(cold, oracle)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(_system_and_tree())
+def test_psupp_satisfies_serre_duality(case):
+    # psupp_p(V) = -w0 . psupp_{N-p}(V') for V' with the weights -lam - 2 rho,
+    # built here from the unpacked oracle.  A walk that miscounts a length
+    # breaks it, and so does a wall test that takes 0 for -1.
+    rs, expr = case
+    assume(all(bundles.dim(rs, e) <= 2000 for e in _subexpressions(expr)))
+    dual = Counter()
+    for w, m in oracles.expand_weights(rs, expr).items():
+        dual[tuple(-c - 2 for c in w)] += m
+    assert bwb.psupp(rs, expr).multiset_view() == oracles.serre_dual(
+        rs, bwb.psupp(rs, WeightMultiset(dual)))
+
+
 def test_power_past_the_cap_stops_after_six_convolutions(monkeypatch):
     # The look-ahead charge of a power assumes the accumulated multiset
     # stops growing, so b^9 on A7 is refused only before its seventh step.

@@ -251,11 +251,28 @@ def test_psupp_decompose_and_euler_agree_with_enumeration(case):
     for k, bucket in oracle.items():
         for w, m in bucket.items():
             signed[w] = signed.get(w, 0) + (-1) ** k * m
-    module = repthy.alternating_module(ps)
+    module = bwb.alternating_module(ps)
     assert module == repthy.FormalGModule(signed)
     for src in (ws, mixed):
-        assert repthy.decompose_multiset(rs, src, check=invariant) == module
+        # The signed walk and the potential support's alternating sum are
+        # two implementations of one sum.
+        walked = repthy._signed_walk(rs, list(src._data), src._data.values())
+        assert walked == module
+        if invariant:
+            assert repthy.decompose_multiset(rs, src) == module
         assert bwb.euler_characteristic(rs, src) == module.dimension(rs)
+
+
+@pytest.mark.parametrize("family,rank", [("A", r) for r in A_RANKS]
+                         + [("B", 2)])
+def test_psupp_of_b_powers_satisfies_serre_duality(family, rank):
+    # The dual of b^k, with the weights -lam - 2 rho, is L[-2,...,-2]*(h+q)^k;
+    # k runs up to the psupp goldens' b^4.
+    rs = build_root_system(family, rank)
+    line = ",".join(["-2"] * rank)
+    for k in range(1, 5):
+        assert bwb.psupp(rs, f"b^{k}").multiset_view() == oracles.serre_dual(
+            rs, bwb.psupp(rs, f"L[{line}]*(h+q)^{k}")), k
 
 
 def _root_sum(rank, subset):

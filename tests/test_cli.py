@@ -832,6 +832,28 @@ def test_tangent_square_is_checked_without_tensor_square_coverage(
         "detail": "chi(X, (g/b)^2) = 575 = dim(g x g) - 1"}
 
 
+def test_verdict_on_a_table_with_a_negative_degree_survivor_exits_2(capsys):
+    # The table passes validation, but its page has a certain survivor in
+    # total degree -2 (see test_ledger.py): exit 2 and one line on stderr.
+    table = os.path.join(GOLDEN_DIR, "ledger_a2_negative_degree.json")
+    code, out, err = run_cli(capsys, ["verdict", "--family", "A", "--rank",
+                                      "2", "-r", "2", "--table", table])
+    assert (code, out) == (2, "")
+    assert err == ("bottnull: error: cell (-2,0) certainly survives in total "
+                   "degree -2 < 0: the table is inconsistent\n")
+
+
+def test_decompose_b2_matches_golden(capsys):
+    # Recorded before the ring's steps summed one signed dot walk: signed
+    # Newton walks for sym and wedge, then a tensor step.
+    with open(os.path.join(GOLDEN_DIR, "decompose_b2_sym3_wedge2.json"), "r",
+              encoding="utf-8") as fh:
+        want = fh.read()
+    code, out, _ = run_cli(capsys, ["decompose", "--family", "B", "--rank",
+                                    "2", "--expr", "sym^3(g)*wedge^2(g)"])
+    assert (code, out) == (0, want)
+
+
 def test_decompose_a7_matches_golden(capsys):
     # The stdout that CI compares the installed script with.  The sym^2(g)
     # file was recorded while sym^k was still evaluated in full, before the

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from bottnull import ledger, repthy
+from bottnull import bwb, ledger, repthy
 from bottnull.bundles import weights
 from bottnull.bwb import psupp
-from bottnull.errors import (LedgerGap, UnsupportedFamilyRank,
+from bottnull.errors import (CheckFailed, LedgerGap, UnsupportedFamilyRank,
                              ValidationFailure)
 from bottnull.ledger import (CohomologyTable, builtin_tables,
                              certain_survivors, e_page, ensure_valid,
@@ -290,8 +290,8 @@ def test_euler_module_of_psupp(family, rank):
     rs = build_root_system(family, rank)
     for q in (1, 2, 3):
         ws = weights(rs, f"b^{q}")
-        chi = repthy.alternating_module(psupp(rs, ws))
-        assert chi == repthy.decompose_multiset(rs, ws, check=False)
+        chi = bwb.alternating_module(psupp(rs, ws))
+        assert chi == repthy._signed_walk(rs, list(ws._data), ws._data.values())
         # Independently, by words: chi_G and the bundle's weights have the
         # same Weyl numerator sum_w sign(w) e^{w(lambda + rho)}.
         assert (oracles.weyl_numerator(rs, chi.mults)
@@ -447,7 +447,7 @@ def test_builtin_q4_intervals_follow_from_psupp_and_chi(rank):
     rs = build_root_system("A", rank)
     zero = (0,) * rank
     ps = psupp(rs, "b^4")
-    chi = repthy.alternating_module(ps).get(zero)
+    chi = bwb.alternating_module(ps).get(zero)
     c2, c3 = (ps.multiset(p).get(zero) for p in (2, 3))
     lo2, hi2 = max(0, chi), min(c2, c3 + chi)
     table = builtin_tables()
@@ -620,6 +620,41 @@ def test_block_past_the_cost_cap_is_a_named_failure():
         ensure_valid(table)
 
 
+NEGATIVE_TABLE = os.path.join(os.path.dirname(__file__), "golden",
+                              "ledger_a2_negative_degree.json")
+
+
+def _negative_degree_table() -> CohomologyTable:
+    """A2 with q = 1 complete and q = 2 complete, H^0 = C and H^1 = C^2."""
+    table = CohomologyTable()
+    table.mark_complete("A", 2, 1)
+    table.add("A", 2, 2, 0, repthy.FormalGModule({(0, 0): 1}),
+              provenance="inconsistent: H^0 = C, for a negative-degree check")
+    table.add("A", 2, 2, 1, repthy.FormalGModule({(0, 0): 2}),
+              provenance="inconsistent: H^1 = C^2, for a negative-degree check")
+    table.mark_complete("A", 2, 2)
+    return table
+
+
+def test_certain_survivor_below_total_degree_zero_fails_the_verdict():
+    # Each entry lies within psupp(b^2), whose zero weight has multiplicity
+    # 4 and 8 in degrees 0 and 1, and 1 - 2 = chi_G(0) = -1: the table passes
+    # validation.  Yet the cell (-2,0) certainly survives, in total degree
+    # -2, where the abutment has no cohomology.
+    table = _negative_degree_table()
+    with open(NEGATIVE_TABLE, encoding="utf-8") as fh:
+        assert fh.read() == save_table(table)  # the CLI's and CI's input
+    assert validate_table(table).passed
+    ps = psupp(build_root_system("A", 2), "b^2")
+    assert [ps.multiset(p).get((0, 0)) for p in (0, 1)] == [4, 8]
+    assert bwb.alternating_module(ps).get((0, 0)) == -1
+    page = e_page("A", 2, 2, table)
+    assert [(w.a, w.b) for w in certain_survivors(page)] == [(-2, 0)]
+    with pytest.raises(CheckFailed, match=r"^cell \(-2,0\) certainly survives "
+                       r"in total degree -2 < 0: the table is inconsistent$"):
+        verdict("A", 2, 2, table)
+
+
 def test_certain_survivors_examples():
     assert certain_survivors(e_page("A", 2, 2)) == ()
     wits = certain_survivors(e_page("A", 3, 3))
@@ -677,8 +712,16 @@ def test_certain_survivors_match_the_total_degree_oracle(case):
     page = e_page("A", 1, r, table)
     want = oracles.survivors_by_total_degree(page)
     assert [(w.a, w.b) for w in certain_survivors(page)] == want
-    v = verdict("A", 1, r, table)
-    if v.path == "page-scan":  # the criterion reads no page
+    # A certain survivor below total degree 0 makes the page scan refuse the
+    # table; the vanishing criterion reads no page.
+    negative = any(a + b < 0 for a, b in want)
+    try:
+        v = verdict("A", 1, r, table)
+    except CheckFailed:
+        assert negative
+        return
+    if v.path == "page-scan":
+        assert not negative
         assert [(w.a, w.b) for w in v.witnesses] == want
         assert v.normal == (ledger.NORMAL_NO if any(a + b == 0 for a, b in want)
                             else ledger.NORMAL_UNKNOWN)

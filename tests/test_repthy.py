@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from functools import lru_cache
 
@@ -7,7 +9,7 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 
 import oracles
 from conftest import rebuilt
-from bottnull import bundles, bwb, repthy, weyl
+from bottnull import bundles, bwb, ledger, repthy, weyl
 from bottnull._kernels._pykernels import _packer
 from bottnull.errors import (CheckFailed, InvalidWeight, NotAGModule,
                              NotDominant, SizeCapExceeded)
@@ -225,13 +227,18 @@ def test_module_passes_and_fails_without_any_one_weight(case):
     assert str(err.value) == f"weight multiset is not Weyl-invariant at {where}"
 
 
+def _walk(rs, ws):
+    """The signed dot walk of a multiset, with no invariance check."""
+    return repthy._signed_walk(rs, list(ws._data), ws._data.values())
+
+
 def test_virtual_decompose_without_check():
-    # Unchecked decomposition is the alternating dominantization: its
+    # The unchecked signed walk is the alternating dominantization: its
     # dimension equals the Euler characteristic of the expression.
     rs = build_root_system("A", 2)
-    mod = repthy.decompose_multiset(rs, bundles.weights(rs, "b"), check=False)
+    mod = _walk(rs, bundles.weights(rs, "b"))
     assert mod == {}  # chi(X, b) = 0: everything cancels or is singular
-    mod = repthy.decompose_multiset(rs, bundles.weights(rs, "q"), check=False)
+    mod = _walk(rs, bundles.weights(rs, "q"))
     assert mod == {(1, 1): 1}
     assert mod.dimension(rs) == bwb.euler_characteristic(rs, "q") == 8
 
@@ -255,6 +262,41 @@ def test_tensor_step_with_cancelling_virtual_entries_leaves_no_zero():
                                packer)._data == {}
 
 
+def _golden_modules(name, *path):
+    """The modules of a golden CLI document, {weight: mult}."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", name),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)["payload"]
+    for key in path:
+        doc = doc[key]
+    return {tuple(int(c) for c in row["weight"][2:].split(",")): row["mult"]
+            for row in doc}
+
+
+def test_ring_walks_without_a_potential_support(monkeypatch):
+    # Every Brauer-Klimyk step sums one signed dot walk: with psupp and its
+    # bucketing refused, the ring still gives the recorded answers.
+    def refuse(*args):
+        raise AssertionError("a potential support was built")
+
+    monkeypatch.setattr(bwb, "psupp", refuse)
+    monkeypatch.setattr(bwb, "_bucket", refuse)
+    a5, b2 = (rebuilt(build_root_system(f, r)) for f, r in (("A", 5), ("B", 2)))
+    assert repthy.decompose(a5, "g^3") == {
+        (0, 0, 0, 0, 0): 2, (0, 0, 1, 0, 3): 1, (0, 0, 1, 1, 1): 2,
+        (0, 0, 2, 0, 0): 1, (0, 1, 0, 0, 2): 6, (0, 1, 0, 1, 0): 6,
+        (1, 0, 0, 0, 1): 9, (1, 1, 0, 0, 3): 2, (1, 1, 0, 1, 1): 4,
+        (1, 1, 1, 0, 0): 2, (2, 0, 0, 0, 2): 6, (2, 0, 0, 1, 0): 6,
+        (3, 0, 0, 0, 3): 1, (3, 0, 0, 1, 1): 2, (3, 0, 1, 0, 0): 1}
+    assert repthy.decompose(b2, "sym^3(g)*wedge^2(g)") == _golden_modules(
+        "decompose_b2_sym3_wedge2.json", "modules")
+    page = ledger.e_page("A", 5, 4)
+    witness = _golden_modules("verdict_a5_r4.json", "witnesses", 0, "module")
+    assert ledger.cell_module(a5, page.cell(-4, 5)) == witness
+    # C(4,3) copies of g (x) H^2(b^3) = C^2: one step over g's weights.
+    assert ledger.cell_module(a5, page.cell(-3, 2)) == {(1, 0, 0, 0, 1): 8}
+
+
 def test_size_cap():
     # One cap: decompose is bounded by the evaluation cost (39,380 weight
     # terms here), not by the module dimension, so A4 g^5 decomposes.
@@ -274,7 +316,7 @@ def test_virtual_dimension_equals_euler_characteristic():
         for _ in range(20):
             lam = tuple(rng.randint(-3, 3) for _ in range(rank))
             ws = bundles.WeightMultiset({lam: 1, (0,) * rank: 2})
-            mod = repthy.decompose_multiset(rs, ws, check=False)
+            mod = _walk(rs, ws)
             chi = sum(m * bwb.euler_line(rs, w) for w, m in ws.counts.items())
             assert mod.dimension(rs) == chi
 
@@ -300,8 +342,8 @@ def test_formal_module_is_not_a_weight_multiset():
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])
 def test_decompose_multiset_matches_stripping_oracle(family, rank):
-    # decompose_multiset reads psupp's buckets with sign (-1)^k; stripping
-    # characters off the top is an independent route to the same module.
+    # decompose_multiset sums one signed dot walk; stripping characters off
+    # the top is an independent route to the same module.
     rs = build_root_system(family, rank)
     for text in ("g^2", "wedge^2(g)"):
         ws = bundles.weights(rs, text)
@@ -314,7 +356,7 @@ def test_decompose_multiset_matches_stripping_oracle(family, rank):
         repthy.decompose_multiset(rs, ws)
     with pytest.raises(AssertionError):
         oracles.stripping_decompose(rs, ws)
-    virtual = repthy.decompose_multiset(rs, ws, check=False)
+    virtual = _walk(rs, ws)
     assert virtual.dimension(rs) == bwb.euler_characteristic(rs, ws)
 
 
