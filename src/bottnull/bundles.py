@@ -370,6 +370,30 @@ def _graded_power(ws: dict, k: int, symmetric: bool, budget: _Budget) -> list:
     return layers
 
 
+def _add(parts, budget: _Budget) -> dict:
+    """The sum of the maps ``parts`` yields, each charged its size before it
+    is added: the one charge for a sum, in ``_eval`` and ``repthy``'s ring."""
+    acc: dict = {}
+    for part in parts:
+        budget.charge(len(part))
+        for w, c in part.items():
+            acc[w] = acc.get(w, 0) + c
+    return acc
+
+
+def _repeat(acc, base, k: int, budget: _Budget, step):
+    """``acc = step(acc, base)`` k times: the one charge for a product, in
+    ``_eval`` (a tensor factor is k = 1) and ``repthy``'s ring.  Charged k
+    up front (one call per step), then each step's pairs; acc only grows,
+    so every later step costs at least as much: the look-ahead."""
+    budget.charge(k)
+    for left in range(k - 1, -1, -1):
+        pairs = len(acc) * len(base)
+        budget.charge(pairs, ahead=pairs * left)
+        acc = step(acc, base)
+    return acc
+
+
 def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
     """Weight multiset of ``expr`` on keys packed by ``pack``; the packed
     zero weight is 0 and ``pack`` is linear, so -pack(w) packs -w."""
@@ -380,30 +404,16 @@ def _eval(rs: RootSystem, expr: Expr, budget: _Budget, pack) -> dict:
     if isinstance(expr, Tensor):
         acc = _eval(rs, expr.factors[0], budget, pack)
         for f in expr.factors[1:]:
-            factor = _eval(rs, f, budget, pack)
-            budget.charge(1 + len(acc) * len(factor))
-            acc = _convolve_packed(acc, factor)
+            acc = _repeat(acc, _eval(rs, f, budget, pack), 1, budget,
+                          _convolve_packed)
         return acc
     if isinstance(expr, Sum):
-        acc: dict = {}
-        for t in expr.terms:
-            term = _eval(rs, t, budget, pack)
-            budget.charge(len(term))
-            for w, c in term.items():
-                acc[w] = acc.get(w, 0) + c
-        return acc
+        return _add((_eval(rs, t, budget, pack) for t in expr.terms), budget)
     if isinstance(expr, Power):
-        acc = {0: 1}
         if not expr.exponent:  # ``_shape`` has checked the base: not evaluated
-            return acc
-        base = _eval(rs, expr.base, budget, pack)
-        budget.charge(expr.exponent)  # one convolution call per step
-        # acc only grows, so every later step costs at least as much.
-        for step in range(expr.exponent):
-            pairs = len(acc) * len(base)
-            budget.charge(pairs, ahead=pairs * (expr.exponent - step - 1))
-            acc = _convolve_packed(acc, base)
-        return acc
+            return {0: 1}
+        return _repeat({0: 1}, _eval(rs, expr.base, budget, pack),
+                       expr.exponent, budget, _convolve_packed)
     # Wedge or Sym: ``_shape`` has refused any other node.
     if not expr.degree:  # ``_shape`` has checked the operand: not evaluated
         return {0: 1}
@@ -432,19 +442,16 @@ def weights(rs: RootSystem, expr: Expr | str) -> WeightMultiset:
     SizeCapExceeded before any step that would take the evaluation past
     ``COST_CAP`` weight terms.  The answer is memoized (``memoized``, kind
     ``"weights"``): a repeat returns the same multiset and evaluates
-    nothing, and ``bwb.psupp`` of the expression reads the same entry.
+    nothing, and ``bwb.psupp`` of the expression and ``repthy.decompose``'s
+    fallback for a non-module read the same entry.
     """
     return memoized(rs, "weights", expr, _weights)
 
 
-def _weights(rs: RootSystem, expr: Expr,
-             budget: _Budget | None = None) -> WeightMultiset:
-    """``weights`` evaluated afresh: it never reads or writes the memo, so
-    what the cost cap refuses in a larger evaluation (``repthy.decompose``,
-    whose steps share one ``budget``) does not depend on what the process
-    has asked before."""
+def _weights(rs: RootSystem, expr: Expr) -> WeightMultiset:
+    """``weights`` evaluated afresh, on a budget of its own."""
     pack, unpack = _packer(rs.rank, _shape(rs, expr)[1])
-    packed = _eval(rs, expr, _Budget() if budget is None else budget, pack)
+    packed = _eval(rs, expr, _Budget(), pack)
     return WeightMultiset._adopt(dict(zip(unpack(packed), packed.values())))
 
 
@@ -453,7 +460,7 @@ def wedge_layers(rs: RootSystem, expr: Expr | str,
     """The weights of wedge^0 .. wedge^k of the expression, from the one
     graded pass that ``weights`` runs for ``wedge^k``."""
     if isinstance(expr, str):
-        expr = parse(expr)
+        expr = _canonical(expr)[0]
     pack, unpack = _packer(rs.rank, _shape(rs, Wedge(k, expr))[1])
     budget = _Budget()
     layers = _graded_power(_eval(rs, expr, budget, pack), k, False, budget)
@@ -501,7 +508,7 @@ def _canonical(text: str) -> tuple[Expr, str]:
 def dim(rs: RootSystem, expr: Expr | str) -> int:
     """Total dimension from ``_shape``; equals weights(...).total_dim."""
     if isinstance(expr, str):
-        expr = parse(expr)
+        expr = _canonical(expr)[0]
     return _shape(rs, expr)[0]
 
 

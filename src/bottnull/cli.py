@@ -200,28 +200,14 @@ def _cmd_decompose(rs: RootSystem | None, args) -> _Output:
 
 
 def _cmd_nullcone(rs: RootSystem | None, args) -> _Output:
-    text = _read_text(args.input)
-    if args.op == "resolve":
-        try:
-            doc = json.loads(text)
-            if not isinstance(doc, dict):
-                raise ValueError("expected a JSON object")
-            g = nullcone.matrix_from_rows(doc["g"])
-            if any(len(row) != len(g) for row in g):
-                raise ValueError("g must be a square matrix")
-            mats = tuple(nullcone.matrix_from_rows(m) for m in doc["matrices"])
-            t = nullcone.MatrixTuple(n=len(g), matrices=mats)
-        except KeyError as exc:
-            raise InputError(
-                f"bad resolve document: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad resolve document: {exc}") from exc
+    t, g = nullcone.read_document(_read_text(args.input),
+                                  resolve=args.op == "resolve")
+    if g is not None:
         sample = nullcone.resolution_sample(g, t)
         payload = {"op": "resolve", "n": sample.n, "r": sample.r,
                    "matrices": [nullcone.matrix_to_strings(m)
                                 for m in sample.matrices]}
         return payload, None, None
-    t = nullcone.tuple_from_json(text)
     payload = {"op": args.op, "n": t.n, "r": t.r}
     if args.op == "member":
         payload["member"] = nullcone.in_nullcone(t)

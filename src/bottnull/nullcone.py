@@ -360,17 +360,36 @@ def tuple_to_json(t: MatrixTuple) -> str:
 
 
 def tuple_from_json(text: str) -> MatrixTuple:
+    return read_document(text)[0]
+
+
+def read_document(text: str,
+                  resolve: bool = False) -> tuple[MatrixTuple, Matrix | None]:
+    """The tuple of a ``nullcone`` document, and its g for ``resolve``: the
+    keys are ``n`` (``g`` for resolve), ``matrices`` and an optional ``r``
+    that counts the matrices.  Any other key (``"form"``: the matrices are
+    sl_n's) and any malformed document raise InputError."""
+    what = "resolve document" if resolve else "matrix-tuple document"
+    keys = ("g" if resolve else "n", "r", "matrices")
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
-        n = doc["n"]
+        for key in doc:
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r} (expected {', '.join(keys)})")
+        g = matrix_from_rows(doc["g"]) if resolve else None
+        n = len(g) if resolve else doc["n"]
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
-        mats = tuple(matrix_from_rows(m) for m in doc["matrices"])
-        return MatrixTuple(n=n, matrices=mats)
+        if resolve and any(len(row) != n for row in g):
+            raise ValueError("g must be a square matrix")
+        t = MatrixTuple(n=n, matrices=tuple(map(matrix_from_rows, doc["matrices"])))
+        r = doc.get("r", t.r)
+        if type(r) is not int or r != t.r:
+            raise ValueError(f"r is {r!r}; the number of matrices is {t.r}")
+        return t, g
     except KeyError as exc:
-        raise InputError(
-            f"bad matrix-tuple document: missing key {exc}") from exc
+        raise InputError(f"bad {what}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise InputError(f"bad matrix-tuple document: {exc}") from exc
+        raise InputError(f"bad {what}: {exc}") from exc

@@ -18,14 +18,15 @@ characters use Freudenthal's recursion.  All are exact.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import partial
 from itertools import product
 from math import lcm
 
 from . import weyl
 from ._kernels._pykernels import _convolve_packed, _packer, dot_walk_batch
 from .bundles import (Atom, Expr, Line, Power, Sum, Sym, Tensor, Wedge,
-                      WeightMultiset, _Budget, _eval, _shape, _WeightMap,
-                      _weights, memoized, weights)
+                      WeightMultiset, _add, _Budget, _eval, _repeat, _shape,
+                      _WeightMap, memoized, weights)
 from .errors import CheckFailed, NotAGModule, NotDominant
 from .rootsys import (RootSystem, Weight, invariant_form,
                       weight_to_root_coords, weyl_product)
@@ -150,13 +151,14 @@ def decompose(rs: RootSystem, expr: Expr | str | WeightMultiset) -> FormalGModul
     weight multiset; sum of mult * weyl_dim equals the total dimension.
 
     An expression is decomposed in the representation ring (``_ring``).
-    When one of its operands is not Weyl-invariant, the whole expression is
-    evaluated and checked instead, so an invariant sum of non-invariant
-    pieces (``n+q+h``) still decomposes, and ``NotAGModule`` names the first
-    failing weight of the whole multiset.  The answer for an expression
-    (text or parsed tree) is memoized per root system for the life of the
-    process (``bundles.memoized``); ``NotAGModule`` is not stored.  A
-    ``WeightMultiset`` is checked and decomposed on every call.
+    When one of its operands is not Weyl-invariant, the expression's
+    ``weights`` are checked and decomposed instead, so an invariant sum of
+    non-invariant pieces (``n+q+h``) still decomposes, and ``NotAGModule``
+    names the first failing weight of the whole multiset.  The answer for
+    an expression (text or parsed tree) is memoized per root system for
+    the life of the process (``bundles.memoized``), and so are the weights
+    of a fallback; ``NotAGModule`` is not stored.  A ``WeightMultiset`` is
+    checked and decomposed on every call.
     """
     if isinstance(expr, WeightMultiset):
         return decompose_multiset(rs, expr)
@@ -166,9 +168,8 @@ def decompose(rs: RootSystem, expr: Expr | str | WeightMultiset) -> FormalGModul
 def _decompose_expr(rs: RootSystem, expr: Expr) -> FormalGModule:
     try:
         return _ring(rs, expr, _Budget())
-    except NotAGModule:
-        # Evaluated afresh, like the ring's operands (see ``bundles._weights``).
-        return decompose_multiset(rs, _weights(rs, expr, _Budget()))
+    except NotAGModule:  # through the weights memo, on a budget of its own
+        return decompose_multiset(rs, weights(rs, expr))
 
 
 # Packed keys.  A ring walk packs at one width (``_packer``): ``_shape``'s
@@ -199,30 +200,17 @@ def _tensor_step(rs: RootSystem, module: FormalGModule, operand: dict,
 
 
 def tensor_power(rs: RootSystem, module: FormalGModule, ws: WeightMultiset,
-                 k: int, budget: _Budget | None = None) -> FormalGModule:
+                 k: int) -> FormalGModule:
     """module (x) V^{(x)k} in k ``_tensor_step``s, for a Weyl-invariant V
-    with weights ``ws``, packed once for all k.  Charged as
-    ``bundles.weights`` charges a power: k up front, then each step's
-    pairs, refused early when the later steps, none smaller, would pass
-    the cap."""
+    with weights ``ws``, packed once for all k, and charged as
+    ``bundles.weights`` charges a power (``bundles._repeat``)."""
     def bound(m):
         return max((abs(c) for w in m._data for c in w), default=0)
 
     packer = _packer(rs.rank, bound(module) + k * bound(ws))
     operand = {packer[0](w): m for w, m in ws._data.items()}
-    return _power(rs, module, operand, k,
-                  _Budget() if budget is None else budget, packer)
-
-
-def _power(rs: RootSystem, module: FormalGModule, operand: dict, k: int,
-           budget: _Budget, packer) -> FormalGModule:
-    """``tensor_power`` on a packed operand."""
-    budget.charge(k)
-    for step in range(k):
-        pairs = len(module) * len(operand)
-        budget.charge(pairs, ahead=pairs * (k - step - 1))
-        module = _tensor_step(rs, module, operand, packer)
-    return module
+    return _repeat(module, operand, k, _Budget(),
+                   partial(_tensor_step, rs, packer=packer))
 
 
 def _invariant_by_construction(expr: Expr) -> bool:
@@ -264,13 +252,8 @@ def _ring(rs: RootSystem, expr: Expr, budget: _Budget,
     if packer is None:
         packer = _packer(rs.rank, _shape(rs, expr)[1])
     if isinstance(expr, Sum):
-        acc: dict[Weight, int] = {}
-        for t in expr.terms:
-            term = _ring(rs, t, budget, packer)
-            budget.charge(len(term))
-            for w, m in term._data.items():
-                acc[w] = acc.get(w, 0) + m
-        return FormalGModule(acc)
+        return FormalGModule(_add((_ring(rs, t, budget, packer)._data
+                                   for t in expr.terms), budget))
     if isinstance(expr, (Wedge, Sym)):
         return _newton(rs, expr, budget, packer)
     if isinstance(expr, Tensor):
@@ -278,11 +261,12 @@ def _ring(rs: RootSystem, expr: Expr, budget: _Budget,
         factors = expr.factors[1:]
     else:  # a power or an operand: one factor of the trivial module
         module, factors = FormalGModule({(0,) * rs.rank: 1}), (expr,)
+    step = partial(_tensor_step, rs, packer=packer)
     for f in factors:
         base, k = (f.base, f.exponent) if isinstance(f, Power) else (f, 1)
         if k:  # base^0 is the trivial module: the base is not evaluated
-            module = _power(rs, module, _operand(rs, base, budget, packer), k,
-                            budget, packer)
+            module = _repeat(module, _operand(rs, base, budget, packer), k,
+                             budget, step)
     return module
 
 

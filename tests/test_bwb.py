@@ -532,8 +532,8 @@ def test_weights_keep_one_entry_per_text_and_tree(cold_memos, monkeypatch):
     a3 = build_root_system("A", 3)
     evaluated = []
     real = bundles._weights
-    monkeypatch.setattr(bundles, "_weights", lambda rs, expr, budget=None: (
-        evaluated.append(expr) or real(rs, expr, budget)))
+    monkeypatch.setattr(bundles, "_weights", lambda rs, expr: (
+        evaluated.append(expr) or real(rs, expr)))
     ws = bundles.weights(a3, "b^2")
     assert bundles.weights(a3, bundles.parse("b^2")) is ws
     assert bundles.weights(a3, " b ^ 2 ") is ws
@@ -568,18 +568,17 @@ def test_weights_errors_are_raised_on_every_call_and_not_stored(
 
 def test_budgeted_weights_leave_the_memo_alone(cold_memos):
     rs = build_root_system("A", 2)
-    budget, b2 = bundles._Budget(), bundles.parse("b^2")
-    ws = bundles._weights(rs, b2, budget)
-    assert budget.spent and rs.expr_memo == {}
-    # A memoized answer does not let a spent budget through.
+    ws = bundles._weights(rs, bundles.parse("b^2"))
+    assert rs.expr_memo == {}
     assert bundles.weights(rs, "b^2") == ws and len(rs.expr_memo) == 1
-    budget.spent = bundles.COST_CAP
-    with pytest.raises(SizeCapExceeded):
-        bundles._weights(rs, b2, budget)
-    # decompose's fallback for a non-module evaluates with a budget too.
+    # decompose's fallback for a non-module reads and fills the weights
+    # memo; its ring walk spent nothing of the weights' budget.
+    with pytest.raises(NotAGModule):
+        repthy.decompose(rs, "b^2")
+    assert rs.expr_memo.keys() == {("weights", "b^2")}
     with pytest.raises(NotAGModule):
         repthy.decompose(rs, "b")
-    assert ("weights", "b") not in rs.expr_memo and len(rs.expr_memo) == 1
+    assert rs.expr_memo.keys() == {("weights", "b^2"), ("weights", "b")}
 
 
 READERS = {
@@ -593,10 +592,9 @@ READERS = {
 @pytest.mark.parametrize("reader", list(READERS))
 def test_two_parses_of_the_deepest_tree_stay_inside_the_recursion_limit(
         cold_memos, reader):
-    # The second parse finds the first one's entry, where there is one
-    # (decompose stores no error, and its fallback skips the memo; psupp
-    # stores its weights too).  Two such trees compared node by node pass
-    # Python's default limit.
+    # The second parse finds the first one's entry: decompose stores no
+    # error but its fallback's weights, and psupp stores its weights too.
+    # Two such trees compared node by node pass Python's default limit.
     rs = build_root_system("A", 2)
     ask = READERS[reader]
     trees = [bundles.parse(nested(100)) for _ in range(2)]
@@ -606,4 +604,4 @@ def test_two_parses_of_the_deepest_tree_stay_inside_the_recursion_limit(
                 ask(rs, tree)
     else:
         assert ask(rs, trees[0]) is ask(rs, trees[1])
-    assert len(rs.expr_memo) == {"psupp": 2, "decompose": 0}.get(reader, 1)
+    assert len(rs.expr_memo) == (2 if reader == "psupp" else 1)

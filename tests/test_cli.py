@@ -555,6 +555,15 @@ MALFORMED_INPUTS = {
         tmp, {"n": 2.7, "matrices": [[[0, 1], [0, 0]]]}),
     "nullcone-n-bool": lambda tmp: _nullcone_doc(
         tmp, {"n": True, "matrices": [[[0]]]}),
+    # Once exit 0 with "r": 1 and an sl_2 flag: the form and r were ignored.
+    "nullcone-form-key": lambda tmp: _nullcone_doc(
+        tmp, {"n": 2, "r": 5, "form": "B", "matrices": [[[0, 1], [0, 0]]]},
+        op="flag"),
+    "nullcone-r-differs": lambda tmp: _nullcone_doc(
+        tmp, {"n": 2, "r": 2, "matrices": [[[0, 1], [0, 0]]]}),
+    "resolve-form-key": lambda tmp: _nullcone_doc(
+        tmp, {"g": [[1, 0], [0, 1]], "form": "B",
+              "matrices": [[[0, 1], [0, 0]]]}, op="resolve"),
     "resolve-g-empty": lambda tmp: _nullcone_doc(
         tmp, {"g": [], "matrices": []}, op="resolve"),
     "nullcone-entry-1-over-0": lambda tmp: [

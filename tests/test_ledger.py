@@ -841,6 +841,33 @@ def test_verdict_frontier_matches_golden():
     assert sum(path.startswith("gap ") for path, _, _ in rows) == 17
 
 
+def _builtin_pages():
+    """Every page that ``e_page`` builds from the built-in table for the
+    frontier's systems and r = 1..6, a gap skipped."""
+    for family, rank in FRONTIER_SYSTEMS:
+        for r in range(1, 7):
+            try:
+                page = e_page(family, rank, r)
+            except LedgerGap:
+                continue
+            yield f"{family}{rank}", r, page
+
+
+def test_certain_survivors_match_the_total_degree_oracle_on_builtin_pages():
+    # The vanishing criterion decides A1 and A2 without a page; their pages
+    # are checked here all the same.
+    survivors, pages = {}, 0
+    for system, r, page in _builtin_pages():
+        want = oracles.survivors_by_total_degree(page)
+        assert [(w.a, w.b) for w in certain_survivors(page)] == want, (system, r)
+        pages += 1
+        if want:
+            survivors[system, r] = want
+    assert pages == 23
+    assert survivors == {("A3", 3): [(-3, 3)], ("A5", 4): [(-4, 5)],
+                         ("B2", 2): [(-2, 2)]}
+
+
 if __name__ == "__main__":
     # Record a deliberate change of the frontier.
     with open(FRONTIER, "w", encoding="utf-8") as fh:

@@ -2,6 +2,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -250,6 +251,35 @@ def test_json_rejects_matrix_size_that_is_not_a_positive_int(n):
     doc = {"n": n, "matrices": [[["0", "1"], ["0", "0"]]] if n == 2.7 else []}
     with pytest.raises(InputError, match="bad matrix-tuple document"):
         nullcone.tuple_from_json(json.dumps(doc))
+
+
+_X = [[["0", "1"], ["0", "0"]]]
+
+
+@pytest.mark.parametrize("doc,resolve,message", [
+    ({"n": 2, "r": 5, "form": "B", "matrices": _X}, False,
+     "unknown key 'form' (expected n, r, matrices)"),
+    ({"n": 2, "r": 2, "matrices": _X}, False, "r is 2; the number of matrices is 1"),
+    ({"n": 2, "r": True, "matrices": _X}, False, "r is True"),
+    ({"n": 2, "g": [[1, 0], [0, 1]], "matrices": _X}, False, "unknown key 'g'"),
+    ({"g": [[1, 0], [0, 1]], "n": 2, "matrices": _X}, True,
+     "unknown key 'n' (expected g, r, matrices)"),
+    ({"g": [[1, 0], [0, 1]], "r": 0, "matrices": _X}, True, "r is 0"),
+], ids=["form", "r-differs", "r-bool", "tuple-with-g", "resolve-with-n",
+        "resolve-r-differs"])
+def test_document_refuses_unknown_keys_and_a_wrong_r(doc, resolve, message):
+    what = "resolve" if resolve else "matrix-tuple"
+    with pytest.raises(InputError, match=re.escape(
+            f"bad {what} document: {message}")):
+        nullcone.read_document(json.dumps(doc), resolve)
+
+
+def test_document_reads_its_r_and_g():
+    t = _mt([[0, 1], [0, 0]], [[0, 0], [0, 0]])
+    assert nullcone.read_document(nullcone.tuple_to_json(t)) == (t, None)
+    doc = {"g": [[1, 1], [0, 1]], "r": 1, "matrices": _X}
+    t, g = nullcone.read_document(json.dumps(doc), resolve=True)
+    assert g == ((1, 1), (0, 1)) and t.r == 1 and t.n == 2
 
 
 def test_matrix_tuple_needs_a_positive_size():

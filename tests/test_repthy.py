@@ -518,7 +518,29 @@ def test_non_module_is_refused_on_every_call(cold_memos):
     for _ in range(2):
         with pytest.raises(NotAGModule):
             repthy.decompose(rs, "b")
-    assert rs.expr_memo == {}
+    # The refusal is not stored; the weights the fallback read are.
+    assert list(rs.expr_memo) == [("weights", "b")]
+
+
+def test_fallback_and_psupp_share_one_evaluation(cold_memos, monkeypatch):
+    # n+q+h has non-invariant operands, so decompose falls back to the
+    # weights of the whole expression, and psupp walks the same memo entry.
+    rs, text = build_root_system("A", 2), "n+q+h"
+    tree, whole = bundles.parse(text), []
+    real = bundles._eval
+
+    def counting(rs, expr, budget, pack):
+        if expr == tree:
+            whole.append(expr)
+        return real(rs, expr, budget, pack)
+
+    monkeypatch.setattr(bundles, "_eval", counting)
+    assert repthy.decompose(rs, text) == {(1, 1): 1}
+    ps = bwb.psupp(rs, text)
+    assert whole == [tree]
+    assert rs.expr_memo.keys() == {("decompose", text), ("weights", text),
+                                   ("psupp", text)}
+    assert ps == bwb.psupp(rs, "g")
 
 
 def test_past_the_cap_is_refused_on_every_call(cold_memos):
